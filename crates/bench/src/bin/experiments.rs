@@ -282,10 +282,9 @@ fn e15_flight_recorder() {
             "realestate",
             policy,
         )
-        .with_trace(sink.clone());
-        let (health, stats) = (nav.health(), nav.stats());
+        .with_trace(sink);
         let mut reg = SourceRegistry::new();
-        reg.add_navigator_traced("realestate", nav, health, stats, sink);
+        reg.add_buffer("realestate", nav);
         VirtualDocument::new(Engine::new(plan_for(query), &reg).unwrap())
     };
 
@@ -442,6 +441,30 @@ fn e15_flight_recorder() {
     .write("BENCH_E15.json");
 }
 
+/// The Fig. 3 view over chunk-4 buffered sources recording into one fresh
+/// enabled registry (returned alongside), optionally reading through a
+/// shared fragment cache: fresh wrappers and a fresh engine per call.
+fn observed_fig3(
+    cache: Option<&mix_buffer::FragmentCache>,
+) -> (mix_core::VirtualDocument, mix_buffer::MetricsRegistry) {
+    use mix_buffer::{FillPolicy, MetricsRegistry, TreeWrapper};
+    let registry = MetricsRegistry::enabled();
+    let mut sources = SourceRegistry::new();
+    for (name, tree) in
+        [("homesSrc", gen::homes_doc(42, 40, 8)), ("schoolsSrc", gen::schools_doc(43, 40, 8))]
+    {
+        let mut inner = TreeWrapper::new(FillPolicy::Chunked { n: 4 });
+        inner.add(name, std::sync::Arc::new(mix_xml::Document::from_tree(&tree)));
+        let mut nav = BufferNavigator::new(inner, name).with_metrics(registry.clone());
+        if let Some(cache) = cache {
+            nav = nav.with_fragment_cache(cache.clone());
+        }
+        sources.add_buffer(name, nav);
+    }
+    let engine = Engine::new(plan_for(FIG3_QUERY), &sources).unwrap();
+    (mix_core::VirtualDocument::new(engine), registry)
+}
+
 /// E16 — live metrics & EXPLAIN ANALYZE: the per-operator registry makes
 /// Def. 2 browsability *observable* — bounded and unbrowsable plans are
 /// distinguishable from the amplification column alone — and the whole
@@ -450,32 +473,13 @@ fn e15_flight_recorder() {
 fn e16_live_metrics() {
     banner("E16", "live metrics & EXPLAIN ANALYZE");
     use mix_algebra::PlanNode;
-    use mix_buffer::{FillPolicy, MetricsRegistry, TreeWrapper};
+    use mix_buffer::MetricsRegistry;
     use mix_core::{PromText, VirtualDocument};
 
     // (a) The Fig. 3 view over observed buffered sources: one shared
     // registry covers engine operators, client commands, per-source
     // navigation, and buffer wire traffic.
-    let observed_fig3 = || -> (VirtualDocument, MetricsRegistry) {
-        let registry = MetricsRegistry::enabled();
-        let mut sources = SourceRegistry::new();
-        for (name, tree) in [
-            ("homesSrc", gen::homes_doc(42, 40, 8)),
-            ("schoolsSrc", gen::schools_doc(43, 40, 8)),
-        ] {
-            let mut inner = TreeWrapper::new(FillPolicy::Chunked { n: 4 });
-            inner.add(name, std::sync::Arc::new(mix_xml::Document::from_tree(&tree)));
-            let nav = BufferNavigator::new(inner, name).with_metrics(registry.clone());
-            let (health, stats) = (nav.health(), nav.stats());
-            let trace = nav.trace_sink();
-            sources.add_navigator_observed(name, nav, health, stats, trace, registry.clone());
-        }
-        let doc =
-            VirtualDocument::new(Engine::new(plan_for(FIG3_QUERY), &sources).unwrap());
-        (doc, registry)
-    };
-
-    let (doc, registry) = observed_fig3();
+    let (doc, registry) = observed_fig3(None);
     let _ = first_k_children(&mut *doc.engine().lock().unwrap(), 3);
     println!("{}", doc.explain_analyze());
 
@@ -600,7 +604,7 @@ fn e16_live_metrics() {
         let reps = 30;
         let start = Instant::now();
         for _ in 0..reps {
-            let (doc, registry) = observed_fig3();
+            let (doc, registry) = observed_fig3(None);
             if !enabled {
                 registry.set_enabled(false);
             }
@@ -648,30 +652,12 @@ fn e16_live_metrics() {
 /// source restores exactly that source's traffic.
 fn e17_shared_cache() {
     banner("E17", "shared cross-query fragment cache");
-    use mix_buffer::{FillPolicy, FragmentCache, MetricsRegistry, TreeWrapper};
+    use mix_buffer::FragmentCache;
     use mix_core::VirtualDocument;
 
     // One mediation session over the Fig. 3 view: fresh wrappers and a
     // fresh engine every time — only the fragment cache is shared.
-    let session = |cache: &FragmentCache| -> VirtualDocument {
-        let registry = MetricsRegistry::enabled();
-        let mut sources = SourceRegistry::new();
-        for (name, tree) in [
-            ("homesSrc", gen::homes_doc(42, 40, 8)),
-            ("schoolsSrc", gen::schools_doc(43, 40, 8)),
-        ] {
-            let mut inner = TreeWrapper::new(FillPolicy::Chunked { n: 4 });
-            inner.add(name, std::sync::Arc::new(mix_xml::Document::from_tree(&tree)));
-            let nav = BufferNavigator::new(inner, name)
-                .with_metrics(registry.clone())
-                .with_fragment_cache(cache.clone());
-            let (health, stats) = (nav.health(), nav.stats());
-            let trace = nav.trace_sink();
-            sources.add_navigator_observed(name, nav, health, stats, trace, registry.clone());
-            sources.set_source_cache(name, cache.clone());
-        }
-        VirtualDocument::new(Engine::new(plan_for(FIG3_QUERY), &sources).unwrap())
-    };
+    let session = |cache: &FragmentCache| observed_fig3(Some(cache)).0;
     // (requests, get_roots, bytes) per named source, summed when name is None.
     let wire = |doc: &VirtualDocument, name: Option<&str>| -> (u64, u64, u64) {
         let mut t = (0, 0, 0);
@@ -805,10 +791,9 @@ fn e21_semantic_cache() {
         let mut inner = TreeWrapper::new(FillPolicy::Chunked { n: 4 });
         inner.add("homesSrc", doc.clone());
         let nav = BufferNavigator::new(inner, "homesSrc").with_fragment_cache(cache.clone());
-        let (health, stats) = (nav.health(), nav.stats());
+        let stats = nav.stats();
         let mut reg = SourceRegistry::new();
-        reg.add_navigator_with_stats("homesSrc", nav, health, stats.clone());
-        reg.set_source_cache("homesSrc", cache.clone());
+        reg.add_buffer("homesSrc", nav);
         let config = match catalog {
             Some(catalog) => {
                 reg.set_view_catalog(catalog.clone());
@@ -986,9 +971,7 @@ fn e21_semantic_cache() {
 /// per-navigation-command latency percentiles.
 fn e18_concurrency(threads_override: Option<usize>) {
     banner("E18", "concurrent multi-source navigation");
-    use mix_buffer::{
-        ConcurrentPrefetcher, FillPolicy, SlowWrapper, TreeWrapper, DEFAULT_PREFETCH_CAP,
-    };
+    use mix_buffer::{ConcurrentPrefetcher, FillPolicy, SlowWrapper, TreeWrapper};
     use mix_core::VNode;
     use mix_nav::Navigator;
     use mix_xml::Tree;
@@ -1015,9 +998,9 @@ fn e18_concurrency(threads_override: Option<usize>) {
         })
         .collect();
 
-    // One engine over four slow sources. Sequential (threads = 1) talks
-    // straight to the buffered wrapper; concurrent adds the background
-    // prefetcher (one worker per source: the wire mutex serializes
+    // One engine over four slow sources, each behind a prefetcher.
+    // Sequential (threads = 1) gives it no worker, which makes it a
+    // pass-through; concurrent gives it one (the wire mutex serializes
     // exchanges per source anyway, so parallelism comes from the four
     // sources' workers overlapping, plus the warm-up pool).
     let build = |threads: usize| -> (Engine, Vec<Arc<AtomicU64>>, mix_buffer::OverlapGauge) {
@@ -1033,16 +1016,8 @@ fn e18_concurrency(threads_override: Option<usize>) {
             )
             .with_gauge(wire_gauge.clone());
             wires.push(slow.exchange_counter());
-            if threads <= 1 {
-                let nav = BufferNavigator::new(slow, "doc");
-                let (health, stats) = (nav.health(), nav.stats());
-                reg.add_navigator_with_stats(format!("s{i}"), nav, health, stats);
-            } else {
-                let pre = ConcurrentPrefetcher::build(slow, 1, DEFAULT_PREFETCH_CAP);
-                let nav = BufferNavigator::new(pre, "doc");
-                let (health, stats) = (nav.health(), nav.stats());
-                reg.add_navigator_with_stats(format!("s{i}"), nav, health, stats);
-            }
+            let pre = ConcurrentPrefetcher::new(slow, usize::from(threads > 1));
+            reg.add_buffer(format!("s{i}"), BufferNavigator::new(pre, "doc"));
         }
         let config = EngineConfig { threads, ..EngineConfig::default() };
         (Engine::with_config(plan_for(QUERY), &reg, config).unwrap(), wires, wire_gauge)
@@ -2208,29 +2183,6 @@ fn e6_liberal_lxp() {
         "shape check: early results need few fills under streaming policies; \
          node-at-a-time pays one round trip per node."
     );
-
-    // Prefetching (§4's asynchronous readahead, synchronously rendered):
-    // critical-path misses vs readahead depth over a node-at-a-time
-    // wrapper.
-    use mix_buffer::Prefetcher;
-    println!("\nreadahead over a node-at-a-time wrapper (full scan):");
-    let t2 = TablePrinter::new(
-        &["prefetch depth", "critical-path misses", "cache hits"],
-        &[14, 20, 12],
-    );
-    for depth in [0usize, 1, 4, 16] {
-        let inner = TreeWrapper::single(&page, FillPolicy::NodeAtATime);
-        let pf = Prefetcher::new(inner, depth);
-        let mut nav = BufferNavigator::new(pf, "doc");
-        materialize(&mut nav);
-        let pf = nav.into_wrapper();
-        t2.row(&[
-            format!("{depth}"),
-            format!("{}", pf.misses()),
-            format!("{}", pf.hits()),
-        ]);
-    }
-    println!("shape check: misses drop as readahead deepens (latency leaves the critical path).");
 }
 
 /// E7 — Figures 9 & 10: per-operator navigation amplification.

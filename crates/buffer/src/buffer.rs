@@ -26,14 +26,13 @@
 use crate::cache::{cache_forced, FragmentCache};
 use crate::fragment::{Fragment, HoleSlot, OpenTree, TreeEntry};
 use crate::health::SourceHealth;
-use crate::lxp::{check_batch_shape, check_progress, HoleId, LxpWrapper};
+use crate::lxp::{check_batch_shape, check_progress, BatchItem, HoleId, LxpWrapper};
 use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry, RetryMetrics};
 use crate::pool::lock_unpoisoned;
 use crate::retry::{RetryError, RetryPolicy, RetryState};
 use crate::trace::{TraceKind, TraceSink};
 use mix_nav::Navigator;
 use mix_xml::Label;
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::collections::VecDeque;
@@ -67,9 +66,9 @@ pub struct BufferStats {
 /// A point-in-time copy of [`BufferStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BufferStatsSnapshot {
-    /// Per-hole fill replies consumed by the buffer (one per wire `fill`
-    /// in unbatched mode; in batched mode also counts replies served from
-    /// the pending batch cache).
+    /// Per-hole fill replies consumed by the buffer: one per successful
+    /// wire exchange, plus replies served from the pending batch cache or
+    /// the shared fragment cache.
     pub fills: u64,
     /// `get_root` requests (0 or 1 per source).
     pub get_roots: u64,
@@ -77,12 +76,13 @@ pub struct BufferStatsSnapshot {
     pub nodes_received: u64,
     /// Approximate bytes received (see `Fragment::wire_bytes`).
     pub bytes_received: u64,
-    /// Wire exchanges for fills (`fill` or `fill_many` calls). Equals
-    /// `fills` in unbatched mode; the whole point of batching is pushing
-    /// this far below `fills`.
+    /// Wire exchanges for fills (`fill` or `fill_many` calls), including
+    /// ones whose reply the protocol checks rejected. The whole point of
+    /// batching is pushing this far below `fills`.
     pub requests: u64,
-    /// Per-hole replies received across batched exchanges (requested plus
-    /// wrapper-pushed continuation items).
+    /// Per-hole replies received across wire exchanges (requested plus
+    /// wrapper-pushed continuation items; one per exchange at batch
+    /// limit 1).
     pub batched_holes: u64,
     /// Bytes received speculatively and not (or not yet) consumed:
     /// dropped protocol-violating continuation items plus batch-cache
@@ -91,12 +91,12 @@ pub struct BufferStatsSnapshot {
 }
 
 impl BufferStatsSnapshot {
-    /// Average holes answered per wire exchange (1.0 when unbatched).
+    /// Average holes answered per wire exchange (1.0 at batch limit 1).
     pub fn holes_per_request(&self) -> f64 {
         if self.requests == 0 {
             0.0
         } else {
-            self.batched_holes.max(self.requests) as f64 / self.requests as f64
+            self.batched_holes as f64 / self.requests as f64
         }
     }
 }
@@ -120,54 +120,30 @@ impl BufferStats {
         }
     }
 
-    /// Reset all counters.
-    pub fn reset(&self) {
-        self.fills.reset();
-        self.get_roots.reset();
-        self.nodes_received.reset();
-        self.bytes_received.reset();
-        self.requests.reset();
-        self.batched_holes.reset();
-        self.wasted_bytes.set(0);
-    }
-
     /// Register these counters' *cells* in `registry` under the canonical
     /// `mix_*` wire-traffic series, labelled with `source` — the
     /// deduplication point: after this, `snapshot()` and the registry
     /// read the same storage.
     pub fn bind_into(&self, registry: &MetricsRegistry, source: &str) {
         let l = &[("source", source)][..];
-        registry.bind_counter(
-            "mix_fills_total",
-            "Per-hole fill replies consumed by the buffer",
-            l,
-            &self.fills,
-        );
-        registry.bind_counter("mix_get_roots_total", "LXP get_root requests", l, &self.get_roots);
-        registry.bind_counter(
-            "mix_nodes_received_total",
-            "Non-hole fragment nodes received",
-            l,
-            &self.nodes_received,
-        );
-        registry.bind_counter(
-            "mix_bytes_received_total",
-            "Approximate wire bytes received",
-            l,
-            &self.bytes_received,
-        );
-        registry.bind_counter(
-            "mix_requests_total",
-            "Wire exchanges for fills (fill or fill_many calls)",
-            l,
-            &self.requests,
-        );
-        registry.bind_counter(
-            "mix_batched_holes_total",
-            "Per-hole replies received across batched exchanges",
-            l,
-            &self.batched_holes,
-        );
+        for (name, help, cell) in [
+            ("mix_fills_total", "Per-hole fill replies consumed by the buffer", &self.fills),
+            ("mix_get_roots_total", "LXP get_root requests", &self.get_roots),
+            ("mix_nodes_received_total", "Non-hole fragment nodes received", &self.nodes_received),
+            ("mix_bytes_received_total", "Approximate wire bytes received", &self.bytes_received),
+            (
+                "mix_requests_total",
+                "Wire exchanges for fills (fill or fill_many calls)",
+                &self.requests,
+            ),
+            (
+                "mix_batched_holes_total",
+                "Per-hole replies received across wire exchanges",
+                &self.batched_holes,
+            ),
+        ] {
+            registry.bind_counter(name, help, l, cell);
+        }
         registry.bind_gauge(
             "mix_wasted_bytes",
             "Speculative bytes not (or not yet) consumed by navigation",
@@ -320,9 +296,8 @@ pub struct BufferNavigator<W> {
     policy: RetryPolicy,
     retry: RetryState,
     health: SourceHealth,
-    /// Batched-fill mode: holes per `fill_many` exchange. `<= 1` keeps the
-    /// classic one-hole-per-round-trip protocol (and its exact fill
-    /// counts) byte-for-byte unchanged.
+    /// Holes per wire exchange. At 1 every exchange is a plain `fill`:
+    /// the classic one-hole-per-round-trip protocol, byte for byte.
     batch_limit: usize,
     /// Replies received in a batch before any navigation needed them,
     /// keyed by hole id. Consumed instead of going back to the wire.
@@ -403,8 +378,9 @@ impl<W: LxpWrapper> BufferNavigator<W> {
         }
     }
 
-    /// Attach a flight recorder. Hand the engine's sink here so buffer
-    /// events inherit the span of the client command that caused them.
+    /// Attach a flight recorder. An engine this buffer is registered
+    /// with adopts the sink, so buffer events inherit the span of the
+    /// client command that caused them.
     pub fn with_trace(mut self, sink: TraceSink) -> Self {
         self.trace = sink;
         self
@@ -414,8 +390,9 @@ impl<W: LxpWrapper> BufferNavigator<W> {
     /// counters are (re)bound into it under `mix_*` series labelled with
     /// this buffer's uri, and the gated series (fill latency/size
     /// histograms, batch-cache hits/misses, retries, degradations) start
-    /// recording whenever the registry is enabled. Hand the engine's
-    /// registry here so one snapshot covers the whole mediator stack.
+    /// recording whenever the registry is enabled. An engine this buffer
+    /// is registered with adopts the registry, so one snapshot covers the
+    /// whole mediator stack.
     pub fn with_metrics(mut self, registry: MetricsRegistry) -> Self {
         self.stats.bind_into(&registry, &self.uri);
         self.metrics = BufMetrics::new(&registry, &self.uri);
@@ -457,11 +434,6 @@ impl<W: LxpWrapper> BufferNavigator<W> {
     pub fn batched(mut self, batch_limit: usize) -> Self {
         self.batch_limit = batch_limit.max(1);
         self
-    }
-
-    /// Is batched-fill mode on?
-    pub fn is_batching(&self) -> bool {
-        self.batch_limit > 1
     }
 
     /// Attach a shared cross-query [`FragmentCache`]. Every fill checks
@@ -543,11 +515,6 @@ impl<W: LxpWrapper> BufferNavigator<W> {
         }
     }
 
-    /// The retry policy in effect.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
     /// Tear down the buffer and recover the wrapper (for reading
     /// wrapper-side statistics after an experiment).
     pub fn into_wrapper(self) -> W {
@@ -578,11 +545,7 @@ impl<W: LxpWrapper> BufferNavigator<W> {
         let reply = cache.lookup(&self.uri, hole)?;
         self.stats.fills.inc();
         if self.trace.is_enabled() {
-            let (mut nodes, mut bytes) = (0u64, 0u64);
-            for f in reply.iter() {
-                nodes += f.node_count() as u64;
-                bytes += f.wire_bytes() as u64;
-            }
+            let (nodes, bytes) = volume(&reply);
             self.trace.emit(
                 Some(self.uri.as_str()),
                 TraceKind::CacheHit { hole: hole.clone(), nodes, bytes },
@@ -600,10 +563,9 @@ impl<W: LxpWrapper> BufferNavigator<W> {
         let Some(cache) = &self.cache else { return };
         let evicted = cache.insert(&self.uri, hole, reply);
         if self.trace.is_enabled() {
-            let bytes: u64 = reply.iter().map(|f| f.wire_bytes() as u64).sum();
             self.trace.emit(
                 Some(self.uri.as_str()),
-                TraceKind::CacheStore { hole: hole.clone(), bytes },
+                TraceKind::CacheStore { hole: hole.clone(), bytes: wire_bytes(reply) },
             );
             for (src, h, b) in evicted {
                 self.trace.emit(
@@ -614,71 +576,17 @@ impl<W: LxpWrapper> BufferNavigator<W> {
         }
     }
 
-    /// Resolve one hole under the retry policy, via a single `fill` (the
-    /// classic path) or a batched `fill_many` exchange. Progress is
-    /// checked inside the retried operation, so a protocol-violating
-    /// reply surfaces as a permanent error (and counts against the
-    /// breaker) instead of being buffered.
+    /// Resolve one hole: from the pending batch cache if a prior exchange
+    /// already answered it, else from the shared cross-query cache, else
+    /// through one wire exchange under the retry policy. The exchange is a
+    /// `fill_many` carrying `hole` plus other currently-known holes of the
+    /// open tree — or, at batch limit 1, a plain `fill` (a wrapper's
+    /// native `fill_many` chases continuations, so a one-hole batch is not
+    /// the same exchange). Only `hole`'s reply is returned for splicing;
+    /// the rest is parked. Progress is checked inside the retried
+    /// operation, so a protocol-violating reply surfaces as a permanent
+    /// error (and counts against the breaker) instead of being buffered.
     fn try_fill(&mut self, hole: &HoleId) -> Result<Arc<Vec<Fragment>>, BufferError> {
-        if self.batch_limit > 1 {
-            return self.try_fill_batched(hole);
-        }
-        if let Some(reply) = self.cache_lookup(hole) {
-            return Ok(reply);
-        }
-        let timer = self.metrics.on().then(Instant::now);
-        let wrapper = &mut self.wrapper;
-        let reply = self
-            .retry
-            .run_observed(
-                &self.policy,
-                &self.health,
-                &self.trace,
-                Some(&self.metrics.retry),
-                Some(self.uri.as_str()),
-                hole,
-                || {
-                    let reply = wrapper.fill(hole)?;
-                    check_progress(&reply)?;
-                    Ok(reply)
-                },
-            )
-            .map_err(|error| BufferError::Lxp { request: format!("fill({hole})"), error })?;
-        let reply = Arc::new(reply);
-        self.stats.fills.inc();
-        self.stats.requests.inc();
-        let (mut nodes, mut bytes) = (0u64, 0u64);
-        for f in reply.iter() {
-            nodes += f.node_count() as u64;
-            bytes += f.wire_bytes() as u64;
-        }
-        self.stats.nodes_received.add(nodes);
-        self.stats.bytes_received.add(bytes);
-        if let Some(t) = timer {
-            self.metrics.fill_latency_ns.observe(t.elapsed().as_nanos() as u64);
-            self.metrics.fill_bytes.observe(bytes);
-        }
-        if self.trace.is_enabled() {
-            self.trace.emit(
-                Some(self.uri.as_str()),
-                TraceKind::Fill {
-                    hole: hole.clone(),
-                    nodes,
-                    bytes,
-                    from_cache: false,
-                    waste_credit: 0,
-                },
-            );
-        }
-        self.cache_store(hole, &reply);
-        Ok(reply)
-    }
-
-    /// Batched-mode fill: serve `hole` from the pending batch cache if a
-    /// prior exchange already answered it; otherwise issue one
-    /// `fill_many` carrying `hole` plus other currently-known holes of
-    /// the open tree, splice only `hole`'s reply, and stash the rest.
-    fn try_fill_batched(&mut self, hole: &HoleId) -> Result<Arc<Vec<Fragment>>, BufferError> {
         if let Some(reply) = self.pending.remove(hole) {
             self.stats.fills.inc();
             if self.metrics.on() {
@@ -686,15 +594,14 @@ impl<W: LxpWrapper> BufferNavigator<W> {
             }
             // The bytes are no longer speculative waste: a navigation
             // actually needed them.
-            let bytes: u64 = reply.iter().map(|f| f.wire_bytes() as u64).sum();
+            let bytes = wire_bytes(&reply);
             let credited = self.stats.wasted_bytes.sub_saturating(bytes);
             if self.trace.is_enabled() {
-                let nodes: u64 = reply.iter().map(|f| f.node_count() as u64).sum();
                 self.trace.emit(
                     Some(self.uri.as_str()),
                     TraceKind::Fill {
                         hole: hole.clone(),
-                        nodes,
+                        nodes: node_count(&reply),
                         bytes,
                         from_cache: true,
                         // The delta actually applied, so trace rollups
@@ -713,9 +620,10 @@ impl<W: LxpWrapper> BufferNavigator<W> {
         let batch = self.known_holes(hole);
         let wrapper = &mut self.wrapper;
         // A reply the wrapper transferred but the protocol checks then
-        // rejected: the wire cost is real and must not vanish from the
-        // books just because nothing was consumed.
-        let rejected: Cell<Option<(u64, u64, u64)>> = Cell::new(None);
+        // rejected, as `(items, nodes, bytes)`: the wire cost is real and
+        // must not vanish from the books just because nothing was
+        // consumed.
+        let mut rejected = None;
         let result = self.retry.run_observed(
             &self.policy,
             &self.health,
@@ -724,117 +632,120 @@ impl<W: LxpWrapper> BufferNavigator<W> {
             Some(self.uri.as_str()),
             hole,
             || {
-                let items = wrapper.fill_many(&batch)?;
+                let (critical, rest) = if batch.is_empty() {
+                    (wrapper.fill(hole)?, Vec::new())
+                } else {
+                    let mut items = wrapper.fill_many(&batch)?;
+                    if let Err(e) = check_batch_shape(&batch, &items) {
+                        rejected = Some(exchange_volume(None, &items));
+                        return Err(e);
+                    }
+                    (items.remove(0).fragments, items)
+                };
                 // The critical hole's reply is held to the progress
                 // invariant strictly; continuation items are vetted (and
                 // merely dropped) below.
-                let vetted = check_batch_shape(&batch, &items)
-                    .and_then(|()| check_progress(&items[0].fragments));
-                if let Err(e) = vetted {
-                    let (mut nodes, mut bytes) = (0u64, 0u64);
-                    for it in &items {
-                        for f in &it.fragments {
-                            nodes += f.node_count() as u64;
-                            bytes += f.wire_bytes() as u64;
-                        }
-                    }
-                    rejected.set(Some((items.len() as u64, nodes, bytes)));
+                if let Err(e) = check_progress(&critical) {
+                    rejected = Some(exchange_volume(Some(&critical), &rest));
                     return Err(e);
                 }
-                Ok(items)
+                Ok((critical, rest))
             },
         );
-        let items = match result {
-            Ok(items) => items,
+        let (critical, rest) = match result {
+            Ok(reply) => reply,
             Err(error) => {
-                if let Some((ritems, rnodes, rbytes)) = rejected.take() {
-                    // The exchange happened and the items crossed the
-                    // wire: attribute the request and its volume, all of
-                    // it wasted for good.
+                if let Some((items, nodes, bytes)) = rejected {
+                    // Attribute the request and its volume, all of it
+                    // wasted for good.
                     self.stats.requests.inc();
-                    self.stats.batched_holes.add(ritems);
-                    self.stats.nodes_received.add(rnodes);
-                    self.stats.bytes_received.add(rbytes);
-                    self.stats.wasted_bytes.add(rbytes);
+                    self.stats.batched_holes.add(items);
+                    self.stats.nodes_received.add(nodes);
+                    self.stats.bytes_received.add(bytes);
+                    self.stats.wasted_bytes.add(bytes);
                     if self.trace.is_enabled() {
                         self.trace.emit(
                             Some(self.uri.as_str()),
                             TraceKind::FillManyFailed {
                                 critical: hole.clone(),
-                                holes: batch.len() as u64,
-                                items: ritems,
-                                nodes: rnodes,
-                                bytes: rbytes,
-                                wasted: rbytes,
+                                holes: batch.len().max(1) as u64,
+                                items,
+                                nodes,
+                                bytes,
+                                wasted: bytes,
                             },
                         );
                     }
                 }
-                return Err(BufferError::Lxp {
-                    request: format!("fill_many({hole} +{} holes)", batch.len() - 1),
-                    error,
-                });
+                let request = if batch.is_empty() {
+                    format!("fill({hole})")
+                } else {
+                    format!("fill_many({hole} +{} holes)", batch.len() - 1)
+                };
+                return Err(BufferError::Lxp { request, error });
             }
         };
-        self.stats.requests.inc();
-        self.stats.batched_holes.add(items.len() as u64);
-        self.stats.fills.inc();
-        let item_count = items.len() as u64;
-        let (mut total_nodes, mut total_bytes, mut total_wasted) = (0u64, 0u64, 0u64);
-        let mut critical = None;
-        for (k, item) in items.into_iter().enumerate() {
-            let bytes: u64 = item.fragments.iter().map(|f| f.wire_bytes() as u64).sum();
-            let nodes: u64 = item.fragments.iter().map(|f| f.node_count() as u64).sum();
-            self.stats.nodes_received.add(nodes);
-            self.stats.bytes_received.add(bytes);
-            total_nodes += nodes;
-            total_bytes += bytes;
-            if k == 0 {
-                let fragments = Arc::new(item.fragments);
-                self.cache_store(hole, &fragments);
-                critical = Some(fragments);
-            } else if check_progress(&item.fragments).is_err()
-                || item.hole == *hole
-                || self.pending.contains_key(&item.hole)
+        let items = 1 + rest.len() as u64;
+        let (mut nodes, mut bytes) = volume(&critical);
+        let critical = Arc::new(critical);
+        self.cache_store(hole, &critical);
+        // Continuation items count as waste until a navigation consumes
+        // them (consumption credits the bytes back).
+        let mut wasted = 0u64;
+        for item in rest {
+            let (item_nodes, item_bytes) = volume(&item.fragments);
+            nodes += item_nodes;
+            bytes += item_bytes;
+            wasted += item_bytes;
+            // A violating or duplicate speculative reply is dropped — the
+            // client's own fill will face it on the critical path — and
+            // its bytes stay waste for good. Verified ones are parked,
+            // and shared cross-query too: one allocation, two `Arc`
+            // handles.
+            if check_progress(&item.fragments).is_ok()
+                && item.hole != *hole
+                && !self.pending.contains_key(&item.hole)
             {
-                // Violating or duplicate speculative reply: dropped — the
-                // client's own fill will face it on the critical path —
-                // and its bytes stay counted as waste for good.
-                self.stats.wasted_bytes.add(bytes);
-                total_wasted += bytes;
-            } else {
-                // Parked until a navigation needs it; counted as waste
-                // until then (consumption credits it back). Verified
-                // continuation items are shared cross-query, too — one
-                // allocation, two `Arc` handles.
-                self.stats.wasted_bytes.add(bytes);
-                total_wasted += bytes;
                 let fragments = Arc::new(item.fragments);
                 self.cache_store(&item.hole, &fragments);
                 self.pending_order.push_back(item.hole.clone());
                 self.pending.insert(item.hole, fragments);
             }
         }
+        self.stats.requests.inc();
+        self.stats.fills.inc();
+        self.stats.batched_holes.add(items);
+        self.stats.nodes_received.add(nodes);
+        self.stats.bytes_received.add(bytes);
+        self.stats.wasted_bytes.add(wasted);
         self.enforce_pending_cap();
         if let Some(t) = timer {
             self.metrics.batch_cache_misses.inc();
             self.metrics.fill_latency_ns.observe(t.elapsed().as_nanos() as u64);
-            self.metrics.fill_bytes.observe(total_bytes);
+            self.metrics.fill_bytes.observe(bytes);
         }
         if self.trace.is_enabled() {
-            self.trace.emit(
-                Some(self.uri.as_str()),
+            let kind = if batch.is_empty() {
+                TraceKind::Fill {
+                    hole: hole.clone(),
+                    nodes,
+                    bytes,
+                    from_cache: false,
+                    waste_credit: 0,
+                }
+            } else {
                 TraceKind::FillMany {
                     critical: hole.clone(),
                     holes: batch.len() as u64,
-                    items: item_count,
-                    nodes: total_nodes,
-                    bytes: total_bytes,
-                    wasted: total_wasted,
-                },
-            );
+                    items,
+                    nodes,
+                    bytes,
+                    wasted,
+                }
+            };
+            self.trace.emit(Some(self.uri.as_str()), kind);
         }
-        Ok(critical.expect("batch shape checked: first item answers the critical hole"))
+        Ok(critical)
     }
 
     /// Evict the oldest parked replies until the pending batch cache
@@ -850,10 +761,13 @@ impl<W: LxpWrapper> BufferNavigator<W> {
                     self.metrics.batch_cache_evictions.inc();
                 }
                 if self.trace.is_enabled() {
-                    let bytes: u64 = frags.iter().map(|f| f.wire_bytes() as u64).sum();
                     self.trace.emit(
                         Some(self.uri.as_str()),
-                        TraceKind::CacheEvict { scope: "pending", hole: old, bytes },
+                        TraceKind::CacheEvict {
+                            scope: "pending",
+                            hole: old,
+                            bytes: wire_bytes(&frags),
+                        },
                     );
                 }
             }
@@ -867,16 +781,18 @@ impl<W: LxpWrapper> BufferNavigator<W> {
         }
     }
 
-    /// The fill_many batch for a critical hole: the hole itself first,
+    /// The `fill_many` batch for a critical hole: the hole itself first,
     /// then other holes of the open tree in document order (the order a
     /// scanning client will want them), capped by the batch limit and
-    /// excluding holes already answered in the pending cache.
+    /// excluding holes already answered in the pending cache. Empty at
+    /// batch limit 1, where the exchange is a plain `fill`.
     ///
-    /// This used to re-walk the whole open tree per wire exchange —
-    /// O(tree) work per batch that made batched fills *slower* than
-    /// unbatched on scans. The arena maintains the holes as a
-    /// document-order linked list, so the enumeration is O(batch limit).
+    /// The arena maintains the holes as a document-order linked list, so
+    /// the enumeration is O(batch limit), not a walk of the open tree.
     fn known_holes(&self, critical: &HoleId) -> Vec<HoleId> {
+        if self.batch_limit <= 1 {
+            return Vec::new();
+        }
         let mut batch = vec![critical.clone()];
         if self.connected {
             for h in self.tree.holes_in_order() {
@@ -913,14 +829,13 @@ impl<W: LxpWrapper> BufferNavigator<W> {
                 self.trace.emit(Some(&uri), TraceKind::GetRoot { uri: uri.clone() });
             }
             let wrapper = &mut self.wrapper;
-            let retry_metrics = self.metrics.retry.clone();
             let h = self
                 .retry
                 .run_observed(
                     &self.policy,
                     &self.health,
                     &self.trace,
-                    Some(&retry_metrics),
+                    Some(&self.metrics.retry),
                     Some(&uri),
                     &uri,
                     || wrapper.get_root(&uri),
@@ -990,19 +905,31 @@ impl<W: LxpWrapper> BufferNavigator<W> {
             return Err(BufferError::CapacityExceeded { nodes: self.tree.node_count() });
         }
         for (i, c) in children.iter().enumerate() {
-            let e = match c {
-                Fragment::Hole(h) => {
-                    let slot = self.tree.new_hole(h.clone());
-                    new_holes.push(slot);
-                    TreeEntry::Hole(slot)
-                }
-                Fragment::Node { label, children } => {
-                    TreeEntry::Node(self.try_intern(label, children, Some(id), i, new_holes)?)
-                }
-            };
+            let e = self.try_entry(c, id, i, new_holes)?;
             self.tree.set_child(id, i, e);
         }
         Ok(id)
+    }
+
+    /// The child entry for fragment `f` at position `idx` of `parent`: a
+    /// live hole slot, or the interned subtree.
+    fn try_entry(
+        &mut self,
+        f: &Fragment,
+        parent: BufNodeId,
+        idx: usize,
+        new_holes: &mut Vec<HoleSlot>,
+    ) -> Result<TreeEntry, BufferError> {
+        Ok(match f {
+            Fragment::Hole(h) => {
+                let slot = self.tree.new_hole(h.clone());
+                new_holes.push(slot);
+                TreeEntry::Hole(slot)
+            }
+            Fragment::Node { label, children } => {
+                TreeEntry::Node(self.try_intern(label, children, Some(parent), idx, new_holes)?)
+            }
+        })
     }
 
     /// Replace the hole at child position `i` of `parent` (slab slot
@@ -1021,17 +948,7 @@ impl<W: LxpWrapper> BufferNavigator<W> {
         entries.clear();
         new_holes.clear();
         for (k, f) in reply.iter().enumerate() {
-            let e = match f {
-                Fragment::Hole(h) => {
-                    let s = self.tree.new_hole(h.clone());
-                    new_holes.push(s);
-                    TreeEntry::Hole(s)
-                }
-                Fragment::Node { label, children } => {
-                    TreeEntry::Node(self.try_intern(label, children, Some(parent), i + k, &mut new_holes)?)
-                }
-            };
-            entries.push(e);
+            entries.push(self.try_entry(f, parent, i + k, &mut new_holes)?);
         }
         if !self.tree.splice_children(parent, i, &entries) {
             return Err(BufferError::CapacityExceeded { nodes: self.tree.node_count() });
@@ -1119,8 +1036,7 @@ impl<W: LxpWrapper> BufferNavigator<W> {
     fn purge_on_degrade(&mut self) {
         if !self.pending.is_empty() {
             let entries = self.pending.len() as u64;
-            let bytes: u64 =
-                self.pending.values().flat_map(|r| r.iter()).map(|f| f.wire_bytes() as u64).sum();
+            let bytes: u64 = self.pending.values().map(|r| wire_bytes(r)).sum();
             self.pending.clear();
             self.pending_order.clear();
             if self.trace.is_enabled() {
@@ -1166,6 +1082,34 @@ impl<W: LxpWrapper> BufferNavigator<W> {
             }
         }
     }
+}
+
+/// Wire bytes of a fragment list.
+fn wire_bytes(fragments: &[Fragment]) -> u64 {
+    fragments.iter().map(|f| f.wire_bytes() as u64).sum()
+}
+
+/// Non-hole nodes of a fragment list.
+fn node_count(fragments: &[Fragment]) -> u64 {
+    fragments.iter().map(|f| f.node_count() as u64).sum()
+}
+
+/// `(non-hole nodes, wire bytes)` of a fragment list.
+fn volume(fragments: &[Fragment]) -> (u64, u64) {
+    (node_count(fragments), wire_bytes(fragments))
+}
+
+/// `(per-hole replies, non-hole nodes, wire bytes)` of a whole exchange:
+/// the critical reply, if it was told apart from the rest, plus the
+/// remaining items.
+fn exchange_volume(critical: Option<&[Fragment]>, rest: &[BatchItem]) -> (u64, u64, u64) {
+    let (mut nodes, mut bytes) = critical.map_or((0, 0), volume);
+    for item in rest {
+        let (n, b) = volume(&item.fragments);
+        nodes += n;
+        bytes += b;
+    }
+    (rest.len() as u64 + u64::from(critical.is_some()), nodes, bytes)
 }
 
 /// Default upper bound on fills per single navigation command — generous
@@ -1220,6 +1164,77 @@ mod tests {
     fn buffered(term: &str, policy: FillPolicy) -> BufferNavigator<TreeWrapper> {
         let tree = parse_term(term).unwrap();
         BufferNavigator::new(TreeWrapper::single(&tree, policy), "doc")
+    }
+
+    /// A wire that is down: every request fails.
+    struct Dead;
+    impl LxpWrapper for Dead {
+        fn get_root(&mut self, _uri: &str) -> Result<HoleId, LxpError> {
+            Err(LxpError::SourceError("unplugged".into()))
+        }
+        fn fill(&mut self, _hole: &HoleId) -> Result<Vec<Fragment>, LxpError> {
+            Err(LxpError::SourceError("unplugged".into()))
+        }
+    }
+
+    /// A wrapper whose first `failures_left` `get_root` calls fail.
+    struct FlakyRoot {
+        failures_left: u32,
+        inner: TreeWrapper,
+    }
+    impl LxpWrapper for FlakyRoot {
+        fn get_root(&mut self, uri: &str) -> Result<HoleId, LxpError> {
+            if self.failures_left > 0 {
+                self.failures_left -= 1;
+                Err(LxpError::SourceError("warming up".into()))
+            } else {
+                self.inner.get_root(uri)
+            }
+        }
+        fn fill(&mut self, hole: &HoleId) -> Result<Vec<Fragment>, LxpError> {
+            self.inner.fill(hole)
+        }
+    }
+
+    /// Wire totals replayed from a trace — the arithmetic `mix-core`'s
+    /// `TraceLog::rollup` applies — in [`BufferStatsSnapshot`] terms.
+    fn rollup(sink: &TraceSink) -> BufferStatsSnapshot {
+        let mut r = BufferStatsSnapshot::default();
+        let mut credited = 0;
+        for e in sink.events() {
+            match e.kind {
+                TraceKind::Fill { waste_credit, from_cache: true, .. } => {
+                    r.fills += 1;
+                    credited += waste_credit;
+                }
+                TraceKind::Fill { nodes, bytes, .. } => {
+                    r.fills += 1;
+                    r.requests += 1;
+                    r.batched_holes += 1;
+                    r.nodes_received += nodes;
+                    r.bytes_received += bytes;
+                }
+                TraceKind::FillMany { items, nodes, bytes, wasted, .. } => {
+                    r.fills += 1;
+                    r.requests += 1;
+                    r.batched_holes += items;
+                    r.nodes_received += nodes;
+                    r.bytes_received += bytes;
+                    r.wasted_bytes += wasted;
+                }
+                TraceKind::FillManyFailed { items, nodes, bytes, wasted, .. } => {
+                    r.requests += 1;
+                    r.batched_holes += items;
+                    r.nodes_received += nodes;
+                    r.bytes_received += bytes;
+                    r.wasted_bytes += wasted;
+                }
+                TraceKind::GetRoot { .. } => r.get_roots += 1,
+                _ => {}
+            }
+        }
+        r.wasted_bytes -= credited;
+        r
     }
 
     #[test]
@@ -1394,23 +1409,26 @@ mod tests {
     fn transient_faults_are_retried_away_invisibly() {
         let term = "view[tuple[a[1],b[2]],tuple[a[3],b[4]],tuple[a[5],b[6]]]";
         let tree = parse_term(term).unwrap();
-        let faulty = FaultyWrapper::new(
-            TreeWrapper::single(&tree, FillPolicy::NodeAtATime),
-            FaultConfig::transient(42, 0.3),
-        );
-        let fault_stats = faulty.stats();
-        let mut nav = BufferNavigator::with_retry(
-            faulty,
-            "doc",
-            RetryPolicy { max_attempts: 32, ..RetryPolicy::default() },
-        );
-        let health = nav.health();
-        assert_eq!(materialize(&mut nav).to_string(), term, "identical result despite faults");
-        let s = health.snapshot();
-        assert!(fault_stats.snapshot().injected_faults > 0, "schedule actually injected");
-        assert_eq!(s.retries, fault_stats.snapshot().injected_faults, "every fault retried");
-        assert_eq!(s.status, HealthStatus::Healthy, "all faults absorbed");
-        assert!(s.backoff_cost > 0, "recovery cost is accounted");
+        for limit in [1, 4] {
+            let faulty = FaultyWrapper::new(
+                TreeWrapper::single(&tree, FillPolicy::NodeAtATime).with_batch_budget(3),
+                FaultConfig::transient(42, 0.3),
+            );
+            let fault_stats = faulty.stats();
+            let mut nav = BufferNavigator::with_retry(
+                faulty,
+                "doc",
+                RetryPolicy { max_attempts: 32, ..RetryPolicy::default() },
+            )
+            .batched(limit);
+            let health = nav.health();
+            assert_eq!(materialize(&mut nav).to_string(), term, "identical result despite faults");
+            let s = health.snapshot();
+            assert!(fault_stats.snapshot().injected_faults > 0, "schedule actually injected");
+            assert_eq!(s.retries, fault_stats.snapshot().injected_faults, "every fault retried");
+            assert_eq!(s.status, HealthStatus::Healthy, "all faults absorbed");
+            assert!(s.backoff_cost > 0, "recovery cost is accounted");
+        }
     }
 
     #[test]
@@ -1479,23 +1497,6 @@ mod tests {
 
     #[test]
     fn failed_connection_is_retried_on_the_next_navigation() {
-        struct FlakyRoot {
-            failures_left: u32,
-            inner: TreeWrapper,
-        }
-        impl LxpWrapper for FlakyRoot {
-            fn get_root(&mut self, uri: &str) -> Result<HoleId, LxpError> {
-                if self.failures_left > 0 {
-                    self.failures_left -= 1;
-                    Err(LxpError::SourceError("warming up".into()))
-                } else {
-                    self.inner.get_root(uri)
-                }
-            }
-            fn fill(&mut self, hole: &HoleId) -> Result<Vec<Fragment>, LxpError> {
-                self.inner.fill(hole)
-            }
-        }
         let tree = parse_term("r[a]").unwrap();
         let wrapper = FlakyRoot {
             failures_left: 3,
@@ -1558,7 +1559,6 @@ mod tests {
         let wrapper = TreeWrapper::single(&tree, FillPolicy::SizeThreshold { max_nodes: 2 });
         let mut nav = BufferNavigator::new(wrapper, "doc").batched(8);
         let stats = nav.stats();
-        assert!(nav.is_batching());
         assert_eq!(materialize(&mut nav).to_string(), term);
         let s = stats.snapshot();
         assert!(
@@ -1589,27 +1589,6 @@ mod tests {
             nav.open_tree().unwrap().to_string()
         }
         assert_eq!(drive(&mut plain), drive(&mut batched), "identical open trees");
-    }
-
-    #[test]
-    fn batched_mode_retries_transient_faults() {
-        let term = "view[t[a],t[b],t[c],t[d],t[e],t[f]]";
-        let tree = parse_term(term).unwrap();
-        let faulty = FaultyWrapper::new(
-            TreeWrapper::single(&tree, FillPolicy::Chunked { n: 1 }).with_batch_budget(3),
-            FaultConfig::transient(2, 0.4),
-        );
-        let fault_stats = faulty.stats();
-        let mut nav = BufferNavigator::with_retry(
-            faulty,
-            "doc",
-            RetryPolicy { max_attempts: 64, ..RetryPolicy::default() },
-        )
-        .batched(4);
-        let health = nav.health();
-        assert_eq!(materialize(&mut nav).to_string(), term, "batched + faulty still exact");
-        assert!(fault_stats.snapshot().injected_faults > 0, "schedule actually injected");
-        assert_eq!(health.status(), HealthStatus::Healthy, "all faults retried away");
     }
 
     #[test]
@@ -1655,15 +1634,6 @@ mod tests {
 
     #[test]
     fn degraded_fetch_is_distinguishable_from_a_real_empty_label() {
-        struct Dead;
-        impl LxpWrapper for Dead {
-            fn get_root(&mut self, _uri: &str) -> Result<HoleId, LxpError> {
-                Err(LxpError::SourceError("refused".into()))
-            }
-            fn fill(&mut self, _hole: &HoleId) -> Result<Vec<Fragment>, LxpError> {
-                Err(LxpError::SourceError("refused".into()))
-            }
-        }
         let sink = TraceSink::enabled(64);
         let mut nav = BufferNavigator::with_retry(Dead, "doc", RetryPolicy::none())
             .with_trace(sink.clone());
@@ -1675,7 +1645,7 @@ mod tests {
         assert_eq!(label, "", "the fallback label itself is ambiguous…");
         assert!(nav.degraded_epoch() > before, "…but the epoch is not");
         let err = nav.last_degraded().expect("cause recorded");
-        assert!(err.contains("refused"), "{err}");
+        assert!(err.contains("unplugged"), "{err}");
         let degradations: Vec<_> = sink
             .events()
             .into_iter()
@@ -1702,74 +1672,25 @@ mod tests {
     }
 
     #[test]
-    fn trace_events_reconcile_with_stats_unbatched() {
-        let term = "view[tuple[a[1],b[2]],tuple[a[3],b[4]],tuple[a[5],b[6]]]";
-        let tree = parse_term(term).unwrap();
-        let sink = TraceSink::enabled(4096);
-        let mut nav =
-            BufferNavigator::new(TreeWrapper::single(&tree, FillPolicy::Chunked { n: 2 }), "doc")
-                .with_trace(sink.clone());
-        let stats = nav.stats();
-        assert_eq!(materialize(&mut nav).to_string(), term);
-        let s = stats.snapshot();
-        assert_eq!(sink.dropped(), 0);
-        let events = sink.events();
-        let (mut fills, mut get_roots, mut nodes, mut bytes) = (0u64, 0u64, 0u64, 0u64);
-        for e in &events {
-            match &e.kind {
-                TraceKind::Fill { nodes: n, bytes: b, from_cache: false, .. } => {
-                    fills += 1;
-                    nodes += n;
-                    bytes += b;
-                }
-                TraceKind::GetRoot { .. } => get_roots += 1,
-                _ => {}
-            }
-        }
-        assert_eq!(fills, s.fills);
-        assert_eq!(fills, s.requests, "unbatched: every fill is a wire request");
-        assert_eq!(get_roots, s.get_roots);
-        assert_eq!(nodes, s.nodes_received);
-        assert_eq!(bytes, s.bytes_received);
-    }
-
-    #[test]
-    fn trace_events_reconcile_with_stats_batched() {
+    fn trace_events_reconcile_with_stats_at_every_batch_limit() {
         let term = "view[t[a,b],t[c,d],t[e,f],t[g,h],t[i,j],t[k,l],t[m,n],t[o,p]]";
         let tree = parse_term(term).unwrap();
-        let wrapper =
-            TreeWrapper::single(&tree, FillPolicy::Chunked { n: 1 }).with_batch_budget(4);
-        let sink = TraceSink::enabled(4096);
-        let mut nav = BufferNavigator::new(wrapper, "doc").batched(8).with_trace(sink.clone());
-        let stats = nav.stats();
-        assert_eq!(materialize(&mut nav).to_string(), term);
-        let s = stats.snapshot();
-        assert_eq!(sink.dropped(), 0);
-        let (mut requests, mut batched_holes, mut fills) = (0u64, 0u64, 0u64);
-        let (mut wasted, mut credited) = (0u64, 0u64);
-        for e in &sink.events() {
-            match &e.kind {
-                TraceKind::Fill { from_cache: false, .. } => {
-                    requests += 1;
-                    fills += 1;
-                }
-                TraceKind::Fill { from_cache: true, waste_credit, .. } => {
-                    fills += 1;
-                    credited += waste_credit;
-                }
-                TraceKind::FillMany { items, wasted: w, .. } => {
-                    requests += 1;
-                    fills += 1;
-                    batched_holes += items;
-                    wasted += w;
-                }
-                _ => {}
+        for limit in [1, 8] {
+            let wrapper =
+                TreeWrapper::single(&tree, FillPolicy::Chunked { n: 1 }).with_batch_budget(4);
+            let sink = TraceSink::enabled(4096);
+            let mut nav =
+                BufferNavigator::new(wrapper, "doc").batched(limit).with_trace(sink.clone());
+            let stats = nav.stats();
+            assert_eq!(materialize(&mut nav).to_string(), term);
+            assert_eq!(sink.dropped(), 0);
+            let s = stats.snapshot();
+            assert_eq!(rollup(&sink), s, "limit {limit}: trace rollup ≡ traffic");
+            if limit == 1 {
+                assert_eq!(s.fills, s.requests, "every fill is a wire request");
+                assert_eq!(s.batched_holes, s.requests, "…answering one hole");
             }
         }
-        assert_eq!(requests, s.requests, "wire exchanges reconcile");
-        assert_eq!(batched_holes, s.batched_holes, "per-hole replies reconcile");
-        assert_eq!(fills, s.fills, "consumed replies reconcile");
-        assert_eq!(wasted - credited, s.wasted_bytes, "waste parked minus consumed reconciles");
     }
 
     #[test]
@@ -1818,23 +1739,6 @@ mod tests {
 
     #[test]
     fn reset_faults_closes_the_breaker_and_records_it() {
-        struct FlakyRoot {
-            failures_left: u32,
-            inner: TreeWrapper,
-        }
-        impl LxpWrapper for FlakyRoot {
-            fn get_root(&mut self, uri: &str) -> Result<HoleId, LxpError> {
-                if self.failures_left > 0 {
-                    self.failures_left -= 1;
-                    Err(LxpError::SourceError("warming up".into()))
-                } else {
-                    self.inner.get_root(uri)
-                }
-            }
-            fn fill(&mut self, hole: &HoleId) -> Result<Vec<Fragment>, LxpError> {
-                self.inner.fill(hole)
-            }
-        }
         let tree = parse_term("r[a]").unwrap();
         let wrapper = FlakyRoot {
             failures_left: 2,
@@ -2103,6 +2007,59 @@ mod tests {
     }
 
     #[test]
+    fn rejected_replies_are_accounted_at_every_batch_limit() {
+        // The root fill is fine; every later reply violates the progress
+        // invariant (two adjacent holes). The rejected exchange crossed
+        // the wire all the same, so `requests` must equal the wrapper's
+        // own exchange count, and the trace rollup must reproduce the
+        // traffic counters — at limit 1 (plain `fill`) as at limit 4.
+        struct Violating {
+            exchanges: Arc<AtomicU64>,
+        }
+        impl LxpWrapper for Violating {
+            fn get_root(&mut self, _uri: &str) -> Result<HoleId, LxpError> {
+                Ok("0".into())
+            }
+            fn fill(&mut self, hole: &HoleId) -> Result<Vec<Fragment>, LxpError> {
+                self.exchanges.fetch_add(1, Ordering::Relaxed);
+                self.reply(hole)
+            }
+            fn fill_many(&mut self, holes: &[HoleId]) -> Result<Vec<BatchItem>, LxpError> {
+                self.exchanges.fetch_add(1, Ordering::Relaxed);
+                holes.iter().map(|h| Ok(BatchItem::new(h.clone(), self.reply(h)?))).collect()
+            }
+        }
+        impl Violating {
+            fn reply(&self, hole: &HoleId) -> Result<Vec<Fragment>, LxpError> {
+                Ok(match hole.as_str() {
+                    "0" => vec![Fragment::node("r", vec![Fragment::hole("1")])],
+                    _ => vec![Fragment::hole("x"), Fragment::hole("y")],
+                })
+            }
+        }
+        for limit in [1, 4] {
+            let exchanges = Arc::new(AtomicU64::new(0));
+            let sink = TraceSink::enabled(256);
+            let wrapper = Violating { exchanges: exchanges.clone() };
+            let mut nav =
+                BufferNavigator::new(wrapper, "u").batched(limit).with_trace(sink.clone());
+            let stats = nav.stats();
+            let root = nav.root();
+            assert_eq!(nav.down(&root), None, "limit {limit}: the violating reply degrades");
+            let s = stats.snapshot();
+            assert_eq!(
+                s.requests,
+                exchanges.load(Ordering::Relaxed),
+                "limit {limit}: every exchange that crossed the wire is a request: {s:?}"
+            );
+            assert_eq!(s.requests, 2, "limit {limit}: the root fill and the rejected one");
+            assert_eq!(s.fills, 1, "limit {limit}: only the root reply was consumed");
+            assert!(s.wasted_bytes > 0, "limit {limit}: the rejected payload is waste");
+            assert_eq!(rollup(&sink), s, "limit {limit}: trace rollup ≡ traffic");
+        }
+    }
+
+    #[test]
     fn warm_navigator_answers_from_the_shared_cache_with_zero_wire_traffic() {
         let term = "view[tuple[a[1],b[2]],tuple[a[3],b[4]],tuple[a[5],b[6]]]";
         let tree = parse_term(term).unwrap();
@@ -2118,15 +2075,6 @@ mod tests {
         // Second session: same source uri, same shared cache — but the
         // wire is DEAD. Every fragment (and the root hole) comes from the
         // cache, so the answer is exact with zero wire exchanges.
-        struct Dead;
-        impl LxpWrapper for Dead {
-            fn get_root(&mut self, _uri: &str) -> Result<HoleId, LxpError> {
-                Err(LxpError::SourceError("unplugged".into()))
-            }
-            fn fill(&mut self, _hole: &HoleId) -> Result<Vec<Fragment>, LxpError> {
-                Err(LxpError::SourceError("unplugged".into()))
-            }
-        }
         let mut warm = BufferNavigator::new(Dead, "doc").with_fragment_cache(cache.clone());
         let warm_stats = warm.stats();
         let health = warm.health();
@@ -2188,15 +2136,6 @@ mod tests {
         );
         // And the cached view is complete: a dead-wire warm session
         // reconstructs the identical document.
-        struct Dead;
-        impl LxpWrapper for Dead {
-            fn get_root(&mut self, _uri: &str) -> Result<HoleId, LxpError> {
-                Err(LxpError::SourceError("unplugged".into()))
-            }
-            fn fill(&mut self, _hole: &HoleId) -> Result<Vec<Fragment>, LxpError> {
-                Err(LxpError::SourceError("unplugged".into()))
-            }
-        }
         let mut warm = BufferNavigator::new(Dead, "doc").with_fragment_cache(cache.clone());
         assert_eq!(materialize(&mut warm).to_string(), term, "cache holds only the truth");
     }

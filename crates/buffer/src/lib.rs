@@ -35,9 +35,10 @@
 //!   LRU of verified fill replies keyed by `(source, hole id)` with
 //!   per-source epoch invalidation, so repeated navigations across
 //!   independent queries/sessions cost zero wire exchanges;
-//! * [`prefetch`] — a readahead adapter rendering §4's "asynchronous
-//!   prefetching strategy": fills answered from the readahead cache leave
-//!   the critical path;
+//! * [`worker`] — [`ConcurrentPrefetcher`], §4's "asynchronous
+//!   prefetching strategy": background workers chase hole continuations
+//!   so fills answered from their cache leave the critical path (zero
+//!   workers is a plain pass-through);
 //! * [`treewrap`] — an LXP wrapper over in-memory documents with pluggable
 //!   [`FillPolicy`]s, used by tests, the web-source simulator, and the
 //!   granularity experiments;
@@ -79,7 +80,6 @@ pub mod health;
 pub mod lxp;
 pub mod metrics;
 pub mod pool;
-pub mod prefetch;
 pub mod retry;
 pub mod slow;
 pub mod trace;
@@ -98,7 +98,6 @@ pub use metrics::{
     RetryMetrics, Sample, SampleValue, WrapperMetrics,
 };
 pub use pool::{configured_threads, lock_unpoisoned, run_parallel, wait_unpoisoned, OverlapGauge};
-pub use prefetch::Prefetcher;
 pub use retry::{RetryError, RetryPolicy, RetryState};
 pub use slow::SlowWrapper;
 pub use trace::{TraceEvent, TraceKind, TraceSink, DEFAULT_TRACE_CAPACITY};

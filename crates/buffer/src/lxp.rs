@@ -171,6 +171,16 @@ impl<W: LxpWrapper> LxpWrapper for SharedWrapper<W> {
     }
 }
 
+/// Append every hole id inside `fragments` to `out`, in document order.
+pub(crate) fn collect_holes(fragments: &[Fragment], out: &mut Vec<HoleId>) {
+    for f in fragments {
+        match f {
+            Fragment::Hole(h) => out.push(h.clone()),
+            Fragment::Node { children, .. } => collect_holes(children, out),
+        }
+    }
+}
+
 /// Wrapper-side continuation for `fill_many`: chase up to `budget` holes
 /// exposed by the items already in the exchange — trailing-most first,
 /// the direction a scanning client moves — and append their replies as
@@ -187,17 +197,9 @@ pub fn chase_continuation<W: LxpWrapper + ?Sized>(
     items: &mut Vec<BatchItem>,
     budget: usize,
 ) {
-    fn collect(frags: &[Fragment], stack: &mut Vec<HoleId>) {
-        for f in frags {
-            match f {
-                Fragment::Hole(h) => stack.push(h.clone()),
-                Fragment::Node { children, .. } => collect(children, stack),
-            }
-        }
-    }
     let mut stack: Vec<HoleId> = Vec::new();
     for item in items.iter() {
-        collect(&item.fragments, &mut stack);
+        collect_holes(&item.fragments, &mut stack);
     }
     let mut budget = budget;
     while budget > 0 {
@@ -207,7 +209,7 @@ pub fn chase_continuation<W: LxpWrapper + ?Sized>(
         }
         let Ok(reply) = wrapper.fill(&h) else { break };
         budget -= 1;
-        collect(&reply, &mut stack);
+        collect_holes(&reply, &mut stack);
         items.push(BatchItem { hole: h, fragments: reply });
     }
 }

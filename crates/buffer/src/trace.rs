@@ -35,10 +35,11 @@
 //! counters accumulate, so a rollup over a complete trace reproduces the
 //! `requests`/`batched_holes`/`wasted_bytes` totals *exactly* (see
 //! `mix-core`'s `TraceLog::rollup`): a [`TraceKind::Fill`] with
-//! `from_cache: false` is one wire request; a [`TraceKind::FillMany`] is
-//! one wire request answering `items` holes and parking `wasted` bytes; a
-//! [`TraceKind::Fill`] with `from_cache: true` consumes a parked reply and
-//! credits `waste_credit` bytes back.
+//! `from_cache: false` is one wire request answering one hole; a
+//! [`TraceKind::FillMany`] is one wire request answering `items` holes
+//! and parking `wasted` bytes; a [`TraceKind::Fill`] with
+//! `from_cache: true` consumes a parked reply and credits `waste_credit`
+//! bytes back.
 //!
 //! [`BufferStats`]: crate::BufferStats
 
@@ -233,10 +234,10 @@ pub enum TraceKind {
         /// The wire verb: `open`, `d`, `r`, `f`, `s`, or `close`.
         verb: &'static str,
     },
-    /// A `fill_many` exchange transferred a reply that was then rejected
-    /// (batch-shape or progress violation): the wire cost is real even
-    /// though nothing was consumed, so it is attributed rather than
-    /// silently lost.
+    /// A wire exchange (`fill_many`, or a plain `fill` at batch limit 1)
+    /// transferred a reply that was then rejected (batch-shape or
+    /// progress violation): the wire cost is real even though nothing was
+    /// consumed, so it is attributed rather than silently lost.
     FillManyFailed {
         /// The critical hole that triggered the exchange.
         critical: String,

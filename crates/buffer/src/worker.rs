@@ -1,14 +1,20 @@
 //! Background prefetch workers: speculative fills off the client's
 //! critical path.
 //!
-//! The synchronous [`Prefetcher`](crate::Prefetcher) chases readahead
-//! *inline*: the client pays for speculation inside its own `fill` call.
-//! [`ConcurrentPrefetcher`] moves that work onto dedicated worker threads
-//! that chase hole continuations *behind the client cursor*: every reply
-//! (the client's or a worker's) seeds the work queue with the holes it
-//! contains, and workers fill them while the client is busy elsewhere —
-//! navigation latency approaches the max of the outstanding source
-//! latencies instead of their sum.
+//! §4: "a buffer can be used to decouple the client-driven view navigation
+//! ('pull from above') and the production of results by the wrapped source
+//! ('push from below') based on an asynchronous prefetching strategy."
+//!
+//! [`ConcurrentPrefetcher`] is that strategy as a wrapper adapter:
+//! dedicated worker threads chase hole continuations *behind the client
+//! cursor*. Every reply (the client's or a worker's) seeds the work queue
+//! with the holes it contains, and workers fill them while the client is
+//! busy elsewhere — navigation latency approaches the max of the
+//! outstanding source latencies instead of their sum. A later client fill
+//! that hits the speculative cache never touches the wrapped wrapper; the
+//! miss count is the number of round trips the client actually waited
+//! for. With zero workers the adapter speculates nothing and only
+//! deduplicates.
 //!
 //! # Fill-once discipline
 //!
@@ -57,7 +63,7 @@
 use crate::fragment::Fragment;
 use crate::health::SourceHealth;
 use crate::lxp::{BatchItem, HoleId, LxpError, LxpWrapper};
-use crate::pool::{lock_unpoisoned, wait_unpoisoned, OverlapGauge};
+use crate::pool::{lock_unpoisoned, wait_unpoisoned};
 use crate::trace::{TraceKind, TraceSink};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -65,15 +71,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Run one wire exchange, converting a panic in the wrapper into an
-/// [`LxpError::SourceError`] so callers can handle "the wrapper blew up"
-/// and "the wrapper failed" through one recovery path. The overlap gauge
-/// guard lives inside the protected closure, so the in-flight count stays
-/// exact even when the exchange unwinds.
-fn exchange_protected<T>(
-    op: impl FnOnce() -> Result<T, LxpError>,
+/// Run one wire exchange under the wire lock, converting a panic in the
+/// wrapper into an [`LxpError::SourceError`] so callers can handle "the
+/// wrapper blew up" and "the wrapper failed" through one recovery path.
+fn exchange_protected<W, T>(
+    shared: &Shared<W>,
+    op: impl FnOnce(&mut W) -> Result<T, LxpError>,
 ) -> Result<T, LxpError> {
-    match catch_unwind(AssertUnwindSafe(op)) {
+    let exchange = || op(&mut lock_unpoisoned(&shared.wire));
+    match catch_unwind(AssertUnwindSafe(exchange)) {
         Ok(result) => result,
         Err(payload) => {
             let what = payload
@@ -123,8 +129,8 @@ impl State {
 
     /// Is there work a worker could start right now (respecting the
     /// cache cap)?
-    fn runnable(&self, cap: usize) -> bool {
-        !self.queue.is_empty() && self.cache.len() < cap
+    fn runnable(&self) -> bool {
+        !self.queue.is_empty() && self.cache.len() < DEFAULT_PREFETCH_CAP
     }
 }
 
@@ -133,11 +139,9 @@ struct Shared<W> {
     state: Mutex<State>,
     cv: Condvar,
     stop: AtomicBool,
-    cap: usize,
     source: String,
     health: SourceHealth,
     trace: TraceSink,
-    gauge: OverlapGauge,
     hits: AtomicU64,
     misses: AtomicU64,
     waits: AtomicU64,
@@ -158,27 +162,14 @@ impl<W: LxpWrapper + Send + 'static> ConcurrentPrefetcher<W> {
     /// Wrap `inner` with `workers` background fill threads. `workers == 0`
     /// is allowed: the adapter then only deduplicates (no speculation).
     pub fn new(inner: W, workers: usize) -> Self {
-        Self::build(inner, workers, DEFAULT_PREFETCH_CAP)
-    }
-
-    /// Like [`ConcurrentPrefetcher::new`] with the worker count taken
-    /// from the `MIX_THREADS` environment knob.
-    pub fn from_env(inner: W) -> Self {
-        Self::new(inner, crate::pool::configured_threads())
-    }
-
-    /// Full-knob constructor: worker count and cache cap.
-    pub fn build(inner: W, workers: usize, cap: usize) -> Self {
         let shared = Arc::new(Shared {
             wire: Mutex::new(inner),
             state: Mutex::new(State::default()),
             cv: Condvar::new(),
             stop: AtomicBool::new(false),
-            cap: cap.max(1),
             source: String::new(),
             health: SourceHealth::new(),
             trace: TraceSink::off(),
-            gauge: OverlapGauge::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             waits: AtomicU64::new(0),
@@ -209,12 +200,6 @@ impl<W: LxpWrapper + Send + 'static> ConcurrentPrefetcher<W> {
             s.source = source;
             s.trace = sink;
         })
-    }
-
-    /// Count every wire exchange in `gauge` (shared across sources, this
-    /// is the exchange-overlap proof instrument).
-    pub fn with_gauge(self, gauge: OverlapGauge) -> Self {
-        self.rebuild_shared(|s| s.gauge = gauge)
     }
 
     /// Builder plumbing: halts the workers (making the `Arc` unique),
@@ -257,11 +242,15 @@ impl<W: LxpWrapper + Send + 'static> ConcurrentPrefetcher<W> {
 
     /// Block until no exchange is in flight and no runnable speculative
     /// work remains. After this returns (and until the next exchange),
-    /// wrapper-level traffic counters are stable.
+    /// wrapper-level traffic counters are stable. Without workers nothing
+    /// speculative ever runs, so there is nothing to wait for.
     pub fn quiesce(&self) {
+        if self.workers.is_empty() {
+            return;
+        }
         let shared = self.sh();
         let mut state = lock_unpoisoned(&shared.state);
-        while !state.in_flight.is_empty() || state.runnable(shared.cap) {
+        while !state.in_flight.is_empty() || state.runnable() {
             state = wait_unpoisoned(&shared.cv, state);
         }
     }
@@ -305,11 +294,6 @@ impl<W: LxpWrapper + Send + 'static> ConcurrentPrefetcher<W> {
     pub fn cached(&self) -> usize {
         lock_unpoisoned(&self.sh().state).cache.len()
     }
-
-    /// The overlap gauge counting this source's wire exchanges.
-    pub fn gauge(&self) -> OverlapGauge {
-        self.sh().gauge.clone()
-    }
 }
 
 impl<W: LxpWrapper + Send + 'static> Drop for ConcurrentPrefetcher<W> {
@@ -326,7 +310,7 @@ fn worker_loop<W: LxpWrapper + Send + 'static>(shared: Arc<Shared<W>>) {
                 if shared.stop.load(Ordering::Acquire) {
                     return;
                 }
-                if state.cache.len() < shared.cap {
+                if state.cache.len() < DEFAULT_PREFETCH_CAP {
                     if let Some(h) = state.queue.pop_front() {
                         state.queued.remove(&h);
                         if state.done.contains(&h) {
@@ -342,11 +326,7 @@ fn worker_loop<W: LxpWrapper + Send + 'static>(shared: Arc<Shared<W>>) {
                 state = wait_unpoisoned(&shared.cv, state);
             }
         };
-        let result = exchange_protected(|| {
-            let mut wire = lock_unpoisoned(&shared.wire);
-            let _overlap = shared.gauge.enter();
-            wire.fill(&hole)
-        });
+        let result = exchange_protected(&shared, |wire| wire.fill(&hole));
         let mut state = lock_unpoisoned(&shared.state);
         state.in_flight.remove(&hole);
         match result {
@@ -376,11 +356,7 @@ fn worker_loop<W: LxpWrapper + Send + 'static>(shared: Arc<Shared<W>>) {
 impl<W: LxpWrapper + Send + 'static> LxpWrapper for ConcurrentPrefetcher<W> {
     fn get_root(&mut self, uri: &str) -> Result<HoleId, LxpError> {
         let shared = Arc::clone(self.sh());
-        let root = exchange_protected(|| {
-            let mut wire = lock_unpoisoned(&shared.wire);
-            let _overlap = shared.gauge.enter();
-            wire.get_root(uri)
-        })?;
+        let root = exchange_protected(&shared, |wire| wire.get_root(uri))?;
         // Seed the chase: workers start pulling the document toward the
         // client before its first fill even arrives.
         let mut state = lock_unpoisoned(&shared.state);
@@ -421,11 +397,7 @@ impl<W: LxpWrapper + Send + 'static> LxpWrapper for ConcurrentPrefetcher<W> {
         if shared.trace.is_enabled() {
             shared.trace.emit(Some(&shared.source), TraceKind::PrefetchMiss { hole: hole.clone() });
         }
-        let result = exchange_protected(|| {
-            let mut wire = lock_unpoisoned(&shared.wire);
-            let _overlap = shared.gauge.enter();
-            wire.fill(hole)
-        });
+        let result = exchange_protected(&shared, |wire| wire.fill(hole));
         let mut state = lock_unpoisoned(&shared.state);
         state.in_flight.remove(hole);
         match &result {
@@ -471,11 +443,7 @@ impl<W: LxpWrapper + Send + 'static> LxpWrapper for ConcurrentPrefetcher<W> {
             Ok(Vec::new())
         } else {
             shared.misses.fetch_add(residual.len() as u64, Ordering::Relaxed);
-            exchange_protected(|| {
-                let mut wire = lock_unpoisoned(&shared.wire);
-                let _overlap = shared.gauge.enter();
-                wire.fill_many(&residual)
-            })
+            exchange_protected(&shared, |wire| wire.fill_many(&residual))
         };
         let mut state = lock_unpoisoned(&shared.state);
         for h in &residual {
@@ -523,9 +491,11 @@ mod tests {
     use super::*;
     use crate::buffer::BufferNavigator;
     use crate::fault::{FaultConfig, FaultyWrapper};
+    use crate::lxp::collect_holes;
     use crate::retry::RetryPolicy;
     use crate::treewrap::{FillPolicy, TreeWrapper};
     use mix_nav::explore::materialize;
+    use mix_nav::Navigator;
     use mix_xml::term::parse_term;
 
     const TERM: &str = "view[a[x,y],b[z],c,d[w[u],v]]";
@@ -578,12 +548,73 @@ mod tests {
 
     #[test]
     fn zero_workers_degenerates_to_passthrough() {
-        let mut nav =
-            BufferNavigator::new(ConcurrentPrefetcher::new(wrapper(), 0), "doc");
+        let sink = TraceSink::enabled(256);
+        let pf = ConcurrentPrefetcher::new(wrapper(), 0).with_trace("doc", sink.clone());
+        let mut nav = BufferNavigator::new(pf, "doc");
         assert_eq!(materialize(&mut nav).to_string(), TERM);
         let pf = nav.into_wrapper();
         assert_eq!(pf.prefetched(), 0);
         assert_eq!(pf.hits(), 0);
+        let traced_misses = sink
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, TraceKind::PrefetchMiss { .. }))
+            .count() as u64;
+        assert_eq!(traced_misses, pf.misses(), "every critical-path fill is traced as a miss");
+        // Wrapper errors pass straight through.
+        let mut pf = ConcurrentPrefetcher::new(wrapper(), 0);
+        assert!(pf.get_root("nope").is_err());
+        assert!(pf.fill(&"garbage".to_string()).is_err());
+    }
+
+    #[test]
+    fn quiesced_readahead_leaves_no_fill_on_the_critical_path() {
+        // `get_root` seeds the chase and the workers pull the whole
+        // document; once they are quiescent a client scan — the root via
+        // the batched entry point, the rest hole by hole — is answered
+        // entirely from the speculative cache, with no further wire fill.
+        let sink = TraceSink::enabled(256);
+        let mut pf = ConcurrentPrefetcher::new(wrapper(), 2).with_trace("doc", sink.clone());
+        let root = pf.get_root("doc").unwrap();
+        pf.quiesce();
+        let prefetched = pf.prefetched();
+        assert!(prefetched > 0 && pf.cached() as u64 == prefetched);
+        let items = pf.fill_many(std::slice::from_ref(&root)).unwrap();
+        assert_eq!(items[0].hole, root);
+        let mut queue = Vec::new();
+        collect_holes(&items[0].fragments, &mut queue);
+        while let Some(h) = queue.pop() {
+            let reply = pf.fill(&h).unwrap();
+            collect_holes(&reply, &mut queue);
+        }
+        assert_eq!(pf.misses(), 0, "the client never waited for the wire");
+        assert_eq!(pf.hits(), prefetched, "every speculative reply was consumed");
+        assert_eq!(pf.prefetched(), prefetched, "…and nothing crossed the wire twice");
+        assert!(sink.events().iter().any(|e| matches!(e.kind, TraceKind::PrefetchHit { .. })));
+    }
+
+    #[test]
+    fn speculation_never_launders_a_protocol_violation() {
+        // Workers cache whatever the wrapper answers, violating replies
+        // included; the buffer's own progress check still faces them when
+        // the client really asks.
+        struct Bad;
+        impl LxpWrapper for Bad {
+            fn get_root(&mut self, _uri: &str) -> Result<HoleId, LxpError> {
+                Ok("0".into())
+            }
+            fn fill(&mut self, hole: &HoleId) -> Result<Vec<Fragment>, LxpError> {
+                Ok(match hole.as_str() {
+                    "0" => vec![Fragment::node("r", vec![Fragment::hole("1")])],
+                    _ => vec![Fragment::hole("x"), Fragment::hole("y")],
+                })
+            }
+        }
+        let mut nav = BufferNavigator::new(ConcurrentPrefetcher::new(Bad, 2), "doc");
+        let root = nav.root();
+        assert_eq!(nav.down(&root), None, "the violating reply degrades");
+        let err = nav.last_degraded().expect("cause recorded");
+        assert!(err.contains("protocol violation"), "{err}");
     }
 
     #[test]
@@ -643,10 +674,29 @@ mod tests {
         // state and wedged/poisoned quiesce + Drop; now the panic is
         // absorbed as a prefetch failure and the pool stays serviceable.
         let inner = PanicOnFill { inner: wrapper(), panics_left: u64::MAX };
-        let mut pf = ConcurrentPrefetcher::new(inner, 2);
+        let health = SourceHealth::new();
+        let sink = TraceSink::enabled(64);
+        let mut pf = ConcurrentPrefetcher::new(inner, 2)
+            .with_health(health.clone())
+            .with_trace("doc", sink.clone());
         let root = pf.get_root("doc").expect("root exchange does not fill");
         pf.quiesce();
         assert!(pf.failures() >= 1, "panicked speculative fill counted as failure");
+        // Skipped, but never silently: reported to health (without
+        // degrading the answer) and recorded by the flight recorder.
+        assert_eq!(health.snapshot().prefetch_failures, pf.failures());
+        assert_eq!(health.status(), crate::health::HealthStatus::Healthy);
+        let fails: Vec<_> = sink
+            .events()
+            .into_iter()
+            .filter(|e| matches!(e.kind, TraceKind::PrefetchFail { .. }))
+            .collect();
+        assert_eq!(fails.len() as u64, pf.failures());
+        assert!(matches!(
+            &fails[0].kind,
+            TraceKind::PrefetchFail { hole, error } if *hole == root && error.contains("panicked")
+        ));
+        assert_eq!(fails[0].source.as_deref(), Some("doc"), "tagged with the source");
         // The client's own fill meets the panic as a typed error, not an
         // unwind — and the hole stays claimable for retries.
         let err = pf.fill(&root).unwrap_err();

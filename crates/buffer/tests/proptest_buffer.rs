@@ -5,7 +5,7 @@
 
 use mix_buffer::fragment::tree_represents;
 use mix_buffer::{
-    BufferNavigator, FaultConfig, FaultyWrapper, FillPolicy, HealthStatus, Prefetcher,
+    BufferNavigator, ConcurrentPrefetcher, FaultConfig, FaultyWrapper, FillPolicy, HealthStatus,
     RetryPolicy, TreeWrapper,
 };
 use mix_nav::explore::materialize;
@@ -234,12 +234,12 @@ proptest! {
         tree in arb_tree(),
         policy in arb_policy(),
         prog in arb_program(),
-        depth in 0usize..6,
+        workers in 0usize..4,
     ) {
         let mut plain =
             BufferNavigator::new(TreeWrapper::single(&tree, policy), "doc");
         let mut pf = BufferNavigator::new(
-            Prefetcher::new(TreeWrapper::single(&tree, policy), depth),
+            ConcurrentPrefetcher::new(TreeWrapper::single(&tree, policy), workers),
             "doc",
         );
         let a = prog.run(&mut plain);
@@ -248,5 +248,13 @@ proptest! {
         let a_defined: Vec<bool> = a.ptrs.iter().map(Option::is_some).collect();
         let b_defined: Vec<bool> = b.ptrs.iter().map(Option::is_some).collect();
         prop_assert_eq!(a_defined, b_defined);
+        // Once the workers are quiescent the prefetcher's books are
+        // stable: the buffer above it issued the same exchanges as the
+        // plain one, each answered as a hit or a miss.
+        let exchanges = pf.stats().snapshot().requests;
+        prop_assert_eq!(exchanges, plain.stats().snapshot().requests);
+        let prefetcher = pf.into_wrapper();
+        prefetcher.quiesce();
+        prop_assert_eq!(prefetcher.hits() + prefetcher.misses(), exchanges);
     }
 }

@@ -180,7 +180,7 @@ pub struct Engine {
     /// Per-operator series, indexed by [`PlanId`].
     pub(crate) op_metrics: Vec<OpMetrics>,
     /// The shared cross-query fragment cache, adopted from the first
-    /// source registered with one (`SourceRegistry::set_source_cache`).
+    /// buffered source that carries one (`SourceRegistry::add_buffer`).
     frag_cache: Option<FragmentCache>,
     /// `mix_client_commands_total{cmd}` cells, indexed like [`NAV_CMDS`].
     cmd_counters: [Counter; 4],
@@ -492,9 +492,9 @@ impl Engine {
         self.gauge.max_overlap()
     }
 
-    /// The engine's flight-recorder sink. Shared with every buffer that
-    /// was registered with `SourceRegistry::add_navigator_traced`, so the
-    /// cascade a client command triggers is linked to it by span id.
+    /// The engine's flight-recorder sink: adopted from the first buffer
+    /// registered (`SourceRegistry::add_buffer`) with an enabled one, so
+    /// the cascade a client command triggers is linked to it by span id.
     pub fn trace_sink(&self) -> TraceSink {
         self.trace.clone()
     }
@@ -508,8 +508,8 @@ impl Engine {
         self.trace.bind_into(&self.metrics, &[]);
     }
 
-    /// The engine's live metrics registry. Shared with every buffer that
-    /// was registered with `SourceRegistry::add_navigator_observed`, so
+    /// The engine's live metrics registry: adopted from the first buffer
+    /// registered (`SourceRegistry::add_buffer`) with an enabled one, so
     /// one snapshot (or Prometheus scrape) covers operators, sources, and
     /// buffers alike.
     pub fn metrics(&self) -> MetricsRegistry {
@@ -521,8 +521,8 @@ impl Engine {
         self.metrics.snapshot()
     }
 
-    /// The shared cross-query fragment cache, if any source was
-    /// registered with one (`SourceRegistry::set_source_cache`). Lets
+    /// The shared cross-query fragment cache, if any registered buffer
+    /// carries one (`BufferNavigator::with_fragment_cache`). Lets
     /// clients read cache effectiveness and invalidate sources by hand.
     pub fn fragment_cache(&self) -> Option<FragmentCache> {
         self.frag_cache.clone()
@@ -595,9 +595,9 @@ impl Engine {
         }
     }
 
-    /// Fault/retry health per source, for sources that report it
-    /// (`SourceRegistry::add_navigator_with_health`); `None` for plain
-    /// navigators with no buffer underneath.
+    /// Fault/retry health per source, for buffered sources
+    /// (`SourceRegistry::add_buffer`); `None` for plain navigators with
+    /// no buffer underneath.
     pub fn health(&self) -> Vec<(String, Option<HealthSnapshot>)> {
         self.sources
             .iter()
@@ -630,12 +630,11 @@ impl Engine {
             .sum()
     }
 
-    /// Buffer traffic per source, for sources registered with their
-    /// buffer's counters (`SourceRegistry::add_navigator_with_stats`);
-    /// `None` for sources with no buffer underneath. This is where the
-    /// batching work shows up: wire exchanges (`requests`) versus holes
-    /// answered (`batched_holes`), plus speculative bytes still unused
-    /// (`wasted_bytes`).
+    /// Buffer traffic per source, for buffered sources
+    /// (`SourceRegistry::add_buffer`); `None` for sources with no buffer
+    /// underneath. This is where the batching work shows up: wire
+    /// exchanges (`requests`) versus holes answered (`batched_holes`),
+    /// plus speculative bytes still unused (`wasted_bytes`).
     pub fn traffic(&self) -> Vec<(String, Option<BufferStatsSnapshot>)> {
         self.sources
             .iter()
@@ -1179,9 +1178,7 @@ mod concurrency_tests {
             let tree = parse_term(term).unwrap();
             let wrapper =
                 SlowWrapper::new(TreeWrapper::single(&tree, FillPolicy::NodeAtATime), delay);
-            let nav = BufferNavigator::new(wrapper, "doc");
-            let (health, stats) = (nav.health(), nav.stats());
-            reg.add_navigator_with_stats(name, nav, health, stats);
+            reg.add_buffer(name, BufferNavigator::new(wrapper, "doc"));
         }
         reg
     }

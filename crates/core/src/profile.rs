@@ -36,7 +36,7 @@ pub struct StepCost {
     /// buffered sources — a batched exchange counts once however many
     /// holes it answers.
     pub requests: u64,
-    /// Holes answered by batched exchanges during this command.
+    /// Holes answered by wire exchanges during this command.
     pub batched_holes: u64,
     /// Net change in speculative bytes sitting unused in pending caches.
     /// Usually positive while batches run ahead of the navigation and
@@ -284,9 +284,8 @@ mod tests {
             "doc",
         )
         .batched(4);
-        let (health, stats) = (nav.health(), nav.stats());
         let mut reg = SourceRegistry::new();
-        reg.add_navigator_with_stats("src", nav, health, stats);
+        reg.add_buffer("src", nav);
         let mut engine = Engine::new(plan, &reg).unwrap();
 
         let prog = NavProgram::chain([Cmd::Down, Cmd::Fetch, Cmd::Right, Cmd::Fetch]);

@@ -2,7 +2,10 @@
 
 use crate::EngineError;
 use mix_algebra::{parse_view_source, ViewCatalog};
-use mix_buffer::{BufferStats, FragmentCache, MetricsRegistry, SourceHealth, TraceSink};
+use mix_buffer::{
+    BufferNavigator, BufferStats, FragmentCache, LxpWrapper, MetricsRegistry, SourceHealth,
+    TraceSink,
+};
 use mix_nav::{erase, DocNavigator, DynNavigator, Navigator};
 use mix_xml::Tree;
 use std::collections::HashMap;
@@ -13,9 +16,10 @@ use std::sync::{Arc, Mutex};
 /// of navigation counters.
 pub(crate) type SharedSource = Arc<Mutex<Box<dyn DynNavigator>>>;
 
-/// One registered source: the navigator plus, when the source reports
-/// them, the fault/retry health handle and the traffic counters of its
-/// buffer.
+/// One registered source: the navigator plus, for a buffered source,
+/// the handles its [`BufferNavigator`] carries — fault/retry health,
+/// traffic counters, and (when attached and enabled) flight recorder,
+/// metrics registry and fragment cache.
 #[derive(Clone)]
 pub(crate) struct Registered {
     pub nav: SharedSource,
@@ -24,6 +28,24 @@ pub(crate) struct Registered {
     pub trace: Option<TraceSink>,
     pub metrics: Option<MetricsRegistry>,
     pub cache: Option<FragmentCache>,
+}
+
+impl Registered {
+    /// A source with nothing to observe: it never touches the wire.
+    fn plain<N>(nav: N) -> Self
+    where
+        N: Navigator + Send + 'static,
+        N::Handle: Send + Sync + 'static,
+    {
+        Registered {
+            nav: Arc::new(Mutex::new(erase(nav))),
+            health: None,
+            stats: None,
+            trace: None,
+            metrics: None,
+            cache: None,
+        }
+    }
 }
 
 /// Maps source names (the `homesSrc` of a XMAS query) to navigators.
@@ -52,173 +74,58 @@ impl SourceRegistry {
         SourceRegistry::default()
     }
 
-    /// Register any navigator under a source name.
+    /// Register any navigator under a source name: a materialized
+    /// document, another [`Engine`](crate::Engine), an instrumented
+    /// adapter. Buffered LXP sources go through
+    /// [`SourceRegistry::add_buffer`] instead, so the engine can see their
+    /// health and traffic.
     pub fn add_navigator<N>(&mut self, name: impl Into<String>, nav: N) -> &mut Self
     where
         N: Navigator + Send + 'static,
         N::Handle: Send + Sync + 'static,
     {
-        self.sources.insert(
-            name.into(),
-            Registered {
-                nav: Arc::new(Mutex::new(erase(nav))),
-                health: None,
-                stats: None,
-                trace: None,
-                metrics: None,
-                cache: None,
-            },
-        );
+        self.sources.insert(name.into(), Registered::plain(nav));
         self
     }
 
-    /// Register a navigator together with the [`SourceHealth`] handle
-    /// describing its buffer–wrapper conversation, so the engine (and
-    /// through it the client and profiler) can report the source's fault
-    /// state. The usual call site pairs a `BufferNavigator` with its own
-    /// `health()` handle.
-    pub fn add_navigator_with_health<N>(
-        &mut self,
-        name: impl Into<String>,
-        nav: N,
-        health: SourceHealth,
-    ) -> &mut Self
-    where
-        N: Navigator + Send + 'static,
-        N::Handle: Send + Sync + 'static,
-    {
-        self.sources.insert(
-            name.into(),
-            Registered {
-                nav: Arc::new(Mutex::new(erase(nav))),
-                health: Some(health),
-                stats: None,
-                trace: None,
-                metrics: None,
-                cache: None,
-            },
-        );
-        self
-    }
-
-    /// Register a navigator together with its buffer's health handle
-    /// *and* traffic counters ([`BufferStats`]), so the engine's
-    /// [`traffic`] surface and the profiler's per-command table can
-    /// attribute wire exchanges, batched holes, and wasted speculative
-    /// bytes to this source. The usual call site pairs a
-    /// `BufferNavigator` with its own `health()` and `stats()` handles.
+    /// Register a buffered LXP source. Everything the engine surfaces
+    /// about it is read off the navigator itself:
     ///
-    /// [`traffic`]: crate::Engine::traffic
-    pub fn add_navigator_with_stats<N>(
-        &mut self,
-        name: impl Into<String>,
-        nav: N,
-        health: SourceHealth,
-        stats: BufferStats,
-    ) -> &mut Self
+    /// * its [`SourceHealth`] and [`BufferStats`] handles, behind
+    ///   [`Engine::health`] / [`Engine::traffic`] and the profiler's
+    ///   per-command wire columns;
+    /// * its flight-recorder sink (`BufferNavigator::with_trace`), which
+    ///   the engine adopts so every client command begins a span in the
+    ///   same ring the buffer's fill/retry/degradation events land in —
+    ///   the link that lets a trace answer "which client command caused
+    ///   this wire exchange?";
+    /// * its metrics registry (`BufferNavigator::with_metrics`), which the
+    ///   engine adopts and registers its own per-operator, per-command and
+    ///   per-source series in, so one snapshot or Prometheus scrape covers
+    ///   the whole mediator stack;
+    /// * its shared fragment cache (`BufferNavigator::with_fragment_cache`),
+    ///   behind the hits column of `explain_analyze()` and
+    ///   `VirtualDocument::fragment_cache`.
+    ///
+    /// A sink or registry that is disabled at registration counts as
+    /// absent. Across several sources the engine adopts the first sink,
+    /// registry and cache it meets in plan order.
+    ///
+    /// [`Engine::health`]: crate::Engine::health
+    /// [`Engine::traffic`]: crate::Engine::traffic
+    pub fn add_buffer<W>(&mut self, name: impl Into<String>, nav: BufferNavigator<W>) -> &mut Self
     where
-        N: Navigator + Send + 'static,
-        N::Handle: Send + Sync + 'static,
+        W: LxpWrapper + Send + 'static,
     {
-        self.sources.insert(
-            name.into(),
-            Registered {
-                nav: Arc::new(Mutex::new(erase(nav))),
-                health: Some(health),
-                stats: Some(stats),
-                trace: None,
-                metrics: None,
-                cache: None,
-            },
-        );
-        self
-    }
-
-    /// Register a navigator with its buffer's health, traffic counters,
-    /// *and* flight-recorder sink. The engine adopts the sink, so every
-    /// client command begins a span in the same ring the buffer's
-    /// fill/retry/degradation events land in — that link is what lets a
-    /// trace answer "which client command caused this wire exchange?".
-    /// The usual call site hands a `BufferNavigator` its own `health()`,
-    /// `stats()` and `trace_sink()` handles.
-    pub fn add_navigator_traced<N>(
-        &mut self,
-        name: impl Into<String>,
-        nav: N,
-        health: SourceHealth,
-        stats: BufferStats,
-        trace: TraceSink,
-    ) -> &mut Self
-    where
-        N: Navigator + Send + 'static,
-        N::Handle: Send + Sync + 'static,
-    {
-        self.sources.insert(
-            name.into(),
-            Registered {
-                nav: Arc::new(Mutex::new(erase(nav))),
-                health: Some(health),
-                stats: Some(stats),
-                trace: Some(trace),
-                metrics: None,
-                cache: None,
-            },
-        );
-        self
-    }
-
-    /// Register a fully *observed* navigator: health, traffic counters,
-    /// flight-recorder sink, and the live [`MetricsRegistry`] its buffer
-    /// records into. The engine adopts the registry (first observed source
-    /// wins) and registers its own per-operator, per-command, and
-    /// per-source series in it — so one
-    /// [`snapshot`](MetricsRegistry::snapshot) or Prometheus scrape covers
-    /// the whole mediator stack, and
-    /// [`explain_analyze`](crate::Engine::explain_analyze) can line up
-    /// operator navigation counts with buffer wire traffic. The usual
-    /// call site builds a `BufferNavigator` with
-    /// `with_metrics(registry.clone())` and hands over its `health()`,
-    /// `stats()`, `trace_sink()`, and that same registry.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_navigator_observed<N>(
-        &mut self,
-        name: impl Into<String>,
-        nav: N,
-        health: SourceHealth,
-        stats: BufferStats,
-        trace: TraceSink,
-        metrics: MetricsRegistry,
-    ) -> &mut Self
-    where
-        N: Navigator + Send + 'static,
-        N::Handle: Send + Sync + 'static,
-    {
-        self.sources.insert(
-            name.into(),
-            Registered {
-                nav: Arc::new(Mutex::new(erase(nav))),
-                health: Some(health),
-                stats: Some(stats),
-                trace: Some(trace),
-                metrics: Some(metrics),
-                cache: None,
-            },
-        );
-        self
-    }
-
-    /// Attach a shared cross-query [`FragmentCache`] handle to an
-    /// already-registered source, so the engine built from this registry
-    /// can surface cache effectiveness (the hits column of
-    /// `explain_analyze()`, `VirtualDocument::fragment_cache`). This is
-    /// the *observability* side: the cache does its work inside the
-    /// source's `BufferNavigator` (see
-    /// `BufferNavigator::with_fragment_cache`); hand the same handle to
-    /// both. Unknown names are ignored.
-    pub fn set_source_cache(&mut self, name: &str, cache: FragmentCache) -> &mut Self {
-        if let Some(reg) = self.sources.get_mut(name) {
-            reg.cache = Some(cache);
-        }
+        let observed = Registered {
+            health: Some(nav.health()),
+            stats: Some(nav.stats()),
+            trace: Some(nav.trace_sink()).filter(TraceSink::is_enabled),
+            metrics: Some(nav.metrics_registry()).filter(MetricsRegistry::is_enabled),
+            cache: nav.fragment_cache(),
+            ..Registered::plain(nav)
+        };
+        self.sources.insert(name.into(), observed);
         self
     }
 
@@ -280,14 +187,7 @@ impl SourceRegistry {
         }
         if let Some(id) = parse_view_source(name) {
             if let Some(doc) = self.view_catalog.as_ref().and_then(|c| c.view_doc(id)) {
-                return Ok(Registered {
-                    nav: Arc::new(Mutex::new(erase(DocNavigator::new(doc)))),
-                    health: None,
-                    stats: None,
-                    trace: None,
-                    metrics: None,
-                    cache: None,
-                });
+                return Ok(Registered::plain(DocNavigator::new(doc)));
             }
             return Err(EngineError::new(format!(
                 "plan references cached view `{name}` that is no longer in the catalog"
@@ -322,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_handle_travels_with_the_navigator() {
+    fn buffer_handles_travel_with_the_navigator() {
         use mix_buffer::{BufferNavigator, FillPolicy, TreeWrapper};
         use mix_xml::term::parse_term;
 
@@ -331,28 +231,12 @@ mod tests {
             BufferNavigator::new(TreeWrapper::single(&tree, FillPolicy::NodeAtATime), "homes");
         let (health, stats) = (nav.health(), nav.stats());
         let mut reg = SourceRegistry::new();
-        reg.add_navigator_with_stats("homesSrc", nav, health, stats.clone());
+        reg.add_buffer("homesSrc", nav);
         let got = reg.resolve("homesSrc").unwrap();
-        let handle = got.stats.expect("stats registered");
-        // Same shared cells: navigating through the registered connection
-        // is visible on the caller's handle and vice versa.
-        assert_eq!(handle.snapshot(), stats.snapshot());
-    }
-
-    #[test]
-    fn health_handle_travels_with_the_navigator() {
-        use mix_buffer::{BufferNavigator, FillPolicy, TreeWrapper};
-        use mix_xml::term::parse_term;
-
-        let tree = parse_term("homes[h1]").unwrap();
-        let nav =
-            BufferNavigator::new(TreeWrapper::single(&tree, FillPolicy::WholeSubtree), "homes");
-        let health = nav.health();
-        let mut reg = SourceRegistry::new();
-        reg.add_navigator_with_health("homesSrc", nav, health.clone());
-        let got = reg.resolve("homesSrc").unwrap();
-        let handle = got.health.expect("health registered");
+        // Same shared cells: what happens on the registered connection is
+        // visible on the caller's handles and vice versa.
+        assert_eq!(got.stats.expect("stats registered").snapshot(), stats.snapshot());
         health.record_degraded(&"synthetic");
-        assert_eq!(handle.snapshot().degraded_ops, 1, "same shared cells");
+        assert_eq!(got.health.expect("health registered").snapshot().degraded_ops, 1);
     }
 }

@@ -12,12 +12,13 @@
 //!
 //! [`TraceLog::rollup`] replays the buffer's own arithmetic over the
 //! events: a [`TraceKind::Fill`] with `from_cache: false` is one wire
-//! request; a [`TraceKind::FillMany`] is one wire request answering
-//! `items` holes and parking `wasted` speculative bytes; a cache-served
-//! [`TraceKind::Fill`] credits `waste_credit` bytes back; a
-//! [`TraceKind::CacheHit`] (shared cross-query cache) is one consumed
-//! fill with zero wire cost; a [`TraceKind::FillManyFailed`] is one wire
-//! request whose entire transferred volume is waste. Over a complete
+//! request answering one hole; a [`TraceKind::FillMany`] is one wire
+//! request answering `items` holes and parking `wasted` speculative
+//! bytes; a cache-served [`TraceKind::Fill`] credits `waste_credit`
+//! bytes back; a [`TraceKind::CacheHit`] (shared cross-query cache) is
+//! one consumed fill with zero wire cost; a
+//! [`TraceKind::FillManyFailed`] is one wire request whose entire
+//! transferred volume is waste. Over a complete
 //! trace (`dropped == 0`) the rollup reproduces the
 //! `requests`/`batched_holes`/`wasted_bytes` counters to the digit — the
 //! invariant experiment E15 asserts under injected faults.
@@ -42,7 +43,7 @@ pub struct TraceLog {
 pub struct TraceRollup {
     /// Wire exchanges: uncached fills + batched exchanges.
     pub requests: u64,
-    /// Per-hole replies that rode batched exchanges.
+    /// Per-hole replies those exchanges carried.
     pub batched_holes: u64,
     /// Speculative bytes still parked (parked minus credited back).
     pub wasted_bytes: u64,
@@ -90,7 +91,7 @@ pub struct SpanStats {
     pub source_commands: u64,
     /// Wire exchanges this command caused.
     pub requests: u64,
-    /// Per-hole replies that rode this command's batched exchanges.
+    /// Per-hole replies this command's wire exchanges carried.
     pub batched_holes: u64,
     /// Speculative-waste delta (parked minus credited; negative when the
     /// command consumed replies parked by an earlier span).
@@ -206,6 +207,7 @@ impl TraceLog {
                         credited += waste_credit;
                     } else {
                         r.requests += 1;
+                        r.batched_holes += 1;
                         r.nodes += nodes;
                         r.bytes += bytes;
                     }
@@ -278,6 +280,7 @@ impl TraceLog {
                         row.waste_delta -= *waste_credit as i64;
                     } else {
                         row.requests += 1;
+                        row.batched_holes += 1;
                     }
                 }
                 TraceKind::FillMany { items, wasted, .. } => {

@@ -35,7 +35,7 @@ fn faulty_registry(
     let nav = BufferNavigator::with_retry(wrapper, "doc", policy);
     let health = nav.health();
     let mut reg = SourceRegistry::new();
-    reg.add_navigator_with_health("src", nav, health.clone());
+    reg.add_buffer("src", nav);
     (reg, health)
 }
 

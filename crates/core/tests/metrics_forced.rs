@@ -22,8 +22,8 @@ fn forced_default_registries_record() {
     assert!(!MetricsRegistry::off().is_enabled(), "an explicit off() stays off");
 
     // A stack built with *no* metrics wiring at all: the buffer's
-    // default-constructed registry is forced on, the engine adopts an
-    // enabled default of its own, and both record.
+    // default-constructed registry is forced on, the engine adopts it,
+    // and both sides record.
     let tree = mix_xml::term::parse_term("items[a[1],b[2],c[3]]").unwrap();
     let mut inner = TreeWrapper::new(FillPolicy::NodeAtATime);
     inner.add("src", std::sync::Arc::new(mix_xml::Document::from_tree(&tree)));
@@ -31,9 +31,8 @@ fn forced_default_registries_record() {
     let buffer_registry = nav.metrics_registry();
     assert!(buffer_registry.is_enabled(), "buffer default registry forced on");
 
-    let (health, stats) = (nav.health(), nav.stats());
     let mut reg = SourceRegistry::new();
-    reg.add_navigator_with_stats("src", nav, health, stats);
+    reg.add_buffer("src", nav);
     let plan = translate(
         &parse_query("CONSTRUCT <all> $X {$X} </all> {} WHERE src items._ $X").unwrap(),
     )
@@ -42,7 +41,7 @@ fn forced_default_registries_record() {
     let out = materialize(&mut *doc.engine().lock().unwrap()).to_string();
     assert_eq!(out, "all[a[1],b[2],c[3]]");
 
-    // The engine's own (adopted-default, forced-on) registry recorded the
+    // The engine's (adopted, forced-on) registry recorded the
     // command/operator side…
     let snap = doc.metrics_snapshot();
     assert!(doc.metrics().is_enabled(), "engine registry forced on");

@@ -23,36 +23,48 @@ use proptest::prelude::*;
 
 const QUERY: &str = "CONSTRUCT <all> $X {$X} </all> {} WHERE src items._ $X";
 
-/// Build the full observed stack over `tree`: buffer (optionally batched,
-/// optionally faulty) + engine, sharing one registry and one trace sink.
+/// The tree wrapper every stack below reads: the document registered
+/// under the same uri the engine knows the source by, so buffer-side and
+/// engine-side series share one `source` label.
+fn tree_wrapper(tree: &Tree) -> TreeWrapper {
+    let mut inner = TreeWrapper::new(FillPolicy::NodeAtATime);
+    inner.add("src", std::sync::Arc::new(mix_xml::Document::from_tree(tree)));
+    inner
+}
+
+/// Build the full observed stack over `wrapper`: buffer (batched when
+/// `batch > 1`, optionally reading through `cache`) + engine, sharing one
+/// registry and one trace sink.
+fn observed<W: LxpWrapper + Send + 'static>(
+    wrapper: W,
+    batch: usize,
+    metrics_on: bool,
+    cache: Option<FragmentCache>,
+) -> (VirtualDocument, MetricsRegistry, TraceSink) {
+    let registry = if metrics_on { MetricsRegistry::enabled() } else { MetricsRegistry::off() };
+    let sink = TraceSink::enabled(1 << 16);
+    let mut nav = BufferNavigator::with_retry(wrapper, "src", RetryPolicy::default())
+        .with_trace(sink.clone())
+        .with_metrics(registry.clone())
+        .batched(batch);
+    if let Some(cache) = cache {
+        nav = nav.with_fragment_cache(cache);
+    }
+    let mut reg = SourceRegistry::new();
+    reg.add_buffer("src", nav);
+    let plan = translate(&parse_query(QUERY).unwrap()).unwrap();
+    (VirtualDocument::new(Engine::new(plan, &reg).unwrap()), registry, sink)
+}
+
+/// The observed stack over a (by default fault-free) faulty wrapper.
 fn observed_doc(
     tree: &Tree,
     fault: Option<FaultConfig>,
     batch: usize,
     metrics_on: bool,
 ) -> (VirtualDocument, MetricsRegistry, TraceSink) {
-    let registry = if metrics_on { MetricsRegistry::enabled() } else { MetricsRegistry::off() };
-    let sink = TraceSink::enabled(1 << 16);
-    // Register the document under the same uri the engine knows the source
-    // by, so buffer-side and engine-side series share one `source` label.
-    let mut inner = TreeWrapper::new(FillPolicy::NodeAtATime);
-    inner.add("src", std::sync::Arc::new(mix_xml::Document::from_tree(tree)));
     let cfg = fault.unwrap_or(FaultConfig::transient(0, 0.0));
-    let mut nav = BufferNavigator::with_retry(
-        FaultyWrapper::new(inner, cfg),
-        "src",
-        RetryPolicy::default(),
-    )
-    .with_trace(sink.clone())
-    .with_metrics(registry.clone());
-    if batch > 0 {
-        nav = nav.batched(batch);
-    }
-    let (health, stats) = (nav.health(), nav.stats());
-    let mut reg = SourceRegistry::new();
-    reg.add_navigator_observed("src", nav, health, stats, sink.clone(), registry.clone());
-    let plan = translate(&parse_query(QUERY).unwrap()).unwrap();
-    (VirtualDocument::new(Engine::new(plan, &reg).unwrap()), registry, sink)
+    observed(FaultyWrapper::new(tree_wrapper(tree), cfg), batch, metrics_on, None)
 }
 
 /// An adapter that periodically *violates* the batch protocol: every
@@ -94,55 +106,21 @@ fn observed_doc_violating(
     batch: usize,
     metrics_on: bool,
 ) -> (VirtualDocument, MetricsRegistry, TraceSink) {
-    let registry = if metrics_on { MetricsRegistry::enabled() } else { MetricsRegistry::off() };
-    let sink = TraceSink::enabled(1 << 16);
-    let mut inner = TreeWrapper::new(FillPolicy::NodeAtATime);
-    inner.add("src", std::sync::Arc::new(mix_xml::Document::from_tree(tree)));
-    let wrapper = ViolatingBatch { inner, calls: 0, violate_every };
-    let mut nav = BufferNavigator::with_retry(wrapper, "src", RetryPolicy::default())
-        .with_trace(sink.clone())
-        .with_metrics(registry.clone());
-    if batch > 0 {
-        nav = nav.batched(batch);
-    }
-    let (health, stats) = (nav.health(), nav.stats());
-    let mut reg = SourceRegistry::new();
-    reg.add_navigator_observed("src", nav, health, stats, sink.clone(), registry.clone());
-    let plan = translate(&parse_query(QUERY).unwrap()).unwrap();
-    (VirtualDocument::new(Engine::new(plan, &reg).unwrap()), registry, sink)
+    let wrapper = ViolatingBatch { inner: tree_wrapper(tree), calls: 0, violate_every };
+    observed(wrapper, batch, metrics_on, None)
 }
 
 /// The observed stack with a shared [`FragmentCache`] attached to the
-/// buffer (and registered for observability). Metrics stay enabled — the
-/// point is that cache hits keep the three ledgers in exact agreement.
+/// buffer. Metrics stay enabled — the point is that cache hits keep the
+/// three ledgers in exact agreement.
 fn observed_doc_cached(
     tree: &Tree,
     fault: Option<FaultConfig>,
     batch: usize,
     cache: FragmentCache,
 ) -> (VirtualDocument, MetricsRegistry, TraceSink) {
-    let registry = MetricsRegistry::enabled();
-    let sink = TraceSink::enabled(1 << 16);
-    let mut inner = TreeWrapper::new(FillPolicy::NodeAtATime);
-    inner.add("src", std::sync::Arc::new(mix_xml::Document::from_tree(tree)));
     let cfg = fault.unwrap_or(FaultConfig::transient(0, 0.0));
-    let mut nav = BufferNavigator::with_retry(
-        FaultyWrapper::new(inner, cfg),
-        "src",
-        RetryPolicy::default(),
-    )
-    .with_trace(sink.clone())
-    .with_metrics(registry.clone())
-    .with_fragment_cache(cache.clone());
-    if batch > 0 {
-        nav = nav.batched(batch);
-    }
-    let (health, stats) = (nav.health(), nav.stats());
-    let mut reg = SourceRegistry::new();
-    reg.add_navigator_observed("src", nav, health, stats, sink.clone(), registry.clone());
-    reg.set_source_cache("src", cache);
-    let plan = translate(&parse_query(QUERY).unwrap()).unwrap();
-    (VirtualDocument::new(Engine::new(plan, &reg).unwrap()), registry, sink)
+    observed(FaultyWrapper::new(tree_wrapper(tree), cfg), batch, true, Some(cache))
 }
 
 fn traffic_totals(doc: &VirtualDocument) -> (u64, u64, u64) {

@@ -33,9 +33,8 @@ fn scraped_run() -> (VirtualDocument, MetricsRegistry) {
     .with_trace(sink.clone())
     .with_metrics(registry.clone())
     .batched(4);
-    let (health, stats) = (nav.health(), nav.stats());
     let mut reg = SourceRegistry::new();
-    reg.add_navigator_observed("src", nav, health, stats, sink, registry.clone());
+    reg.add_buffer("src", nav);
     let plan = translate(
         &parse_query("CONSTRUCT <all> $X {$X} </all> {} WHERE src items._ $X").unwrap(),
     )

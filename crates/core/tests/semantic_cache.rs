@@ -18,22 +18,27 @@ use mix_xml::term::parse_term;
 const HOMES: &str = "homes[home[addr[a1],price[p1]],home[addr[a2],price[p2]]]";
 const Q_HOMES: &str = "CONSTRUCT <out> $H {$H} </out> {} WHERE homesSrc homes.home $H";
 
-/// A registry with one buffered source `name` over `term`, a shared
-/// catalog, and the buffer's traffic counters.
+/// A registry with one buffered source `name` over `term` (reading
+/// through `cache`, if given), a shared catalog, and the buffer's traffic
+/// counters.
 fn buffered_registry(
     name: &str,
     term: &str,
     catalog: &ViewCatalog,
+    cache: Option<&FragmentCache>,
 ) -> (SourceRegistry, BufferStats) {
     let tree = parse_term(term).unwrap();
     // Register the doc under the source name so the buffer's wire
     // traffic AND its fragment-cache epoch are keyed consistently.
     let mut wrapper = TreeWrapper::new(FillPolicy::NodeAtATime);
     wrapper.add(name, std::sync::Arc::new(mix_xml::Document::from_tree(&tree)));
-    let nav = BufferNavigator::new(wrapper, name.to_string());
-    let (health, stats) = (nav.health(), nav.stats());
+    let mut nav = BufferNavigator::new(wrapper, name.to_string());
+    if let Some(cache) = cache {
+        nav = nav.with_fragment_cache(cache.clone());
+    }
+    let stats = nav.stats();
     let mut reg = SourceRegistry::new();
-    reg.add_navigator_with_stats(name, nav, health, stats.clone());
+    reg.add_buffer(name, nav);
     reg.set_view_catalog(catalog.clone());
     (reg, stats)
 }
@@ -44,7 +49,7 @@ fn miss_records_then_covered_runs_with_zero_wire() {
     let plan = || translate(&parse_query(Q_HOMES).unwrap()).unwrap();
 
     // Cold: nothing recorded, the query misses and pays the wire.
-    let (reg, stats) = buffered_registry("homesSrc", HOMES, &catalog);
+    let (reg, stats) = buffered_registry("homesSrc", HOMES, &catalog, None);
     let mut cold =
         Engine::with_config(plan(), &reg, EngineConfig::semantic_cache()).unwrap();
     assert_eq!(cold.semantic_outcome(), Some(SemanticOutcome::Miss));
@@ -56,7 +61,7 @@ fn miss_records_then_covered_runs_with_zero_wire() {
 
     // Warm: a fresh session over a fresh buffer is fully covered — the
     // engine never even connects the registered source.
-    let (reg2, stats2) = buffered_registry("homesSrc", HOMES, &catalog);
+    let (reg2, stats2) = buffered_registry("homesSrc", HOMES, &catalog, None);
     let mut warm =
         Engine::with_config(plan(), &reg2, EngineConfig::semantic_cache()).unwrap();
     assert_eq!(warm.semantic_outcome(), Some(SemanticOutcome::Covered));
@@ -74,7 +79,7 @@ fn a_recorded_single_source_view_partially_covers_a_two_source_query() {
 
     // Record a view of aSrc's branch from a single-source query.
     let qa = "CONSTRUCT <va> $A {$A} </va> {} WHERE aSrc adoc.x $A";
-    let (reg, _) = buffered_registry("aSrc", "adoc[x[a1],x[a2]]", &catalog);
+    let (reg, _) = buffered_registry("aSrc", "adoc[x[a1],x[a2]]", &catalog, None);
     let plan_a = translate(&parse_query(qa).unwrap()).unwrap();
     let mut ea = Engine::with_config(plan_a, &reg, EngineConfig::semantic_cache()).unwrap();
     let answer_a = materialize(&mut ea);
@@ -82,13 +87,13 @@ fn a_recorded_single_source_view_partially_covers_a_two_source_query() {
 
     // A registry carrying both buffered sources plus the shared catalog.
     let two_source_registry = || {
-        let (mut reg, a_stats) = buffered_registry("aSrc", "adoc[x[a1],x[a2]]", &catalog);
+        let (mut reg, a_stats) = buffered_registry("aSrc", "adoc[x[a1],x[a2]]", &catalog, None);
         let btree = parse_term("bdoc[y[b1]]").unwrap();
         let mut bw = TreeWrapper::new(FillPolicy::NodeAtATime);
         bw.add("bSrc", std::sync::Arc::new(mix_xml::Document::from_tree(&btree)));
         let bnav = BufferNavigator::new(bw, "bSrc".to_string());
-        let (bh, bs) = (bnav.health(), bnav.stats());
-        reg.add_navigator_with_stats("bSrc", bnav, bh, bs.clone());
+        let bs = bnav.stats();
+        reg.add_buffer("bSrc", bnav);
         (reg, a_stats, bs)
     };
 
@@ -119,18 +124,18 @@ fn invalidation_retires_views_through_both_epoch_channels() {
     let plan = || translate(&parse_query(Q_HOMES).unwrap()).unwrap();
 
     // Record, confirm coverage.
-    let (reg, _) = buffered_registry("homesSrc", HOMES, &catalog);
+    let (reg, _) = buffered_registry("homesSrc", HOMES, &catalog, None);
     let mut cold = Engine::with_config(plan(), &reg, EngineConfig::semantic_cache()).unwrap();
     let baseline = materialize(&mut cold);
     assert!(cold.record_view(&baseline));
-    let (reg2, _) = buffered_registry("homesSrc", HOMES, &catalog);
+    let (reg2, _) = buffered_registry("homesSrc", HOMES, &catalog, None);
     let warm = Engine::with_config(plan(), &reg2, EngineConfig::semantic_cache()).unwrap();
     assert_eq!(warm.semantic_outcome(), Some(SemanticOutcome::Covered));
 
     // Channel 1: catalog epoch bump purges the dependent view; the next
     // session misses, pays the wire, and re-derives the same bytes.
     assert_eq!(catalog.invalidate_source("homesSrc"), 1, "one dependent view purged");
-    let (reg3, stats3) = buffered_registry("homesSrc", HOMES, &catalog);
+    let (reg3, stats3) = buffered_registry("homesSrc", HOMES, &catalog, None);
     let mut fresh = Engine::with_config(plan(), &reg3, EngineConfig::semantic_cache()).unwrap();
     assert_eq!(fresh.semantic_outcome(), Some(SemanticOutcome::Miss));
     assert_eq!(&materialize(&mut fresh), &baseline, "post-invalidation answer differs");
@@ -140,8 +145,7 @@ fn invalidation_retires_views_through_both_epoch_channels() {
     // Channel 2: a fragment-cache invalidation bumps the combined source
     // epoch the registry reports, so the recorded view is stale too.
     let frag = FragmentCache::new();
-    let (mut reg4, stats4) = buffered_registry("homesSrc", HOMES, &catalog);
-    reg4.set_source_cache("homesSrc", frag.clone());
+    let (reg4, stats4) = buffered_registry("homesSrc", HOMES, &catalog, Some(&frag));
     let warm2 = Engine::with_config(plan(), &reg4, EngineConfig::semantic_cache()).unwrap();
     assert_eq!(warm2.semantic_outcome(), Some(SemanticOutcome::Covered));
     frag.invalidate("homesSrc");
@@ -154,7 +158,7 @@ fn invalidation_retires_views_through_both_epoch_channels() {
 #[test]
 fn record_after_midflight_invalidation_is_rejected_as_stale() {
     let catalog = ViewCatalog::new();
-    let (reg, _) = buffered_registry("homesSrc", HOMES, &catalog);
+    let (reg, _) = buffered_registry("homesSrc", HOMES, &catalog, None);
     let plan = translate(&parse_query(Q_HOMES).unwrap()).unwrap();
     let mut e = Engine::with_config(plan, &reg, EngineConfig::semantic_cache()).unwrap();
     let answer = materialize(&mut e);

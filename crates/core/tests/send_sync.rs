@@ -7,7 +7,7 @@
 
 use mix_buffer::{
     BufferNavigator, BufferStats, ConcurrentPrefetcher, FaultyWrapper, FragmentCache,
-    MetricsRegistry, OverlapGauge, Prefetcher, SlowWrapper, SourceHealth, TraceSink, TreeWrapper,
+    MetricsRegistry, OverlapGauge, SlowWrapper, SourceHealth, TraceSink, TreeWrapper,
 };
 use mix_core::{Engine, SourceRegistry, TraceLog, VirtualDocument, VNode};
 
@@ -23,7 +23,6 @@ fn engine_stack_is_send() {
     assert_send::<BufferNavigator<SlowWrapper<TreeWrapper>>>();
     assert_send::<BufferNavigator<FaultyWrapper<TreeWrapper>>>();
     assert_send::<BufferNavigator<ConcurrentPrefetcher<TreeWrapper>>>();
-    assert_send::<Prefetcher<TreeWrapper>>();
     assert_send::<VNode>();
 }
 

@@ -26,9 +26,8 @@ fn traced_doc(config: Option<FaultConfig>, policy: RetryPolicy) -> (VirtualDocum
     let cfg = config.unwrap_or(FaultConfig::transient(0, 0.0));
     let nav = BufferNavigator::with_retry(FaultyWrapper::new(inner, cfg), "doc", policy)
         .with_trace(sink.clone());
-    let (health, stats) = (nav.health(), nav.stats());
     let mut reg = SourceRegistry::new();
-    reg.add_navigator_traced("src", nav, health, stats, sink.clone());
+    reg.add_buffer("src", nav);
     let plan = translate(&parse_query(QUERY).unwrap()).unwrap();
     (VirtualDocument::new(Engine::new(plan, &reg).unwrap()), sink)
 }

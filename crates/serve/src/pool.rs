@@ -130,18 +130,7 @@ impl SessionSources {
     /// when the session's engine drops) over the shared wrappers, all
     /// reading through the shared fragment cache.
     pub fn registry_for_session(&self) -> SourceRegistry {
-        let mut reg = SourceRegistry::new();
-        for s in &self.sources {
-            let nav = BufferNavigator::new(s.wrapper.clone(), s.name.clone())
-                .batched(self.batch_limit)
-                .with_fragment_cache(self.cache.clone())
-                .with_health(s.health.clone());
-            let (health, stats) = (nav.health(), nav.stats());
-            reg.add_navigator_with_stats(s.name.clone(), nav, health, stats);
-            reg.set_source_cache(&s.name, self.cache.clone());
-        }
-        reg.set_view_catalog(self.catalog.clone());
-        reg
+        self.registry_for_session_traced(&TraceSink::default())
     }
 
     /// Like [`Self::registry_for_session`], but every navigator shares
@@ -158,9 +147,7 @@ impl SessionSources {
                 .with_fragment_cache(self.cache.clone())
                 .with_health(s.health.clone())
                 .with_trace(trace.clone());
-            let (health, stats) = (nav.health(), nav.stats());
-            reg.add_navigator_traced(s.name.clone(), nav, health, stats, trace.clone());
-            reg.set_source_cache(&s.name, self.cache.clone());
+            reg.add_buffer(s.name.clone(), nav);
         }
         reg.set_view_catalog(self.catalog.clone());
         reg

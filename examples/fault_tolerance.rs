@@ -43,8 +43,7 @@ fn build_sources(
                 "amazon",
                 policy,
             );
-            let health = nav.health();
-            sources.add_navigator_with_health("amazon", nav, health);
+            sources.add_buffer("amazon", nav);
         }
         None => {
             sources.add_navigator("amazon", BufferNavigator::new(amazon, "amazon"));

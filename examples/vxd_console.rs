@@ -47,8 +47,8 @@ fn main() {
     // `metrics`/`explain` each see the whole stack at once.
     let sink = TraceSink::enabled(1 << 16);
     let registry = MetricsRegistry::enabled();
-    // One shared cross-query fragment cache serves both buffers; the same
-    // handle goes to the registry so `explain` can show per-source hits.
+    // One shared cross-query fragment cache serves both buffers; the
+    // engine reads it off them, so `explain` can show per-source hits.
     let cache = FragmentCache::new();
     let homes = mix::wrappers::gen::homes_doc(42, 25, 6);
     let schools = mix::wrappers::gen::schools_doc(43, 25, 6);
@@ -72,9 +72,7 @@ fn main() {
             .with_trace(sink.clone())
             .with_metrics(registry.clone())
             .with_fragment_cache(cache.clone());
-        let (health, stats) = (nav.health(), nav.stats());
-        sources.add_navigator_observed("homesSrc", nav, health, stats, sink.clone(), registry.clone());
-        sources.set_source_cache("homesSrc", cache.clone());
+        sources.add_buffer("homesSrc", nav);
     }
     {
         let mut inner = TreeWrapper::new(FillPolicy::Chunked { n: 4 });
@@ -83,9 +81,7 @@ fn main() {
             .with_trace(sink.clone())
             .with_metrics(registry.clone())
             .with_fragment_cache(cache.clone());
-        let (health, stats) = (nav.health(), nav.stats());
-        sources.add_navigator_observed("schoolsSrc", nav, health, stats, sink.clone(), registry.clone());
-        sources.set_source_cache("schoolsSrc", cache.clone());
+        sources.add_buffer("schoolsSrc", nav);
     }
 
     let plan = translate(

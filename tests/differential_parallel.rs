@@ -61,9 +61,7 @@ fn build(
             Duration::ZERO,
         );
         wires.push(slow.exchange_counter());
-        let nav = BufferNavigator::new(slow, "doc");
-        let (health, stats) = (nav.health(), nav.stats());
-        reg.add_navigator_with_stats(format!("s{i}"), nav, health, stats);
+        reg.add_buffer(format!("s{i}"), BufferNavigator::new(slow, "doc"));
     }
     let config = EngineConfig { threads, ..EngineConfig::default() };
     (Engine::with_config(plan, &reg, config).unwrap(), wires)
@@ -217,8 +215,7 @@ proptest! {
                 "doc",
             )
             .with_trace(sink.clone());
-            let (health, stats) = (nav.health(), nav.stats());
-            reg.add_navigator_traced(format!("s{i}"), nav, health, stats, sink.clone());
+            reg.add_buffer(format!("s{i}"), nav);
         }
         let config = EngineConfig { threads: 4, ..EngineConfig::default() };
         let doc = VirtualDocument::new(Engine::with_config(plan, &reg, config).unwrap());

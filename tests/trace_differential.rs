@@ -34,16 +34,9 @@ fn build(tree: &Tree, query: &str, chunk: usize, traced: bool) -> VirtualDocumen
         TreeWrapper::single(tree, FillPolicy::Chunked { n: chunk }),
         "doc",
     );
+    let nav = if traced { nav.with_trace(TraceSink::enabled(1 << 18)) } else { nav };
     let mut reg = SourceRegistry::new();
-    if traced {
-        let sink = TraceSink::enabled(1 << 18);
-        let nav = nav.with_trace(sink.clone());
-        let (health, stats) = (nav.health(), nav.stats());
-        reg.add_navigator_traced("src", nav, health, stats, sink);
-    } else {
-        let (health, stats) = (nav.health(), nav.stats());
-        reg.add_navigator_with_stats("src", nav, health, stats);
-    }
+    reg.add_buffer("src", nav);
     VirtualDocument::new(Engine::new(plan, &reg).unwrap())
 }
 
