@@ -1184,9 +1184,7 @@ fn e18_concurrency(threads_override: Option<usize>) {
 /// server contains the blast.
 fn e19_served_sessions(threads_override: Option<usize>) {
     banner("E19", "session-multiplexed VXD serving under load");
-    use mix_buffer::{
-        configured_threads, FillPolicy, FragmentCache, MetricsRegistry, SampleValue,
-    };
+    use mix_buffer::{FillPolicy, FragmentCache, MetricsRegistry, SampleValue};
     use mix_serve::{
         pipe, ClientError, ErrorCode, FetchOutcome, SessionSources, VxdClient, VxdServer,
     };
@@ -1200,7 +1198,7 @@ fn e19_served_sessions(threads_override: Option<usize>) {
     let navs_per_session = env_num("MIX_E19_NAVS", 12).max(1);
     // Driver connections: sessions are multiplexed, so a handful of
     // connections carries all N sessions.
-    let workers = threads_override.unwrap_or_else(|| configured_threads().min(8)).max(1);
+    let workers = threads_override.unwrap_or_else(|| env_num("MIX_THREADS", 1).min(8)).max(1);
 
     // The shared half: three generated sources, one cache, one registry.
     let mut pool = SessionSources::new(FragmentCache::new(), MetricsRegistry::enabled());
@@ -1811,9 +1809,9 @@ fn e2_lazy_vs_eager() {
     // med_home needs a full input pass (its school list must be complete),
     // so first-k and full are both ~linear — exactly what Def. 2's
     // "browsable but unbounded" predicts for grouping views.
-    println!("\nFigure 3 view (groupBy by $H — unbounded browsable; hash-join probe):");
+    println!("\nFigure 3 view (groupBy by $H — unbounded browsable):");
     let plan = plan_for(FIG3_QUERY);
-    let cfg = EngineConfig { hash_join: true, ..EngineConfig::default() };
+    let cfg = EngineConfig::default();
     let t = TablePrinter::new(
         &["N (homes=schools)", "k=1 navs", "full navs", "k=1 time", "full time"],
         &[18, 12, 12, 10, 10],

@@ -1,4 +1,5 @@
-//! Pins the E14 adaptive-scan traffic shape.
+//! Pins the E14 adaptive-scan traffic shape, and E8's source-navigation
+//! counts.
 //!
 //! The AIMD hysteresis band (see `mix_buffer::AimdChunk`) must not change
 //! what a clean sequential scan does on the wire: the E14 workload
@@ -8,7 +9,9 @@
 //! controller changed behavior on the *scan* path — rebaseline E14
 //! deliberately or fix the regression.
 
+use mix_bench::{homes_schools_registry, lazy_full_cost, plan_for, FIG3_QUERY};
 use mix_buffer::BufferNavigator;
+use mix_core::EngineConfig;
 use mix_nav::explore::materialize;
 use mix_wrappers::{gen, RelationalWrapper};
 
@@ -43,4 +46,22 @@ fn fixed_chunk_batched_scan_request_counts_are_pinned() {
     assert_eq!(snap.requests, 59);
     assert_eq!(snap.fills, 1001);
     assert_eq!(snap.bytes_received, 981_706);
+}
+
+#[test]
+fn e8_cache_ablation_source_navigations_are_pinned() {
+    // What the engine asks of its sources for Fig. 3 at E8's size, per
+    // cache configuration (the table E8 prints): a change to how the
+    // join or groupBy caches are probed must hold these still.
+    let plan = plan_for(FIG3_QUERY);
+    for (join_cache, group_cache, navs) in [
+        (true, true, 15_030),
+        (false, true, 57_687),
+        (true, false, 521_050),
+        (false, false, 3_166_507),
+    ] {
+        let config = EngineConfig { join_cache, group_cache, ..EngineConfig::default() };
+        let cost = lazy_full_cost(&plan, &homes_schools_registry(2, 60, 10), config);
+        assert_eq!(cost, navs, "join_cache={join_cache} group_cache={group_cache}");
+    }
 }

@@ -23,7 +23,7 @@
 //! the buffer's [`SourceHealth`] handle, which clients, the engine, and
 //! the profiler can query.
 
-use crate::cache::{cache_forced, FragmentCache};
+use crate::cache::FragmentCache;
 use crate::fragment::{Fragment, HoleSlot, OpenTree, TreeEntry};
 use crate::health::SourceHealth;
 use crate::lxp::{check_batch_shape, check_progress, BatchItem, HoleId, LxpWrapper};
@@ -322,8 +322,8 @@ pub struct BufferNavigator<W> {
     /// Flight recorder for this conversation (off by default).
     trace: TraceSink,
     /// Live metrics for this conversation. Backed by a default-constructed
-    /// (off, unless `MIX_METRICS_FORCE=1`) registry until
-    /// [`BufferNavigator::with_metrics`] hands in a shared one.
+    /// (off) registry until [`BufferNavigator::with_metrics`] hands in a
+    /// shared one.
     metrics: BufMetrics,
     /// Monotone count of degraded navigations — the epoch a caller
     /// compares around a navigation to tell a degraded fallback from a
@@ -367,10 +367,7 @@ impl<W: LxpWrapper> BufferNavigator<W> {
             pending_order: VecDeque::new(),
             pending_cap: DEFAULT_PENDING_CAP,
             pending_evictions: Counter::new(),
-            // Forced mode attaches a *private* cache so the whole suite
-            // exercises the cache code paths without cross-test aliasing
-            // of uris; an explicit `with_fragment_cache` overrides it.
-            cache: cache_forced().then(FragmentCache::new),
+            cache: None,
             trace: TraceSink::default(),
             degraded_epoch: AtomicU64::new(0),
             last_degraded: Mutex::new(None),
@@ -1769,11 +1766,8 @@ mod tests {
     fn disabled_tracing_is_observation_free() {
         let term = "view[tuple[a[1],b[2]],tuple[a[3],b[4]]]";
         let tree = parse_term(term).unwrap();
-        let mut nav = BufferNavigator::new(
-            TreeWrapper::single(&tree, FillPolicy::NodeAtATime),
-            "doc",
-        )
-        .with_trace(TraceSink::off());
+        let mut nav =
+            BufferNavigator::new(TreeWrapper::single(&tree, FillPolicy::NodeAtATime), "doc");
         let sink = nav.trace_sink();
         assert_eq!(materialize(&mut nav).to_string(), term);
         assert!(sink.is_empty(), "an off sink records nothing");
@@ -1817,7 +1811,7 @@ mod tests {
     fn disabled_metrics_skip_gated_series_but_keep_traffic_counters() {
         let term = "view[tuple[a[1],b[2]],tuple[a[3],b[4]]]";
         let tree = parse_term(term).unwrap();
-        let reg = MetricsRegistry::off();
+        let reg = MetricsRegistry::default();
         let mut nav =
             BufferNavigator::new(TreeWrapper::single(&tree, FillPolicy::NodeAtATime), "doc")
                 .with_metrics(reg.clone());

@@ -468,17 +468,6 @@ impl FragmentCache {
     }
 }
 
-/// Is `MIX_CACHE_FORCE=1` set? When forced, every default-constructed
-/// [`BufferNavigator`](crate::buffer::BufferNavigator) attaches a fresh
-/// *private* fragment cache, so the whole test suite exercises the cache
-/// code paths. The forced cache is deliberately per-navigator — a
-/// process-global one would alias documents that happen to share a uri
-/// across unrelated tests.
-pub(crate) fn cache_forced() -> bool {
-    static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCED.get_or_init(|| std::env::var("MIX_CACHE_FORCE").map(|v| v == "1").unwrap_or(false))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

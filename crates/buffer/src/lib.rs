@@ -97,7 +97,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricKind, MetricsRegistry, MetricsSnapshot,
     RetryMetrics, Sample, SampleValue, WrapperMetrics,
 };
-pub use pool::{configured_threads, lock_unpoisoned, run_parallel, wait_unpoisoned, OverlapGauge};
+pub use pool::{lock_unpoisoned, run_parallel, wait_unpoisoned, OverlapGauge};
 pub use retry::{RetryError, RetryPolicy, RetryState};
 pub use slow::SlowWrapper;
 pub use trace::{TraceEvent, TraceKind, TraceSink, DEFAULT_TRACE_CAPACITY};

@@ -11,10 +11,7 @@
 //!
 //! Like the trace sink, instrumented call sites guard metric recording
 //! behind [`MetricsRegistry::is_enabled`] — a single relaxed atomic load —
-//! so a disabled registry costs one predictable branch per site. The
-//! environment variable `MIX_METRICS_FORCE=1` flips every
-//! *default-constructed* registry to enabled, which CI uses to run the
-//! whole suite under metrics and check the observation-only invariant.
+//! so a disabled registry costs one predictable branch per site.
 //!
 //! One exception is deliberate: the buffer's traffic counters
 //! ([`crate::BufferStats`]) are *always on*, exactly as they were before
@@ -39,7 +36,7 @@
 use crate::pool::lock_unpoisoned;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Number of log₂ buckets: zeros, plus one bucket per bit of `u64`.
 pub const HISTOGRAM_BUCKETS: usize = 65;
@@ -371,51 +368,20 @@ struct RegistryInner {
     series: Mutex<Vec<Series>>,
 }
 
-/// Is `MIX_METRICS_FORCE=1` set? Cached once per process.
-fn force_enabled() -> bool {
-    static FORCE: OnceLock<bool> = OnceLock::new();
-    *FORCE.get_or_init(|| {
-        std::env::var("MIX_METRICS_FORCE").map(|v| v == "1" || v == "true").unwrap_or(false)
-    })
-}
-
 /// Shared, cloneable handle to one metrics registry.
 ///
 /// Clones share the same series and enabled flag; hand the *same* registry
 /// to the engine and every buffer/wrapper so one snapshot covers the whole
 /// mediator stack.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     inner: Arc<RegistryInner>,
 }
 
-impl Default for MetricsRegistry {
-    /// A disabled registry — unless `MIX_METRICS_FORCE=1` is set in the
-    /// environment, in which case it records from the start.
-    fn default() -> Self {
-        let reg = MetricsRegistry { inner: Arc::default() };
-        if force_enabled() {
-            reg.inner.enabled.store(true, Ordering::Relaxed);
-        }
-        reg
-    }
-}
-
 impl MetricsRegistry {
-    /// A disabled-by-default registry (env force-enable applies).
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// A registry that is off no matter what the environment says — for
-    /// internal delegation paths that must never record.
-    pub fn off() -> Self {
-        MetricsRegistry { inner: Arc::default() }
-    }
-
     /// An enabled registry.
     pub fn enabled() -> Self {
-        let reg = MetricsRegistry { inner: Arc::default() };
+        let reg = MetricsRegistry::default();
         reg.inner.enabled.store(true, Ordering::Relaxed);
         reg
     }
@@ -1062,7 +1028,7 @@ mod tests {
 
     #[test]
     fn disabled_registry_is_one_flag_read() {
-        let reg = MetricsRegistry::off();
+        let reg = MetricsRegistry::default();
         assert!(!reg.is_enabled());
         reg.set_enabled(true);
         assert!(reg.is_enabled());
@@ -1102,7 +1068,7 @@ mod tests {
 
     #[test]
     fn retry_metrics_record_only_when_enabled() {
-        let reg = MetricsRegistry::off();
+        let reg = MetricsRegistry::default();
         let m = RetryMetrics::new(&reg, "db");
         m.record_retry();
         assert_eq!(reg.snapshot().total("mix_retries_total"), 0);

@@ -1,4 +1,4 @@
-//! Threading knobs and the scoped exchange pool.
+//! Poison-tolerant locking and the scoped exchange pool.
 //!
 //! The paper's mediator fans one client navigation out into LXP exchanges
 //! against *independent* sources (join/cross/union inputs touch disjoint
@@ -6,8 +6,6 @@
 //! the max of the source latencies instead of their sum. This module
 //! holds the machinery every concurrent component shares:
 //!
-//! * [`configured_threads`] — the `MIX_THREADS` environment knob, the
-//!   default worker count for pools and prefetch workers;
 //! * [`OverlapGauge`] — an in-flight exchange counter whose high-water
 //!   mark *proves* exchanges overlapped (the acceptance instrument for
 //!   "issues its exchanges concurrently");
@@ -15,7 +13,7 @@
 //!   exchange fan-out (no detached threads, results in input order).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Lock `m`, recovering the guard when a previous holder panicked.
 ///
@@ -39,20 +37,6 @@ pub fn wait_unpoisoned<'a, T>(
     guard: MutexGuard<'a, T>,
 ) -> MutexGuard<'a, T> {
     cv.wait(guard).unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The `MIX_THREADS` environment knob, read once per process: the default
-/// number of worker threads for parallel exchanges and prefetch workers.
-/// Unset, unparsable, or `0` all mean `1` (sequential).
-pub fn configured_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::env::var("MIX_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1)
-    })
 }
 
 #[derive(Debug, Default)]
@@ -201,13 +185,6 @@ mod tests {
             let _g = gauge.enter();
         }
         assert_eq!(gauge.max_overlap(), 1);
-    }
-
-    #[test]
-    fn threads_knob_defaults_to_one() {
-        // The suite cannot assume MIX_THREADS is unset, but the parsed
-        // value is always at least 1.
-        assert!(configured_threads() >= 1);
     }
 
     #[test]

@@ -140,7 +140,7 @@ impl RetryState {
         health: &crate::health::SourceHealth,
         op: impl FnMut() -> Result<T, LxpError>,
     ) -> RetryResult<T> {
-        self.run_traced(policy, health, &TraceSink::off(), None, "", op)
+        self.run_traced(policy, health, &TraceSink::default(), None, "", op)
     }
 
     /// [`RetryState::run`], additionally recording each retry and any
@@ -408,9 +408,9 @@ mod tests {
     }
 
     #[test]
-    fn untraced_run_emits_no_events_even_when_forced() {
-        // `run` delegates through a hard-off sink: the plain entry point
-        // never records, even under MIX_TRACE_FORCE.
+    fn untraced_run_retries_through_an_off_sink() {
+        // `run` is `run_traced` over a default (off) sink: same retries,
+        // nothing recorded.
         let policy = RetryPolicy::default();
         let health = SourceHealth::new();
         let mut state = RetryState::new();

@@ -24,10 +24,7 @@
 //! The sink is an `Arc`-of-atomics handle (the [`BufferStats`] idiom);
 //! instrumented call sites guard event *construction* behind
 //! [`TraceSink::is_enabled`] — a single relaxed atomic read — so a disabled
-//! sink costs one predictable branch and never allocates. The environment
-//! variable `MIX_TRACE_FORCE=1` flips every *default-constructed* sink to
-//! enabled, which CI uses to run the whole test suite under tracing and
-//! check the observation-only invariant.
+//! sink costs one predictable branch and never allocates.
 //!
 //! # Exact accounting
 //!
@@ -48,7 +45,7 @@ use crate::pool::lock_unpoisoned;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Default ring capacity of an enabled sink.
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
@@ -408,50 +405,19 @@ impl Default for SinkCells {
     }
 }
 
-/// Is `MIX_TRACE_FORCE=1` set? Cached once per process.
-fn force_enabled() -> bool {
-    static FORCE: OnceLock<bool> = OnceLock::new();
-    *FORCE.get_or_init(|| {
-        std::env::var("MIX_TRACE_FORCE").map(|v| v == "1" || v == "true").unwrap_or(false)
-    })
-}
-
 /// Shared, cloneable handle to one flight recorder.
 ///
 /// Clones share the same ring, sequence counter, and span counter; hand
 /// the *same* sink to the engine and every buffer so spans link up.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TraceSink {
     inner: Arc<SinkCells>,
 }
 
-impl Default for TraceSink {
-    /// A disabled sink — unless `MIX_TRACE_FORCE=1` is set in the
-    /// environment, in which case it records from the start.
-    fn default() -> Self {
-        let sink = TraceSink { inner: Arc::default() };
-        if force_enabled() {
-            sink.inner.enabled.store(true, Ordering::Relaxed);
-        }
-        sink
-    }
-}
-
 impl TraceSink {
-    /// A disabled-by-default sink (env force-enable applies).
-    pub fn new() -> Self {
-        TraceSink::default()
-    }
-
-    /// A sink that is off no matter what the environment says — for
-    /// internal delegation paths that must never record.
-    pub fn off() -> Self {
-        TraceSink { inner: Arc::default() }
-    }
-
     /// An enabled sink with an explicit ring capacity.
     pub fn enabled(capacity: usize) -> Self {
-        let sink = TraceSink { inner: Arc::default() };
+        let sink = TraceSink::default();
         sink.inner.capacity.store(capacity.max(1), Ordering::Relaxed);
         sink.inner.enabled.store(true, Ordering::Relaxed);
         sink
@@ -575,7 +541,7 @@ mod tests {
 
     #[test]
     fn disabled_sink_records_nothing() {
-        let sink = TraceSink::off();
+        let sink = TraceSink::default();
         assert!(!sink.is_enabled());
         sink.emit(None, TraceKind::BreakerClose);
         assert!(sink.is_empty());

@@ -169,7 +169,7 @@ impl<W: LxpWrapper + Send + 'static> ConcurrentPrefetcher<W> {
             stop: AtomicBool::new(false),
             source: String::new(),
             health: SourceHealth::new(),
-            trace: TraceSink::off(),
+            trace: TraceSink::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             waits: AtomicU64::new(0),

@@ -12,7 +12,7 @@
 
 use crate::handle::{BData, BHandle, VData, VNode};
 use crate::matchcur::{Frame, MatchCursor};
-use crate::ops::{JoinCacheEntry, OpState};
+use crate::ops::OpState;
 use crate::Engine;
 use mix_algebra::pred::value_ord;
 use mix_algebra::{BindPred, PlanId};
@@ -235,8 +235,8 @@ impl Engine {
                 let start = self.next_binding(input, &inner.clone());
                 self.select_scan(op, input, &pred, start)
             }
-            OpState::Join { left, right, .. } => {
-                let (left, right) = (*left, *right);
+            OpState::Join { left, .. } => {
+                let left = *left;
                 let BData::Pair { left: l, right: r, ridx } = &*b.0 else {
                     unreachable!("join handle")
                 };
@@ -254,7 +254,6 @@ impl Engine {
                     }
                     lb = self.next_binding(left, &nl);
                 }
-                let _ = right;
                 None
             }
             OpState::Cross { left, right, .. } => {
@@ -629,29 +628,40 @@ impl Engine {
         }
 
         if self.config.join_cache {
-            // Hash-join fast path: for pure equi-joins, consult the
-            // equality index instead of scanning every cached entry.
-            if self.config.hash_join {
+            let outer_key = {
                 let OpState::Join { eq_keys, .. } = self.op(op) else { unreachable!() };
-                if let Some((lk, _)) = eq_keys.clone() {
-                    let key =
-                        eq_key(left_vals.get(&lk).expect("outer key materialized above"));
-                    return self.join_scan_hashed(op, l, from_idx, &key);
-                }
-            }
-            let mut idx = from_idx;
+                eq_keys.as_ref().map(|(lk, _)| {
+                    eq_key(left_vals.get(lk).expect("outer key materialized above"))
+                })
+            };
+            let mut from = from_idx;
             loop {
-                let entry = self.join_cache_entry(op, idx)?;
-                let rv = entry.1;
-                let ok = pred.eval(&|v: &Var| left_vals.get(v).or_else(|| rv.get(v)));
-                if ok {
+                let OpState::Join { cache, .. } = self.op(op) else { unreachable!() };
+                let hit = match &outer_key {
+                    // Entries are appended in order, so each hit list is
+                    // ascending: its first index ≥ `from` is the answer.
+                    Some(key) => cache
+                        .index
+                        .get(key)
+                        .and_then(|hits| hits.get(hits.partition_point(|&i| i < from)).copied()),
+                    None => (from..cache.handles.len()).find(|&i| {
+                        let rv = &cache.pred_vals[i];
+                        pred.eval(&|v: &Var| left_vals.get(v).or_else(|| rv.get(v)))
+                    }),
+                };
+                if let Some(idx) = hit {
                     return Some(BHandle::new(BData::Pair {
                         left: l.clone(),
-                        right: entry.0,
+                        right: cache.handles[idx].clone(),
                         ridx: idx,
                     }));
                 }
-                idx += 1;
+                // Nothing cached joins: pull one more inner binding and
+                // probe again from there.
+                from = cache.handles.len();
+                if !self.join_cache_extend(op) {
+                    return None;
+                }
             }
         } else {
             let mut cur = match resume {
@@ -689,107 +699,43 @@ impl Engine {
         self.attr(left, l, var)
     }
 
-    /// Equality-indexed variant of the inner scan: the next cached entry
-    /// with canonical inner key `key` at index ≥ `from_idx`, extending the
-    /// cache (and its index) until found or the inner input is exhausted.
-    fn join_scan_hashed(
-        &mut self,
-        op: PlanId,
-        l: &BHandle,
-        from_idx: usize,
-        key: &str,
-    ) -> Option<BHandle> {
-        loop {
-            {
-                let OpState::Join { cache, .. } = self.op(op) else { unreachable!() };
-                if let Some(hits) = cache.index.get(key) {
-                    // Entries are appended in order, so the list is sorted;
-                    // find the first hit at index ≥ from_idx.
-                    let p = hits.binary_search(&from_idx).unwrap_or_else(|p| p);
-                    if let Some(&idx) = hits.get(p) {
-                        let h = cache.entries[idx].handle.clone();
-                        return Some(BHandle::new(BData::Pair {
-                            left: l.clone(),
-                            right: h,
-                            ridx: idx,
-                        }));
-                    }
-                }
-                if cache.complete {
-                    return None;
-                }
-            }
-            // Pull one more inner entry into the cache+index and retry.
-            let next_idx = {
-                let OpState::Join { cache, .. } = self.op(op) else { unreachable!() };
-                cache.entries.len()
-            };
-            if self.join_cache_entry(op, next_idx).is_none() {
-                // Exhausted: the loop re-checks `complete` and returns.
-            }
+    /// Pull one more inner binding into the join's cache, together with
+    /// its key (keyed joins) or its predicate values (scanned joins).
+    /// `false` once the inner input is exhausted.
+    fn join_cache_extend(&mut self, op: PlanId) -> bool {
+        let OpState::Join { cache, right, right_pred_vars, eq_keys, .. } = self.op(op) else {
+            unreachable!("join op")
+        };
+        if cache.complete {
+            return false;
         }
-    }
-
-    /// The `idx`-th inner binding with its cached predicate values,
-    /// extending the cache as needed.
-    fn join_cache_entry(
-        &mut self,
-        op: PlanId,
-        idx: usize,
-    ) -> Option<(BHandle, Arc<HashMap<Var, Tree>>)> {
-        loop {
-            let OpState::Join { cache, right, right_pred_vars, .. } = self.op(op) else {
-                unreachable!("join op")
-            };
-            if idx < cache.entries.len() {
-                let e = &cache.entries[idx];
-                return Some((e.handle.clone(), e.pred_vals.clone()));
-            }
-            if cache.complete {
-                return None;
-            }
-            let right = *right;
-            let pred_vars = right_pred_vars.clone();
-            let last = cache.entries.last().map(|e| e.handle.clone());
-            // Pull one more inner binding.
-            let next = match &last {
-                Some(h) => self.next_binding(right, h),
-                None => self.first_binding(right),
-            };
-            match next {
-                None => {
-                    let OpState::Join { cache, .. } = self.op_mut(op) else { unreachable!() };
-                    cache.complete = true;
-                    return None;
-                }
-                Some(h) => {
-                    let mut vals = HashMap::new();
-                    for v in &pred_vars {
-                        let node = self.attr(right, &h, v);
-                        let t = self.materialize_value(&node);
-                        vals.insert(v.clone(), t);
-                    }
-                    let index_key = {
-                        let OpState::Join { eq_keys, .. } = self.op(op) else {
-                            unreachable!()
-                        };
-                        eq_keys
-                            .as_ref()
-                            .and_then(|(_, rk)| vals.get(rk))
-                            .map(eq_key)
-                    };
-                    let OpState::Join { cache, .. } = self.op_mut(op) else { unreachable!() };
-                    let idx = cache.entries.len();
-                    if let Some(k) = index_key {
-                        cache.index.entry(k).or_default().push(idx);
-                    }
-                    cache.entries.push(JoinCacheEntry {
-                        handle: h,
-                        pred_vals: Arc::new(vals),
-                    });
-                }
-            }
+        let (right, pred_vars) = (*right, right_pred_vars.clone());
+        let inner_key = eq_keys.as_ref().map(|(_, rk)| rk.clone());
+        let next = match cache.handles.last().cloned() {
+            Some(h) => self.next_binding(right, &h),
+            None => self.first_binding(right),
+        };
+        let Some(h) = next else {
+            let OpState::Join { cache, .. } = self.op_mut(op) else { unreachable!() };
+            cache.complete = true;
+            return false;
+        };
+        let mut vals = HashMap::new();
+        for v in pred_vars {
+            let node = self.attr(right, &h, &v);
+            let t = self.materialize_value(&node);
+            vals.insert(v, t);
         }
+        let OpState::Join { cache, .. } = self.op_mut(op) else { unreachable!() };
+        match inner_key {
+            Some(rk) => {
+                let key = eq_key(&vals[&rk]);
+                cache.index.entry(key).or_default().push(cache.handles.len());
+            }
+            None => cache.pred_vals.push(vals),
+        }
+        cache.handles.push(h);
+        true
     }
 
     // ---- difference -------------------------------------------------------
@@ -1148,6 +1094,64 @@ impl Engine {
                 frames.push(Frame { node: sib, states });
                 return Some(MatchCursor::new(frames));
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::eq_key;
+    use mix_algebra::pred::value_cmp;
+    use mix_nav::pred::CmpOp;
+    use mix_xml::Tree;
+    use proptest::prelude::*;
+
+    /// Values from a small alphabet, so equal pairs are as likely as
+    /// unequal ones: integers in every spelling `=` sees through (sign,
+    /// zero padding, surrounding whitespace), digit strings past `i64`
+    /// (text, not numbers), plain text, and small subtrees whose content
+    /// is the concatenation of their leaves.
+    fn arb_value() -> impl Strategy<Value = Tree> {
+        let int = (-2i64..3, 0usize..5).prop_map(|(n, spelling)| match spelling {
+            0 => format!("{n}"),
+            1 => format!("{n:+}"),
+            2 => format!("{n:04}"),
+            3 => format!(" {n}\t"),
+            _ => format!("\n{n:+03} "),
+        });
+        let text = prop_oneof![
+            Just("9223372036854775808"),
+            Just("09223372036854775808"),
+            Just(" 9223372036854775808"),
+            Just("a"),
+            Just("a "),
+            Just("b"),
+            Just(""),
+            Just("1x"),
+            Just("- 1"),
+        ]
+        .prop_map(str::to_string);
+        let atom = prop_oneof![int, text].boxed();
+        (atom.clone(), atom, 0usize..4).prop_map(|(a, b, shape)| match shape {
+            0 => Tree::leaf(a),
+            1 => Tree::node("zip", vec![Tree::leaf(a)]),
+            2 => Tree::node("z", vec![Tree::leaf(a), Tree::leaf(b)]),
+            _ => Tree::node("w", vec![Tree::node("zip", vec![Tree::leaf(a)])]),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+        /// The keyed probe is the only implementation of a single-`=`
+        /// join: two values share a key exactly when `=` holds.
+        #[test]
+        fn eq_key_agrees_with_value_equality(a in arb_value(), b in arb_value()) {
+            prop_assert_eq!(
+                eq_key(&a) == eq_key(&b),
+                value_cmp(&a, CmpOp::Eq, &b),
+                "{a} vs {b}"
+            );
         }
     }
 }

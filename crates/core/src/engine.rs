@@ -38,26 +38,17 @@ pub struct EngineConfig {
     /// skipped sibling — the upgrade that makes label-selective
     /// fixed-depth views bounded browsable (§2).
     pub use_select: bool,
-    /// Index the join's inner cache by the equality key instead of
-    /// scanning it linearly per outer binding. Same source navigations,
-    /// much less in-memory work on large equi-joins — one of the
-    /// "opportunities for optimization" the paper's §6 leaves open.
-    /// Requires `join_cache`.
-    pub hash_join: bool,
     /// Worker threads for parallel per-source exchanges. `1` (the
     /// default) keeps the engine strictly sequential; above `1`, the
     /// engine primes its independent sources concurrently on the first
     /// client navigation ([`Engine::warm_sources`]), paying the max of
-    /// the source latencies instead of their sum. Deliberately explicit:
-    /// the `MIX_THREADS` environment default applies only through
-    /// [`EngineConfig::concurrent`], never ambiently.
+    /// the source latencies instead of their sum.
     pub threads: usize,
     /// Rewrite the plan against the semantic answer cache before wiring
     /// it to sources: when the registry carries a [`ViewCatalog`] and a
     /// recorded view covers a source branch, the branch is replaced by
     /// navigation over the cached answer — zero wire exchanges for the
-    /// covered part. Off by default; `MIX_SEMCACHE_FORCE=1` flips the
-    /// default for ad-hoc A/B runs without touching call sites.
+    /// covered part. Off by default.
     pub semantic_cache: bool,
 }
 
@@ -69,35 +60,16 @@ impl Default for EngineConfig {
             join_cache: true,
             group_cache: true,
             use_select: false,
-            hash_join: false,
             threads: 1,
-            semantic_cache: semcache_forced(),
+            semantic_cache: false,
         }
     }
-}
-
-/// Is `MIX_SEMCACHE_FORCE=1` set? When forced, every default-constructed
-/// [`EngineConfig`] opts into semantic-cache rewriting (still a no-op
-/// unless the registry carries a [`ViewCatalog`]). Read once per process.
-fn semcache_forced() -> bool {
-    use std::sync::OnceLock;
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("MIX_SEMCACHE_FORCE").map(|v| v == "1" || v == "true").unwrap_or(false)
-    })
 }
 
 impl EngineConfig {
     /// The default configuration with `select_φ` available.
     pub fn with_select() -> Self {
         EngineConfig { use_select: true, ..EngineConfig::default() }
-    }
-
-    /// The default configuration with the worker-thread count taken from
-    /// the `MIX_THREADS` environment knob
-    /// ([`mix_buffer::configured_threads`]).
-    pub fn concurrent() -> Self {
-        EngineConfig { threads: mix_buffer::configured_threads(), ..EngineConfig::default() }
     }
 
     /// The default configuration with semantic-cache rewriting on.
@@ -175,7 +147,7 @@ pub struct Engine {
     pub(crate) trace: TraceSink,
     plan: Plan,
     /// Live metrics registry (adopted from the first observed source, a
-    /// private disabled one otherwise — `MIX_METRICS_FORCE=1` enables it).
+    /// private disabled one otherwise).
     pub(crate) metrics: MetricsRegistry,
     /// Per-operator series, indexed by [`PlanId`].
     pub(crate) op_metrics: Vec<OpMetrics>,
@@ -307,12 +279,11 @@ impl Engine {
         }
         // Adopt the first source-provided sink so engine spans and buffer
         // fills land in one ring; a plain (disabled-by-default) sink
-        // otherwise. `MIX_TRACE_FORCE=1` enables the fallback sink too.
+        // otherwise.
         let trace =
             sources.iter().find_map(|s| s.trace.clone()).unwrap_or_default();
         // Same adoption rule for the metrics registry, so engine-level
-        // series land next to the buffers' (`MIX_METRICS_FORCE=1` enables
-        // the fallback registry too).
+        // series land next to the buffers'.
         let metrics =
             sources.iter().find_map(|s| s.metrics.clone()).unwrap_or_default();
         // And for the shared fragment cache: adopt the first one a source
@@ -867,7 +838,7 @@ impl Engine {
             let _ = writeln!(
                 out,
                 "(metrics disabled — operator/command counts below are zero; enable by \
-                 registering observed sources, Engine::set_metrics, or MIX_METRICS_FORCE=1)"
+                 registering observed sources or Engine::set_metrics)"
             );
         }
         let _ = writeln!(
@@ -1006,7 +977,7 @@ fn build_op(
             let right_schema: HashSet<_> = plan.schema(*right).into_iter().collect();
             let right_pred_vars: Vec<_> =
                 pred.vars().into_iter().filter(|v| right_schema.contains(v)).collect();
-            // Hash-joinable shape: a single `=` with one variable per side.
+            // Keyed shape: a single `=` with one variable per side.
             let eq_keys = match pred {
                 mix_algebra::BindPred::Cmp {
                     left: mix_algebra::PredOperand::Var(a),

@@ -17,25 +17,21 @@ use std::sync::Arc;
 /// One materialized binding: `(variable, its value as an arena document)`.
 pub(crate) type MatRow = Vec<(Var, Arc<Document>)>;
 
-/// Cached inner-side entry of a nested-loop join: the binding handle plus
-/// the materialized values of the predicate variables that live on the
-/// inner side ("it stores the binding nodes along with the attributes that
-/// participate in the join condition", §3).
-pub(crate) struct JoinCacheEntry {
-    pub handle: BHandle,
-    pub pred_vals: Arc<HashMap<Var, Tree>>,
-}
-
-/// Inner-side cache of a join.
+/// Inner-side cache of a nested-loop join: the inner bindings pulled so
+/// far, in order, plus "the attributes that participate in the join
+/// condition" (§3) in the form the predicate is probed by — a key index
+/// for a single cross-input equality, the predicate values per entry for
+/// everything else. Exactly one of `index` / `pred_vals` is populated.
 #[derive(Default)]
 pub(crate) struct JoinCache {
-    pub entries: Vec<JoinCacheEntry>,
+    pub handles: Vec<BHandle>,
     /// The inner input is fully enumerated.
     pub complete: bool,
-    /// Equality index: canonical inner key → entry indices (ascending).
-    /// Maintained only for pure-equality predicates under
-    /// `EngineConfig::hash_join`.
+    /// Keyed joins: canonical inner key → indices into `handles`
+    /// (ascending).
     pub index: HashMap<String, Vec<usize>>,
+    /// Scanned joins: the inner-side predicate values of `handles[i]`.
+    pub pred_vals: Vec<HashMap<Var, Tree>>,
 }
 
 /// The groupBy caches (Fig. 10's buffering remark: "the mediator stores
@@ -87,7 +83,7 @@ pub(crate) enum OpState {
         /// Predicate variables that live on the inner (right) side.
         right_pred_vars: Vec<Var>,
         /// `Some((outer var, inner var))` when the predicate is a single
-        /// equality spanning the inputs — the hash-joinable shape.
+        /// equality spanning the inputs: the cache is probed by key.
         eq_keys: Option<(Var, Var)>,
         cache: JoinCache,
     },

@@ -493,39 +493,8 @@ fn example_1_induced_source_trace_shape() {
 }
 
 #[test]
-fn hash_join_is_equivalent_and_faster_in_compute() {
-    use std::time::Instant;
-    let n = 600;
-    let mk = || {
-        let mut reg = SourceRegistry::new();
-        reg.add_tree("homesSrc", &mix_homes(n));
-        reg.add_tree("schoolsSrc", &mix_schools(n));
-        reg
-    };
-    let plan = plan_for(FIG3);
-
-    let run = |hash_join: bool| -> (mix_xml::Tree, u64, std::time::Duration) {
-        let config = EngineConfig { hash_join, ..EngineConfig::default() };
-        let mut e = Engine::with_config(plan.clone(), &mk(), config).unwrap();
-        let start = Instant::now();
-        let t = materialize(&mut e);
-        (t, e.stats().total().total(), start.elapsed())
-    };
-    let (nested, navs_n, t_nested) = run(false);
-    let (hashed, navs_h, t_hashed) = run(true);
-    assert_eq!(nested, hashed, "identical answers");
-    assert_eq!(navs_n, navs_h, "identical source navigations");
-    // In-memory probe work drops from O(outer×inner) to ~O(outer+inner);
-    // allow generous slack for timer noise.
-    assert!(
-        t_hashed < t_nested,
-        "hash join {t_hashed:?} should beat nested-loop probing {t_nested:?}"
-    );
-}
-
-#[test]
-fn hash_join_handles_numeric_aliases() {
-    // `07` and `7` are `=` under value semantics; the hash key must agree.
+fn equi_join_handles_numeric_aliases() {
+    // `07` and `7` are `=` under value semantics; the cache key must agree.
     let plan = plan_for(
         "CONSTRUCT <out> <m> $X $Y {$Y} </m> {$X} </out> {} \
          WHERE s1 r._._ $X AND s2 r._._ $Y AND $X = $Y",
@@ -537,8 +506,7 @@ fn hash_join_handles_numeric_aliases() {
         reg
     };
     let expected = eager::eval(&plan, &mk()).unwrap();
-    let config = EngineConfig { hash_join: true, ..EngineConfig::default() };
-    let mut e = Engine::with_config(plan, &mk(), config).unwrap();
+    let mut e = Engine::new(plan, &mk()).unwrap();
     assert_eq!(materialize(&mut e), expected);
     assert_eq!(expected.children().len(), 3, "07=7, 8=8, x=x all join");
 }

@@ -403,3 +403,38 @@ fn self_join_shares_one_source_connection() {
     materialize(&mut e);
     assert_eq!(e.stats().per_source.len(), 1, "one shared connection");
 }
+
+#[test]
+fn conjunctive_join_predicate_scans_the_inner_cache() {
+    // `$ZX = $ZY AND $P < $Q` as ONE join predicate is not a single
+    // equality, so the inner cache is scanned, not keyed. (Translation
+    // never emits it: a second condition becomes a select above the join.)
+    use mix_algebra::PredOperand::Var as V;
+    let gd = |p: &mut Plan, input, parent: &str, path: &str, out: &str| {
+        p.add(PlanNode::GetDescendants {
+            input,
+            parent: v(parent),
+            path: parse_path(path).unwrap(),
+            out: v(out),
+        })
+    };
+    let mut p = Plan::new();
+    let l = branch(&mut p, "s1", "r._", "X");
+    let l = gd(&mut p, l, "X", "z._", "ZX");
+    let l = gd(&mut p, l, "X", "p._", "P");
+    let r = branch(&mut p, "s2", "r._", "Y");
+    let r = gd(&mut p, r, "Y", "z._", "ZY");
+    let r = gd(&mut p, r, "Y", "q._", "Q");
+    let lt = BindPred::Cmp { left: V(v("P")), op: mix_nav::pred::CmpOp::Lt, right: V(v("Q")) };
+    let pred = BindPred::var_eq("ZX", "ZY").and(lt);
+    let j = p.add(PlanNode::Join { left: l, right: r, pred });
+    finish(&mut p, j, "Q");
+    let t = check_lazy_eq_eager(&p, || {
+        let mut reg = SourceRegistry::new();
+        reg.add_term("s1", "r[h[z[1],p[5]],h[z[2],p[9]]]");
+        reg.add_term("s2", "r[s[z[1],q[7]],s[z[01],q[3]],s[z[2],q[9]]]");
+        reg
+    });
+    // z 1 = 1 with 5 < 7; z 1 = 01 fails 5 < 3; z 2 = 2 fails 9 < 9.
+    assert_eq!(t.to_string(), "out[7]");
+}

@@ -101,7 +101,7 @@ fn the_engine_adopts_the_first_enabled_sink_and_registry_in_plan_order() {
     // engine looks past it to the next source's.
     sink1.clear();
     let mut reg = SourceRegistry::new();
-    reg.add_buffer("s0", observed(&TraceSink::off(), &MetricsRegistry::off()))
+    reg.add_buffer("s0", observed(&TraceSink::default(), &MetricsRegistry::default()))
         .add_buffer("s1", observed(&sink1, &reg1));
     let mut second = engine(QUERY, &reg);
     let _ = materialize(&mut second);

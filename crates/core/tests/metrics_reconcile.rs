@@ -41,7 +41,7 @@ fn observed<W: LxpWrapper + Send + 'static>(
     metrics_on: bool,
     cache: Option<FragmentCache>,
 ) -> (VirtualDocument, MetricsRegistry, TraceSink) {
-    let registry = if metrics_on { MetricsRegistry::enabled() } else { MetricsRegistry::off() };
+    let registry = if metrics_on { MetricsRegistry::enabled() } else { MetricsRegistry::default() };
     let sink = TraceSink::enabled(1 << 16);
     let mut nav = BufferNavigator::with_retry(wrapper, "src", RetryPolicy::default())
         .with_trace(sink.clone())

@@ -132,12 +132,11 @@ fn checked_fetch_tells_degraded_labels_from_real_empty_ones() {
 
 #[test]
 fn tracing_is_observation_only() {
-    // Same query, recorder on vs hard-off: identical answer, identical
+    // Same query, recorder on vs off: identical answer, identical
     // command counts, identical wire traffic.
     let (traced, _sink) = traced_doc(None, RetryPolicy::none());
     let (untraced, _) = traced_doc(None, RetryPolicy::none());
-    untraced.set_trace_sink(TraceSink::off());
-    untraced.trace_sink().set_enabled(false);
+    untraced.set_trace_sink(TraceSink::default());
 
     let a = materialize(&mut *traced.engine().lock().unwrap()).to_string();
     let b = materialize(&mut *untraced.engine().lock().unwrap()).to_string();

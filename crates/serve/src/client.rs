@@ -88,7 +88,7 @@ pub struct VxdClient<S: Read + Write> {
 
 impl<S: Read + Write> VxdClient<S> {
     pub fn new(stream: S) -> Self {
-        VxdClient { frames: FrameStream::new(stream), trace: TraceSink::off() }
+        VxdClient { frames: FrameStream::new(stream), trace: TraceSink::default() }
     }
 
     /// Record this client's navigations into `sink` and propagate its

@@ -52,8 +52,8 @@ use std::time::Instant;
 /// Default ceiling on concurrently open sessions.
 pub const DEFAULT_MAX_SESSIONS: usize = 65_536;
 
-/// Default slow-navigation threshold (10 ms), overridable with
-/// `MIX_SLOW_NAV_NS` or [`VxdServer::set_slow_nav_threshold`].
+/// Default slow-navigation threshold (10 ms); change it with
+/// [`VxdServer::set_slow_nav_threshold`].
 pub const DEFAULT_SLOW_NAV_NS: u64 = 10_000_000;
 
 /// Entries the slow-navigation ring retains (oldest evicted first).
@@ -212,8 +212,7 @@ struct Session {
     commands: Counter,
     panic_on_fetch: bool,
     /// The session's flight recorder — enabled when the Open frame
-    /// carried a sampled [`TraceContext`], [`TraceSink::off`] otherwise
-    /// (so `MIX_TRACE_FORCE` cannot silently perturb untraced serving).
+    /// carried a sampled [`TraceContext`], off otherwise.
     trace: TraceSink,
     /// The template this session navigates (for the session table).
     template: String,
@@ -330,10 +329,6 @@ impl VxdServer {
                 &[("outcome", outcome)],
             )
         });
-        let slow_threshold_ns = std::env::var("MIX_SLOW_NAV_NS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_SLOW_NAV_NS);
         VxdServer {
             shared: Arc::new(ServerShared {
                 templates: HashMap::new(),
@@ -349,7 +344,7 @@ impl VxdServer {
                 panics_total,
                 degraded_total,
                 verb_stats,
-                slow_threshold_ns: AtomicU64::new(slow_threshold_ns),
+                slow_threshold_ns: AtomicU64::new(DEFAULT_SLOW_NAV_NS),
                 slow_total,
                 slow_navs: Mutex::new(VecDeque::new()),
                 closed_traces: Mutex::new(VecDeque::new()),
@@ -440,8 +435,7 @@ impl VxdServer {
     }
 
     /// Change the slow-navigation threshold at runtime (ns; 0 records
-    /// every navigation). Initial value: `MIX_SLOW_NAV_NS` or
-    /// [`DEFAULT_SLOW_NAV_NS`].
+    /// every navigation). Initial value: [`DEFAULT_SLOW_NAV_NS`].
     pub fn set_slow_nav_threshold(&self, ns: u64) {
         self.shared.slow_threshold_ns.store(ns, Ordering::Relaxed);
     }
@@ -620,7 +614,7 @@ impl VxdServer {
         // client's `open` span.
         let trace = match ctx {
             Some(_) => TraceSink::enabled(mix_core::DEFAULT_TRACE_CAPACITY),
-            None => TraceSink::off(),
+            None => TraceSink::default(),
         };
         let registry = if trace.is_enabled() {
             sh.pool.registry_for_session_traced(&trace)

@@ -542,7 +542,7 @@ mod tests {
         );
 
         // A disabled registry records nothing but costs only a flag read.
-        let off = MetricsRegistry::off();
+        let off = MetricsRegistry::default();
         let mut w = RelationalWrapper::new(demo_db(20), 5).with_metrics(&off, "realestate");
         let _ = w.fill_many(&["realestate.homes".to_string()]).unwrap();
         assert_eq!(off.snapshot().total("mix_wrapper_fills_total"), 0);

@@ -307,7 +307,7 @@ fn main() {
                         gauge.entered(),
                         gauge.max_overlap()
                     );
-                    println!("  (`threads <n>` resizes; MIX_THREADS seeds concurrent setups)");
+                    println!("  (`threads <n>` resizes)");
                 }
             }
             Some("q") => break,

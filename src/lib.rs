@@ -79,7 +79,7 @@ pub mod prelude {
         classify, compose, rewrite::rewrite, translate, Browsability, NcCapabilities, Plan,
     };
     pub use mix_buffer::{
-        configured_threads, BufferNavigator, ConcurrentPrefetcher, FaultConfig, FaultyWrapper,
+        BufferNavigator, ConcurrentPrefetcher, FaultConfig, FaultyWrapper,
         FillPolicy, FragmentCache, HealthStatus, MetricsRegistry, MetricsSnapshot, OverlapGauge,
         RetryPolicy, SlowWrapper, TreeWrapper,
     };

@@ -6,7 +6,9 @@
 //! report identical per-source command counts and identical wire traffic
 //! (the fill-once discipline dedupes everything the concurrent paths
 //! front-run); and a traced concurrent run's rollup must still reconcile
-//! exactly with its own traffic counters.
+//! exactly with its own traffic counters. The full-walk case also runs
+//! with every other opt-in axis on at once (recorder, metrics, shared
+//! fragment cache, batched fills, view catalog) against all of them off.
 
 use mix::buffer::{ConcurrentPrefetcher, SlowWrapper};
 use mix::prelude::*;
@@ -45,25 +47,49 @@ fn partial_queries() -> Vec<&'static str> {
     ]
 }
 
-/// Build a three-source engine over buffered LXP wrappers, returning the
+/// Every opt-in axis the engine and its buffers have, switched on at
+/// once: one recorder, one registry and one fragment cache shared by all
+/// sources, batched fills, four threads, a (still empty) view catalog.
+struct AllOn {
+    sink: TraceSink,
+    metrics: MetricsRegistry,
+    cache: FragmentCache,
+}
+
+/// Build a three-source engine over buffered LXP wrappers — with nothing
+/// on but `threads`, or with every axis of `all_on` — returning the
 /// engine plus each source's wrapper-level exchange counter.
 fn build(
     trees: &[Tree; 3],
     query: &str,
     threads: usize,
+    all_on: Option<&AllOn>,
 ) -> (Engine, Vec<Arc<AtomicU64>>) {
     let plan = translate(&parse_query(query).unwrap()).unwrap();
     let mut reg = SourceRegistry::new();
     let mut wires = Vec::new();
     for (i, tree) in trees.iter().enumerate() {
-        let slow = SlowWrapper::new(
-            TreeWrapper::single(tree, FillPolicy::NodeAtATime),
-            Duration::ZERO,
-        );
+        // One uri per source: the shared cache keys fragments by it.
+        let uri = format!("doc{i}");
+        let mut wrapper = TreeWrapper::new(FillPolicy::NodeAtATime);
+        wrapper.add(uri.as_str(), Arc::new(mix::xml::Document::from_tree(tree)));
+        let slow = SlowWrapper::new(wrapper, Duration::ZERO);
         wires.push(slow.exchange_counter());
-        reg.add_buffer(format!("s{i}"), BufferNavigator::new(slow, "doc"));
+        let mut nav = BufferNavigator::new(slow, uri);
+        if let Some(on) = all_on {
+            nav = nav
+                .with_trace(on.sink.clone())
+                .with_metrics(on.metrics.clone())
+                .with_fragment_cache(on.cache.clone())
+                .batched(4);
+        }
+        reg.add_buffer(format!("s{i}"), nav);
     }
-    let config = EngineConfig { threads, ..EngineConfig::default() };
+    if all_on.is_some() {
+        reg.set_view_catalog(ViewCatalog::new());
+    }
+    let config =
+        EngineConfig { threads, semantic_cache: all_on.is_some(), ..EngineConfig::default() };
     (Engine::with_config(plan, &reg, config).unwrap(), wires)
 }
 
@@ -100,10 +126,10 @@ proptest! {
             [random_tree(s0, n, LABELS), random_tree(s1, n, LABELS), random_tree(s2, n, LABELS)];
         let query = total_queries()[qidx];
 
-        let (mut seq, seq_wires) = build(&trees, query, 1);
+        let (mut seq, seq_wires) = build(&trees, query, 1, None);
         let seq_answer = materialize(&mut seq);
 
-        let (mut par, par_wires) = build(&trees, query, 4);
+        let (mut par, par_wires) = build(&trees, query, 4, None);
         let par_answer = materialize(&mut par);
         prop_assert!(par.overlap().entered() > 0, "warm-up ran");
 
@@ -114,6 +140,25 @@ proptest! {
         prop_assert_eq!(par.stats().per_source, seq.stats().per_source);
         prop_assert_eq!(traffic_key(&par), traffic_key(&seq));
         prop_assert_eq!(wire_counts(&par_wires), wire_counts(&seq_wires));
+
+        // All axes on at once ≡ all off: the same answer from the same
+        // source commands, fragments and bytes — in no more exchanges,
+        // since coalescing exchanges is all batching is for.
+        let on = AllOn {
+            sink: TraceSink::enabled(1 << 18),
+            metrics: MetricsRegistry::enabled(),
+            cache: FragmentCache::new(),
+        };
+        let (mut all, all_wires) = build(&trees, query, 4, Some(&on));
+        prop_assert_eq!(materialize(&mut all).to_string(), seq_answer.to_string());
+        prop_assert!(!on.sink.is_empty() && !on.metrics.is_empty() && !on.cache.is_empty());
+        prop_assert_eq!(all.stats().per_source, seq.stats().per_source);
+        let payload = |e: &Engine| -> Vec<_> {
+            traffic_key(e).into_iter().map(|(n, s)| (n, s.map(|(_, f, h, b)| (f, h, b)))).collect()
+        };
+        prop_assert_eq!(payload(&all), payload(&seq));
+        let (all_wires, seq_wires) = (wire_counts(&all_wires), wire_counts(&seq_wires));
+        prop_assert!(all_wires.iter().zip(&seq_wires).all(|(a, s)| a <= s));
     }
 
     #[test]
@@ -127,8 +172,8 @@ proptest! {
         let trees =
             [random_tree(s0, n, LABELS), random_tree(s1, n, LABELS), random_tree(s2, n, LABELS)];
         let query = partial_queries()[qidx];
-        let (mut seq, _) = build(&trees, query, 1);
-        let (mut par, _) = build(&trees, query, 4);
+        let (mut seq, _) = build(&trees, query, 1, None);
+        let (mut par, _) = build(&trees, query, 4, None);
         prop_assert_eq!(
             materialize(&mut par).to_string(),
             materialize(&mut seq).to_string()

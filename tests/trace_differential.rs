@@ -23,6 +23,10 @@ fn query_pool() -> Vec<&'static str> {
          WHERE src _._ $V AND $V _ $W",
         "CONSTRUCT <out> <p> $V $W {$W} </p> {$V} </out> {} \
          WHERE src _._ $V AND src _._ $W AND $V = $W",
+        "CONSTRUCT <out> <p> $V $W {$W} </p> {$V} </out> {} \
+         WHERE src _._ $V AND src _._ $W AND $V < $W",
+        "CONSTRUCT <out> <p> $A $B {$B} </p> {$A} </out> {} \
+         WHERE src _ $V AND $V _ $A AND src _ $W AND $W _ $B AND $V = $W AND $A < $B",
     ]
 }
 
@@ -98,7 +102,7 @@ proptest! {
     fn tracing_never_changes_the_materialized_answer(
         seed in 0u64..10_000,
         nodes in 1usize..40,
-        qidx in 0usize..8,
+        qidx in 0usize..10,
         chunk in 1usize..6,
     ) {
         let tree = random_tree(seed, nodes, LABELS);
@@ -126,7 +130,7 @@ proptest! {
     fn tracing_never_changes_partial_navigation(
         seed in 0u64..10_000,
         nodes in 1usize..30,
-        qidx in 0usize..8,
+        qidx in 0usize..10,
         prog in proptest::collection::vec(arb_cmd(), 1..40),
     ) {
         let tree = random_tree(seed, nodes, LABELS);
