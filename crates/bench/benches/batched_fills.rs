@@ -80,5 +80,31 @@ fn bench_tree_batching(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_relational_batching, bench_tree_batching);
+/// A nested read of a node-at-a-time source: the client alternates
+/// between the schools list and one school's children, so the wrapper
+/// serves two parents in turn — per-fill cost must not follow the
+/// fan-out (1,000 vs 4,000 schools: 4x the fills, 4x the time).
+fn bench_nested_scan(c: &mut Criterion) {
+    let mut group = c.benchmark_group("nested_scan");
+    group.sample_size(10);
+    for schools in [1_000usize, 4_000] {
+        let doc = gen::schools_doc(7, schools, 100);
+        for limit in [1usize, 8] {
+            let id = BenchmarkId::new(schools.to_string(), format!("limit_{limit}"));
+            group.bench_function(id, |b| {
+                b.iter_batched(
+                    || {
+                        let w = TreeWrapper::single(&doc, FillPolicy::NodeAtATime);
+                        BufferNavigator::new(w, "doc").batched(limit)
+                    },
+                    |mut nav| materialize(&mut nav),
+                    criterion::BatchSize::SmallInput,
+                )
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_relational_batching, bench_tree_batching, bench_nested_scan);
 criterion_main!(benches);

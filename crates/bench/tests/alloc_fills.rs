@@ -6,8 +6,9 @@
 //! fixed behavior — a full batched scan allocates O(rows), and the
 //! per-row budget does not grow with the batch limit.
 
-use mix_buffer::BufferNavigator;
+use mix_buffer::{BufferNavigator, FillPolicy, TreeWrapper};
 use mix_nav::explore::materialize;
+use mix_nav::Navigator;
 use mix_wrappers::{gen, RelationalWrapper};
 
 #[global_allocator]
@@ -73,4 +74,59 @@ fn scan_allocations_scale_linearly_not_quadratically() {
         "10k/2k allocation ratio {ratio:.1}x — expected ~5x (linear), \
          got super-linear growth"
     );
+}
+
+/// Depth-first read of the subtree(s) from `node` rightwards: every
+/// label fetched, nothing kept, so the measured allocations are the
+/// buffer's and the wrapper's alone.
+fn read_all<N: Navigator>(nav: &mut N, node: N::Handle) {
+    let mut next = Some(node);
+    while let Some(h) = next {
+        std::hint::black_box(nav.fetch(&h));
+        if let Some(child) = nav.down(&h) {
+            read_all(nav, child);
+        }
+        next = nav.right(&h);
+    }
+}
+
+/// Node-at-a-time read of `n` schools at batch limit `limit`; returns
+/// (allocations per fill, bytes allocated per fill).
+fn nested_scan(n: usize, limit: usize) -> (f64, f64) {
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let w = TreeWrapper::single(&gen::schools_doc(7, n, 100), FillPolicy::NodeAtATime);
+    let mut nav = BufferNavigator::new(w, "doc").batched(limit);
+    let stats = nav.stats();
+    let root = nav.root();
+    let (_, counts) = countalloc::count_allocations(|| read_all(&mut nav, root));
+    let fills = stats.snapshot().fills;
+    assert_eq!(fills, 1 + 5 * n as u64, "read shape changed — rebaseline this test");
+    (counts.allocations as f64 / fills as f64, counts.bytes as f64 / fills as f64)
+}
+
+#[test]
+fn a_node_at_a_time_fill_costs_the_same_at_any_fan_out() {
+    // A nested read alternates between the schools list and one school's
+    // children; whatever the wrapper keeps per parent must survive that
+    // alternation, or every fill re-collects a child list as long as the
+    // document is wide. Counted, not timed: 16x the fan-out, same cost
+    // per fill — and under the per-fill budget at both batch limits.
+    for (limit, budget) in [(1, 8.0), (8, 12.0)] {
+        let (allocs_narrow, bytes_narrow) = nested_scan(250, limit);
+        let (allocs_wide, bytes_wide) = nested_scan(4_000, limit);
+        for (what, narrow, wide) in
+            [("allocations", allocs_narrow, allocs_wide), ("bytes", bytes_narrow, bytes_wide)]
+        {
+            let ratio = wide / narrow;
+            assert!(
+                (0.9..=1.1).contains(&ratio),
+                "limit {limit}: {what} per fill {narrow:.1} at 250 schools, {wide:.1} at 4,000 \
+                 ({ratio:.2}x) — a fill's cost grows with the fan-out"
+            );
+        }
+        assert!(
+            allocs_wide <= budget,
+            "limit {limit}: {allocs_wide:.1} allocations per node-at-a-time fill, budget {budget}"
+        );
+    }
 }

@@ -291,6 +291,10 @@ pub struct BufferNavigator<W> {
     /// path performs no per-splice vector allocations.
     entry_scratch: Vec<TreeEntry>,
     hole_scratch: Vec<HoleSlot>,
+    /// The critical hole's id, copied out while the open tree it lives in
+    /// is being changed. One string for the navigator's lifetime,
+    /// overwritten in place: asking for a fill allocates nothing.
+    critical_scratch: HoleId,
     connected: bool,
     stats: BufferStats,
     policy: RetryPolicy,
@@ -357,6 +361,7 @@ impl<W: LxpWrapper> BufferNavigator<W> {
             tree: OpenTree::new(),
             entry_scratch: Vec::new(),
             hole_scratch: Vec::new(),
+            critical_scratch: HoleId::new(),
             connected: false,
             stats,
             policy,
@@ -790,7 +795,9 @@ impl<W: LxpWrapper> BufferNavigator<W> {
         if self.batch_limit <= 1 {
             return Vec::new();
         }
-        let mut batch = vec![critical.clone()];
+        // Sized once: the critical hole plus, at most, every other live one.
+        let mut batch = Vec::with_capacity(self.batch_limit.min(1 + self.tree.live_holes()));
+        batch.push(critical.clone());
         if self.connected {
             for h in self.tree.holes_in_order() {
                 if batch.len() >= self.batch_limit {
@@ -975,9 +982,11 @@ impl<W: LxpWrapper> BufferNavigator<W> {
             match entry {
                 TreeEntry::Node(id) => return Ok(Some(id)),
                 TreeEntry::Hole(slot) => {
-                    let hole = self.tree.hole_id(slot).clone();
-                    let reply = self.try_fill(&hole)?;
-                    self.try_splice(parent, i, slot, &reply)?;
+                    let mut hole = std::mem::take(&mut self.critical_scratch);
+                    hole.clone_from(self.tree.hole_id(slot));
+                    let reply = self.try_fill(&hole);
+                    self.critical_scratch = hole;
+                    self.try_splice(parent, i, slot, &reply?)?;
                     // Re-examine position i: it now holds the first reply
                     // fragment, the next original sibling (empty reply), or
                     // nothing (list exhausted).

@@ -13,6 +13,7 @@
 //! enforces (ii) on every reply; (i) is the wrapper's contract.
 
 use crate::fragment::Fragment;
+use std::collections::HashSet;
 use std::fmt;
 
 /// Identifier of a hole. Opaque to the buffer; wrappers usually encode all
@@ -197,19 +198,24 @@ pub fn chase_continuation<W: LxpWrapper + ?Sized>(
     items: &mut Vec<BatchItem>,
     budget: usize,
 ) {
+    if budget == 0 {
+        return;
+    }
     let mut stack: Vec<HoleId> = Vec::new();
     for item in items.iter() {
         collect_holes(&item.fragments, &mut stack);
     }
+    let mut answered: HashSet<HoleId> = items.iter().map(|it| it.hole.clone()).collect();
     let mut budget = budget;
     while budget > 0 {
         let Some(h) = stack.pop() else { break };
-        if items.iter().any(|it| it.hole == h) {
+        if answered.contains(&h) {
             continue;
         }
         let Ok(reply) = wrapper.fill(&h) else { break };
         budget -= 1;
         collect_holes(&reply, &mut stack);
+        answered.insert(h.clone());
         items.push(BatchItem { hole: h, fragments: reply });
     }
 }
@@ -323,6 +329,35 @@ mod tests {
             assert_eq!(item.fragments, vec![Fragment::leaf(h.as_str())]);
         }
         check_batch_shape(&holes, &reply).unwrap();
+    }
+
+    #[test]
+    fn continuation_answers_each_hole_once_within_its_budget() {
+        use crate::treewrap::{FillPolicy, TreeWrapper};
+        use mix_xml::term::parse_term;
+
+        /// Counts the fills the chase makes of the wrapped source.
+        struct Counted(TreeWrapper, usize);
+        impl LxpWrapper for Counted {
+            fn get_root(&mut self, uri: &str) -> Result<HoleId, LxpError> {
+                self.0.get_root(uri)
+            }
+            fn fill(&mut self, hole: &HoleId) -> Result<Vec<Fragment>, LxpError> {
+                self.1 += 1;
+                self.0.fill(hole)
+            }
+        }
+        let siblings: Vec<String> = (0..200).map(|i| format!("t{i}")).collect();
+        let doc = parse_term(&format!("r[{}]", siblings.join(","))).unwrap();
+        let mut w = Counted(TreeWrapper::single(&doc, FillPolicy::NodeAtATime), 0);
+        let first: HoleId = "doc|c|0|0".into();
+        let mut items = vec![BatchItem { fragments: w.0.fill(&first).unwrap(), hole: first }];
+        chase_continuation(&mut w, &mut items, 64);
+        assert_eq!(w.1, 64, "one fill per continuation item, none repeated");
+        assert_eq!(items.len(), 65);
+        for (i, item) in items.iter().enumerate() {
+            assert_eq!(item.hole, format!("doc|c|0|{i}"), "each sibling hole once, in scan order");
+        }
     }
 
     #[test]

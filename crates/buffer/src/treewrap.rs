@@ -13,12 +13,21 @@
 //! Hole ids are self-describing (`uri|c|node|index`), so the wrapper keeps
 //! no lookup table — the same trick as the relational wrapper's
 //! `db_name.table.row_number` ids.
+//!
+//! A children hole names its siblings by *position*, and a [`Document`]
+//! links siblings first-child/next-sibling, so every registered document
+//! carries a child index built once at [`TreeWrapper::add`]: one flat
+//! array of all child lists, parent after parent, and each parent's
+//! offset into it (two `u32`s per node). The n-th child and the child
+//! count of any parent are then one slice away, and a fill costs the same
+//! whatever the fan-out and however a client alternates between parents.
 
 use crate::adaptive::AimdChunk;
 use crate::fragment::Fragment;
 use crate::lxp::{chase_continuation, BatchItem, HoleId, LxpError, LxpWrapper};
 use mix_xml::{Document, NodeId, Tree};
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// How much of the requested region a fill reply carries.
@@ -42,22 +51,67 @@ pub enum FillPolicy {
     Adaptive { initial: usize },
 }
 
+/// A registered document and its child index.
+struct IndexedDoc {
+    doc: Arc<Document>,
+    /// Registration number of the uri, kept when the uri is registered
+    /// again: what `last_fill` names the document by.
+    slot: usize,
+    /// `kids[offsets[p]..offsets[p + 1]]` are the children of node `p`.
+    offsets: Vec<u32>,
+    kids: Vec<NodeId>,
+}
+
+impl IndexedDoc {
+    fn new(doc: Arc<Document>, slot: usize) -> Self {
+        let mut offsets = Vec::with_capacity(doc.len() + 1);
+        let mut kids = Vec::with_capacity(doc.len().saturating_sub(1));
+        for p in 0..doc.len() {
+            // Node ids are `u32`s, and every node but the root is a kid.
+            offsets.push(kids.len() as u32);
+            kids.extend(doc.children(NodeId::from_index(p)));
+        }
+        offsets.push(kids.len() as u32);
+        IndexedDoc { doc, slot, offsets, kids }
+    }
+
+    fn children(&self, parent: NodeId) -> &[NodeId] {
+        let p = parent.index();
+        &self.kids[self.offsets[p] as usize..self.offsets[p + 1] as usize]
+    }
+}
+
+/// The region of a document a hole id stands for.
+enum Region<'a> {
+    /// `uri|root`: the document's root element.
+    Root,
+    /// `uri|c|parent|start`: the children of node `parent` from position
+    /// `start` on (both still text).
+    Children { parent: &'a str, start: &'a str },
+}
+
+/// Split a hole id into its uri and region.
+fn parse_hole(hole: &str) -> Option<(&str, Region<'_>)> {
+    let mut parts = hole.split('|');
+    let uri = parts.next()?;
+    let region = match (parts.next()?, parts.next(), parts.next()) {
+        ("root", None, None) => Region::Root,
+        ("c", Some(parent), Some(start)) => Region::Children { parent, start },
+        _ => return None,
+    };
+    parts.next().is_none().then_some((uri, region))
+}
+
 /// LXP wrapper over a registry of in-memory documents.
 pub struct TreeWrapper {
-    docs: HashMap<String, Arc<Document>>,
+    docs: HashMap<String, IndexedDoc>,
     policy: FillPolicy,
     /// Chunk controller, present under `FillPolicy::Adaptive`.
     adaptive: Option<AimdChunk>,
-    /// Where the previous children fill left off: `(uri, parent node,
-    /// next start)` — the adaptive controller's sequentiality oracle.
-    last_fill: Option<(String, usize, usize)>,
-    /// One-entry memo of the most recently collected child list, keyed
-    /// by `(uri, parent)`. A scan fills the same parent's children once
-    /// per chunk; re-collecting the whole list each time is O(children)
-    /// per fill — quadratic over the scan. Documents are immutable
-    /// behind `Arc`, so the memo only needs invalidating when a uri is
-    /// re-registered.
-    kids_memo: Option<(String, usize, Arc<[NodeId]>)>,
+    /// Where the previous children fill left off: `(document slot, parent
+    /// node, next start)` — the adaptive controller's sequentiality
+    /// oracle.
+    last_fill: Option<(usize, usize, usize)>,
     /// Continuation items appended per `fill_many` exchange (0 = none).
     batch_budget: usize,
 }
@@ -69,14 +123,7 @@ impl TreeWrapper {
             FillPolicy::Adaptive { initial } => Some(AimdChunk::with_initial(initial)),
             _ => None,
         };
-        TreeWrapper {
-            docs: HashMap::new(),
-            policy,
-            adaptive,
-            last_fill: None,
-            kids_memo: None,
-            batch_budget: 0,
-        }
+        TreeWrapper { docs: HashMap::new(), policy, adaptive, last_fill: None, batch_budget: 0 }
     }
 
     /// Allow up to `budget` wrapper-pushed continuation items per
@@ -92,11 +139,12 @@ impl TreeWrapper {
         self.adaptive.as_ref().map(AimdChunk::chunk)
     }
 
-    /// Register a document under a URI.
+    /// Register a document under a URI (replacing what the URI named
+    /// before) and index its child lists.
     pub fn add(&mut self, uri: impl Into<String>, doc: Arc<Document>) {
-        self.docs.insert(uri.into(), doc);
-        // The uri may have been re-registered with different content.
-        self.kids_memo = None;
+        let uri = uri.into();
+        let slot = self.docs.get(&uri).map_or(self.docs.len(), |d| d.slot);
+        self.docs.insert(uri, IndexedDoc::new(doc, slot));
     }
 
     /// Convenience: a wrapper exporting a single tree as `doc`.
@@ -111,66 +159,29 @@ impl TreeWrapper {
         self.policy
     }
 
-    fn doc(&self, uri: &str) -> Result<&Arc<Document>, LxpError> {
-        self.docs.get(uri).ok_or_else(|| LxpError::UnknownSource(uri.to_string()))
-    }
-
-    /// Shallow fragment: the node's label with one hole for all children.
-    fn shallow(&self, uri: &str, doc: &Document, node: NodeId) -> Fragment {
-        if doc.down(node).is_none() {
-            Fragment::Node { label: doc.fetch(node).clone(), children: Vec::new() }
-        } else {
-            Fragment::Node {
-                label: doc.fetch(node).clone(),
-                children: vec![Fragment::Hole(children_hole(uri, node, 0))],
-            }
-        }
-    }
-
-    /// Complete fragment for a subtree.
-    fn complete(doc: &Document, node: NodeId) -> Fragment {
-        Fragment::from_tree(&doc.subtree(node))
-    }
-
-    /// Complete-subtree chunk reply: `take` subtrees plus a trailing hole
-    /// while more remain (shared by `Chunked` and `Adaptive`).
-    fn chunk_reply(
-        doc: &Arc<Document>,
-        uri: &str,
-        parent: NodeId,
-        start: usize,
-        rest: &[NodeId],
-        take: usize,
-    ) -> Vec<Fragment> {
-        let mut out: Vec<Fragment> = rest[..take].iter().map(|&c| Self::complete(doc, c)).collect();
-        if rest.len() > take {
-            out.push(Fragment::Hole(children_hole(uri, parent, start + take)));
-        }
-        out
-    }
-
     fn fill_children(
         &mut self,
+        hole: &HoleId,
         uri: &str,
-        doc: &Arc<Document>,
-        parent: NodeId,
-        start: usize,
-    ) -> Vec<Fragment> {
-        let kids: Arc<[NodeId]> = match &self.kids_memo {
-            Some((u, p, kids)) if u == uri && *p == parent.index() => Arc::clone(kids),
-            _ => {
-                let kids: Arc<[NodeId]> = doc.children(parent).collect();
-                self.kids_memo = Some((uri.to_string(), parent.index(), Arc::clone(&kids)));
-                kids
-            }
-        };
-        if start >= kids.len() {
-            return Vec::new();
+        parent: &str,
+        start: &str,
+    ) -> Result<Vec<Fragment>, LxpError> {
+        let indexed = indexed(&self.docs, uri)?;
+        let doc = &*indexed.doc;
+        let unknown = || LxpError::UnknownHole(hole.clone());
+        let parent: usize = parent.parse().map_err(|_| unknown())?;
+        let start: usize = start.parse().map_err(|_| unknown())?;
+        if parent >= doc.len() {
+            return Err(unknown());
         }
-        let rest = &kids[start..];
-        match self.policy {
+        let parent = NodeId::from_index(parent);
+        let Some(rest) = indexed.children(parent).get(start..).filter(|r| !r.is_empty()) else {
+            return Ok(Vec::new());
+        };
+        Ok(match self.policy {
             FillPolicy::NodeAtATime => {
-                let mut out = vec![self.shallow(uri, doc, rest[0])];
+                let mut out = Vec::with_capacity(2);
+                out.push(shallow(uri, doc, rest[0]));
                 if rest.len() > 1 {
                     out.push(Fragment::Hole(children_hole(uri, parent, start + 1)));
                 }
@@ -178,29 +189,30 @@ impl TreeWrapper {
             }
             FillPolicy::Chunked { n } => {
                 let take = n.max(1).min(rest.len());
-                Self::chunk_reply(doc, uri, parent, start, rest, take)
+                chunk_reply(doc, uri, parent, start, rest, take)
             }
             FillPolicy::Adaptive { .. } => {
                 let ctl = self.adaptive.as_mut().expect("adaptive policy has a controller");
-                match &self.last_fill {
-                    Some((u, p, next)) if u == uri && *p == parent.index() && *next == start => {
-                        ctl.on_sequential()
-                    }
-                    // A backwards jump re-requests data already shipped:
-                    // the earlier chunk tail was wasted.
-                    Some((u, p, next)) if u == uri && *p == parent.index() && start < *next => {
-                        ctl.on_waste()
+                match self.last_fill {
+                    Some((d, p, next)) if d == indexed.slot && p == parent.index() => {
+                        if next == start {
+                            ctl.on_sequential()
+                        } else if start < next {
+                            // A backwards jump re-requests data already
+                            // shipped: the earlier chunk tail was wasted.
+                            ctl.on_waste()
+                        } else {
+                            ctl.on_random()
+                        }
                     }
                     Some(_) => ctl.on_random(),
                     None => {}
                 }
                 let take = ctl.chunk().min(rest.len());
-                self.last_fill = Some((uri.to_string(), parent.index(), start + take));
-                Self::chunk_reply(doc, uri, parent, start, rest, take)
+                self.last_fill = Some((indexed.slot, parent.index(), start + take));
+                chunk_reply(doc, uri, parent, start, rest, take)
             }
-            FillPolicy::WholeSubtree => {
-                rest.iter().map(|&c| Self::complete(doc, c)).collect()
-            }
+            FillPolicy::WholeSubtree => rest.iter().map(|&c| complete(doc, c)).collect(),
             FillPolicy::SizeThreshold { max_nodes } => rest
                 .iter()
                 .map(|&c| {
@@ -208,18 +220,61 @@ impl TreeWrapper {
                     // materializing the subtree just to size it made the
                     // threshold check as expensive as always sending it.
                     if doc.subtree_len(c) <= max_nodes {
-                        Self::complete(doc, c)
+                        complete(doc, c)
                     } else {
-                        self.shallow(uri, doc, c)
+                        shallow(uri, doc, c)
                     }
                 })
                 .collect(),
-        }
+        })
     }
 }
 
+fn indexed<'a>(
+    docs: &'a HashMap<String, IndexedDoc>,
+    uri: &str,
+) -> Result<&'a IndexedDoc, LxpError> {
+    docs.get(uri).ok_or_else(|| LxpError::UnknownSource(uri.to_string()))
+}
+
+/// Shallow fragment: the node's label with one hole for all children.
+fn shallow(uri: &str, doc: &Document, node: NodeId) -> Fragment {
+    let children = match doc.down(node) {
+        None => Vec::new(),
+        Some(_) => vec![Fragment::Hole(children_hole(uri, node, 0))],
+    };
+    Fragment::Node { label: doc.fetch(node).clone(), children }
+}
+
+/// Complete fragment for a subtree.
+fn complete(doc: &Document, node: NodeId) -> Fragment {
+    Fragment::from_tree(&doc.subtree(node))
+}
+
+/// Complete-subtree chunk reply: `take` subtrees plus a trailing hole
+/// while more remain (shared by `Chunked` and `Adaptive`).
+fn chunk_reply(
+    doc: &Document,
+    uri: &str,
+    parent: NodeId,
+    start: usize,
+    rest: &[NodeId],
+    take: usize,
+) -> Vec<Fragment> {
+    let mut out = Vec::with_capacity(take + 1);
+    out.extend(rest[..take].iter().map(|&c| complete(doc, c)));
+    if rest.len() > take {
+        out.push(Fragment::Hole(children_hole(uri, parent, start + take)));
+    }
+    out
+}
+
 fn children_hole(uri: &str, parent: NodeId, start: usize) -> HoleId {
-    format!("{uri}|c|{}|{start}", parent.index())
+    // Sized for the uri, the three separators and two numbers, so the id
+    // is one allocation.
+    let mut id = String::with_capacity(uri.len() + 24);
+    let _ = write!(id, "{uri}|c|{}|{start}", parent.index());
+    id
 }
 
 fn root_hole(uri: &str) -> HoleId {
@@ -228,35 +283,23 @@ fn root_hole(uri: &str) -> HoleId {
 
 impl LxpWrapper for TreeWrapper {
     fn get_root(&mut self, uri: &str) -> Result<HoleId, LxpError> {
-        self.doc(uri)?;
+        indexed(&self.docs, uri)?;
         Ok(root_hole(uri))
     }
 
     fn fill(&mut self, hole: &HoleId) -> Result<Vec<Fragment>, LxpError> {
-        let parts: Vec<&str> = hole.split('|').collect();
-        match parts.as_slice() {
-            [uri, "root"] => {
-                let doc = self.doc(uri)?.clone();
-                let frag = match self.policy {
-                    FillPolicy::WholeSubtree => Self::complete(&doc, doc.root()),
-                    _ => self.shallow(uri, &doc, doc.root()),
-                };
-                Ok(vec![frag])
+        match parse_hole(hole) {
+            Some((uri, Region::Root)) => {
+                let doc = &*indexed(&self.docs, uri)?.doc;
+                Ok(vec![match self.policy {
+                    FillPolicy::WholeSubtree => complete(doc, doc.root()),
+                    _ => shallow(uri, doc, doc.root()),
+                }])
             }
-            [uri, "c", node, start] => {
-                let doc = self.doc(uri)?.clone();
-                let node: usize = node
-                    .parse()
-                    .map_err(|_| LxpError::UnknownHole(hole.clone()))?;
-                let start: usize = start
-                    .parse()
-                    .map_err(|_| LxpError::UnknownHole(hole.clone()))?;
-                if node >= doc.len() {
-                    return Err(LxpError::UnknownHole(hole.clone()));
-                }
-                Ok(self.fill_children(uri, &doc, NodeId::from_index(node), start))
+            Some((uri, Region::Children { parent, start })) => {
+                self.fill_children(hole, uri, parent, start)
             }
-            _ => Err(LxpError::UnknownHole(hole.clone())),
+            None => Err(LxpError::UnknownHole(hole.clone())),
         }
     }
 
@@ -502,5 +545,100 @@ mod tests {
         assert_ne!(h1, h2);
         assert_eq!(w.fill(&h1).unwrap()[0].to_tree().unwrap().label(), "homes");
         assert_eq!(w.fill(&h2).unwrap()[0].to_tree().unwrap().label(), "schools");
+    }
+
+    /// Fill everything reachable, first hole in document order first;
+    /// one `hole -> reply` line per exchange.
+    fn transcript(w: &mut TreeWrapper) -> Vec<String> {
+        let mut lines = Vec::new();
+        let mut stack = vec![w.get_root("doc").unwrap()];
+        while let Some(h) = stack.pop() {
+            let reply = w.fill(&h).unwrap();
+            let shown: Vec<String> = reply.iter().map(Fragment::to_string).collect();
+            lines.push(format!("{h} -> {}", shown.join(" ")));
+            let mut holes = Vec::new();
+            crate::lxp::collect_holes(&reply, &mut holes);
+            stack.extend(holes.into_iter().rev());
+        }
+        lines
+    }
+
+    #[test]
+    fn replies_and_hole_ids_are_pinned_for_every_policy() {
+        // Hole ids are counted by `Fragment::wire_bytes`, so they are part
+        // of every traffic figure: pinned as text, not as a shape.
+        let golden: [(FillPolicy, &[&str]); 5] = [
+            (
+                FillPolicy::NodeAtATime,
+                &[
+                    "doc|root -> r[◦doc|c|0|0]",
+                    "doc|c|0|0 -> a[◦doc|c|1|0] ◦doc|c|0|1",
+                    "doc|c|1|0 -> x ◦doc|c|1|1",
+                    "doc|c|1|1 -> y",
+                    "doc|c|0|1 -> b ◦doc|c|0|2",
+                    "doc|c|0|2 -> c[◦doc|c|5|0]",
+                    "doc|c|5|0 -> z",
+                ],
+            ),
+            (
+                FillPolicy::Chunked { n: 2 },
+                &[
+                    "doc|root -> r[◦doc|c|0|0]",
+                    "doc|c|0|0 -> a[x,y] b ◦doc|c|0|2",
+                    "doc|c|0|2 -> c[z]",
+                ],
+            ),
+            (FillPolicy::WholeSubtree, &["doc|root -> r[a[x,y],b,c[z]]"]),
+            (
+                FillPolicy::SizeThreshold { max_nodes: 2 },
+                &[
+                    "doc|root -> r[◦doc|c|0|0]",
+                    "doc|c|0|0 -> a[◦doc|c|1|0] b c[z]",
+                    "doc|c|1|0 -> x y",
+                ],
+            ),
+            (
+                FillPolicy::Adaptive { initial: 1 },
+                &[
+                    "doc|root -> r[◦doc|c|0|0]",
+                    "doc|c|0|0 -> a[x,y] ◦doc|c|0|1",
+                    "doc|c|0|1 -> b c[z]",
+                ],
+            ),
+        ];
+        for (policy, expected) in golden {
+            let mut w = wrapper("r[a[x,y],b,c[z]]", policy);
+            assert_eq!(transcript(&mut w), expected, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn alternating_between_parents_returns_what_sequential_fills_do() {
+        let term = "r[a[p,q,s],b[t,u,v],c[w]]";
+        let outer = ["doc|c|0|0", "doc|c|0|1", "doc|c|0|2"];
+        let inner = ["doc|c|1|0", "doc|c|1|1", "doc|c|1|2", "doc|c|5|0", "doc|c|5|1", "doc|c|5|2"];
+        let mut w = wrapper(term, FillPolicy::NodeAtATime);
+        let mut sequential = std::collections::HashMap::new();
+        for h in outer.iter().chain(&inner) {
+            sequential.insert(*h, w.fill(&h.to_string()).unwrap());
+        }
+        // Outer, inner, outer, inner, …: a nested scan's order.
+        let mut w = wrapper(term, FillPolicy::NodeAtATime);
+        for (o, i) in outer.iter().cycle().zip(&inner) {
+            assert_eq!(w.fill(&o.to_string()).unwrap(), sequential[o], "{o}");
+            assert_eq!(w.fill(&i.to_string()).unwrap(), sequential[i], "{i}");
+        }
+    }
+
+    #[test]
+    fn registering_a_uri_again_serves_the_new_content() {
+        let mut w = wrapper("r[a,b]", FillPolicy::NodeAtATime);
+        assert_eq!(w.fill(&"doc|c|0|1".to_string()).unwrap(), vec![Fragment::leaf("b")]);
+        w.add("doc", Arc::new(Document::from_tree(&parse_term("s[x,y,z]").unwrap())));
+        assert_eq!(
+            w.fill(&"doc|c|0|1".to_string()).unwrap(),
+            vec![Fragment::leaf("y"), Fragment::hole("doc|c|0|2")]
+        );
+        assert_eq!(w.fill(&"doc|c|0|2".to_string()).unwrap(), vec![Fragment::leaf("z")]);
     }
 }

@@ -869,7 +869,7 @@ impl Engine {
     fn next_group_cached(&mut self, op: PlanId, idx: usize) -> Option<usize> {
         let pos = {
             let OpState::GroupBy { cache, .. } = self.op(op) else { unreachable!() };
-            cache.groups.iter().position(|&(_, i)| i == idx)
+            cache.groups.binary_search_by_key(&idx, |&(_, i)| i).ok()
         };
         match pos {
             Some(p) => {
