@@ -1,5 +1,6 @@
 //! E8 — ablation of the operator caches §3 calls out: the nested-loop
-//! join's inner cache and groupBy's seen-groups buffer — plus the E17
+//! join's inner cache and groupBy's scan buffer (`G_prev` and per-group
+//! member lists) — plus the E17
 //! cold-vs-warm contrast of the shared cross-query fragment cache.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -12,7 +12,7 @@
 
 use crate::handle::{BData, BHandle, VData, VNode};
 use crate::matchcur::{Frame, MatchCursor};
-use crate::ops::OpState;
+use crate::ops::{GroupCache, OpState};
 use crate::Engine;
 use mix_algebra::pred::value_ord;
 use mix_algebra::{BindPred, PlanId};
@@ -121,43 +121,21 @@ impl Engine {
             }
             OpState::GroupBy { input, group, .. } => {
                 let (input, empty_group) = (*input, group.is_empty());
-                if empty_group {
-                    // `groupBy {}` always produces exactly one output
-                    // binding (possibly with empty lists) — this keeps the
-                    // root element of a query alive on empty inputs.
-                    if self.config.group_cache {
-                        let first = self.scanned_entry(op, 0).map(|(_, h)| h);
-                        let first_idx = first.as_ref().map(|_| 0);
-                        return Some(BHandle::new(BData::Group { first, first_idx }));
-                    }
-                    let first = self.first_binding(input);
-                    return Some(BHandle::new(BData::Group { first, first_idx: None }));
-                }
-                if self.config.group_cache {
-                    if let OpState::GroupBy { cache, .. } = self.op(op) {
-                        if let Some(&(_, idx)) = cache.groups.first() {
-                            let h = cache.scanned[idx].1.clone();
-                            return Some(BHandle::new(BData::Group {
-                                first: Some(h),
-                                first_idx: Some(idx),
-                            }));
-                        }
-                    }
-                    self.discover_next_group(op).map(|idx| {
-                        let OpState::GroupBy { cache, .. } = self.op(op) else {
-                            unreachable!()
-                        };
-                        BHandle::new(BData::Group {
-                            first: Some(cache.scanned[idx].1.clone()),
-                            first_idx: Some(idx),
-                        })
-                    })
+                let first = if self.config.group_cache {
+                    self.group_first(op, 0).map(|idx| self.group_handle(op, idx))
                 } else {
                     // Uncached: the first input binding always opens the
                     // first group.
-                    let first = self.first_binding(input)?;
-                    Some(BHandle::new(BData::Group { first: Some(first), first_idx: None }))
+                    self.first_binding(input)
+                        .map(|h| BHandle::new(BData::Group { first: Some(h), first_idx: None }))
+                };
+                if first.is_none() && empty_group {
+                    // `groupBy {}` always produces exactly one output
+                    // binding (possibly with empty lists) — this keeps the
+                    // root element of a query alive on empty inputs.
+                    return Some(BHandle::new(BData::Group { first: None, first_idx: None }));
                 }
+                first
             }
             OpState::OrderBy { .. } => {
                 self.ensure_sorted(op);
@@ -315,15 +293,10 @@ impl Engine {
                 };
                 let (first, first_idx) = (first.clone(), *first_idx);
                 match (self.config.group_cache, first_idx) {
-                    (true, Some(idx)) => self.next_group_cached(op, idx).map(|nidx| {
-                        let OpState::GroupBy { cache, .. } = self.op(op) else {
-                            unreachable!()
-                        };
-                        BHandle::new(BData::Group {
-                            first: Some(cache.scanned[nidx].1.clone()),
-                            first_idx: Some(nidx),
-                        })
-                    }),
+                    (true, Some(idx)) => {
+                        let g = self.group_cache(op).scanned[idx].0;
+                        self.group_first(op, g + 1).map(|nidx| self.group_handle(op, nidx))
+                    }
                     _ => self
                         .next_group_uncached(op, &first)
                         .map(|h| BHandle::new(BData::Group { first: Some(h), first_idx: None })),
@@ -811,76 +784,65 @@ impl Engine {
         self.binding_key(input, ib, &group)
     }
 
-    /// The `idx`-th entry of the groupBy's shared input scan, extending
-    /// the scan (and computing each binding's key exactly once) as needed.
-    /// Cached mode only.
-    pub(crate) fn scanned_entry(&mut self, op: PlanId, idx: usize) -> Option<(String, BHandle)> {
+    /// The groupBy's shared-scan cache.
+    pub(crate) fn group_cache(&self, op: PlanId) -> &GroupCache {
+        let OpState::GroupBy { cache, .. } = self.op(op) else { unreachable!("groupBy op") };
+        cache
+    }
+
+    fn group_cache_mut(&mut self, op: PlanId) -> &mut GroupCache {
+        let OpState::GroupBy { cache, .. } = self.op_mut(op) else { unreachable!("groupBy op") };
+        cache
+    }
+
+    /// Extend the groupBy's shared input scan by exactly one binding —
+    /// never ahead of demand — computing its key once and filing it under
+    /// its group. `false` once the input is exhausted. Cached mode only.
+    fn group_scan_one(&mut self, op: PlanId) -> bool {
+        let OpState::GroupBy { input, cache, .. } = self.op(op) else {
+            unreachable!("groupBy op")
+        };
+        if cache.exhausted {
+            return false;
+        }
+        let (input, last) = (*input, cache.scanned.last().map(|(_, h)| h.clone()));
+        let next = match last {
+            None => self.first_binding(input),
+            Some(h) => self.next_binding(input, &h),
+        };
+        let Some(ib) = next else {
+            self.group_cache_mut(op).exhausted = true;
+            return false;
+        };
+        let key = self.group_key_of(op, &ib);
+        let cache = self.group_cache_mut(op);
+        let fresh = cache.members.len();
+        let g = *cache.ids.entry(key).or_insert(fresh);
+        if g == fresh {
+            cache.members.push(Vec::new());
+        }
+        cache.members[g].push(cache.scanned.len());
+        cache.scanned.push((g, ib));
+        true
+    }
+
+    /// Scan index of group `g`'s first binding, scanning on until `g` is
+    /// discovered. Cached mode only.
+    fn group_first(&mut self, op: PlanId, g: usize) -> Option<usize> {
         loop {
-            let OpState::GroupBy { input, cache, .. } = self.op(op) else {
-                unreachable!("groupBy op")
-            };
-            let input = *input;
-            if let Some((k, h)) = cache.scanned.get(idx) {
-                return Some((k.clone(), h.clone()));
+            if let Some(m) = self.group_cache(op).members.get(g) {
+                return Some(m[0]);
             }
-            if cache.exhausted {
+            if !self.group_scan_one(op) {
                 return None;
             }
-            // Pull exactly one more input binding — never ahead of demand.
-            let last = cache.scanned.last().map(|(_, h)| h.clone());
-            let next = match last {
-                None => self.first_binding(input),
-                Some(h) => self.next_binding(input, &h),
-            };
-            let Some(ib) = next else {
-                let OpState::GroupBy { cache, .. } = self.op_mut(op) else { unreachable!() };
-                cache.exhausted = true;
-                return None;
-            };
-            let key = self.group_key_of(op, &ib);
-            let OpState::GroupBy { cache, .. } = self.op_mut(op) else { unreachable!() };
-            cache.scanned.push((key, ib));
         }
     }
 
-    /// Scan for the next not-yet-seen group; returns the index (into the
-    /// shared scan) of its first binding. Cached mode only.
-    fn discover_next_group(&mut self, op: PlanId) -> Option<usize> {
-        let mut probe = {
-            let OpState::GroupBy { cache, .. } = self.op(op) else {
-                unreachable!("groupBy op")
-            };
-            cache.discovered_upto
-        };
-        loop {
-            let (key, _h) = self.scanned_entry(op, probe)?;
-            let OpState::GroupBy { cache, .. } = self.op_mut(op) else { unreachable!() };
-            cache.discovered_upto = probe + 1;
-            if cache.seen.insert(key.clone()) {
-                cache.groups.push((key, probe));
-                return Some(probe);
-            }
-            probe += 1;
-        }
-    }
-
-    /// Next group after the one whose first binding sits at scan index
-    /// `idx` (cached mode).
-    fn next_group_cached(&mut self, op: PlanId, idx: usize) -> Option<usize> {
-        let pos = {
-            let OpState::GroupBy { cache, .. } = self.op(op) else { unreachable!() };
-            cache.groups.binary_search_by_key(&idx, |&(_, i)| i).ok()
-        };
-        match pos {
-            Some(p) => {
-                let OpState::GroupBy { cache, .. } = self.op(op) else { unreachable!() };
-                if p + 1 < cache.groups.len() {
-                    return Some(cache.groups[p + 1].1);
-                }
-                self.discover_next_group(op)
-            }
-            None => self.discover_next_group(op),
-        }
+    /// The group whose first binding sits at scan index `idx`.
+    fn group_handle(&self, op: PlanId, idx: usize) -> BHandle {
+        let first = self.group_cache(op).scanned[idx].1.clone();
+        BHandle::new(BData::Group { first: Some(first), first_idx: Some(idx) })
     }
 
     /// Next group without persistent state: rescan the input from the
@@ -907,21 +869,24 @@ impl Engine {
         None
     }
 
-    /// Next input binding after scan index `ib_idx` belonging to the group
-    /// keyed `gb_key` (Fig. 10's `next(p_b, p_g)`), via the shared scan.
+    /// Next member of group `g` after scan index `ib_idx` (Fig. 10's
+    /// `next(p_b, p_g)`): looked up in the group's member list, scanning
+    /// on only past the end of the scan so far.
     pub(crate) fn next_group_member_cached(
         &mut self,
         op: PlanId,
-        gb_key: &str,
+        g: usize,
         ib_idx: usize,
     ) -> Option<(usize, BHandle)> {
-        let mut idx = ib_idx + 1;
         loop {
-            let (key, h) = self.scanned_entry(op, idx)?;
-            if key == gb_key {
-                return Some((idx, h));
+            let cache = self.group_cache(op);
+            let m = &cache.members[g];
+            if let Some(&idx) = m.get(m.partition_point(|&i| i <= ib_idx)) {
+                return Some((idx, cache.scanned[idx].1.clone()));
             }
-            idx += 1;
+            if !self.group_scan_one(op) {
+                return None;
+            }
         }
     }
 

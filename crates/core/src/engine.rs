@@ -30,8 +30,8 @@ pub struct EngineConfig {
     /// Cache the inner side of nested-loop joins (binding handles plus the
     /// attributes participating in the join condition, §3).
     pub join_cache: bool,
-    /// Keep groupBy's discovered groups and `G_prev` across navigations
-    /// (Fig. 10's buffered seen-groups list).
+    /// Keep groupBy's input scan across navigations, filed by group
+    /// (`G_prev` plus each group's member list: Fig. 10's buffer).
     pub group_cache: bool,
     /// `NC` includes `select_φ`: `getDescendants` jumps between matching
     /// siblings with one source command instead of an `r`/`f` pair per

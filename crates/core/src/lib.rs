@@ -22,8 +22,9 @@
 //!   `bs`/`b` tree — Appendix A: "it is wasteful to navigate over the
 //!   attribute lists of the input mediator".
 //! * **Targeted caches.** Stateless wherever possible; caches exactly
-//!   where §3 calls for them — the groupBy seen-groups buffer (`G_prev`),
-//!   the nested-loop join's inner-side cache — toggleable via
+//!   where §3 calls for them — groupBy's buffered input scan (`G_prev`
+//!   plus a member list per group), the nested-loop join's inner-side
+//!   cache — toggleable via
 //!   [`EngineConfig`] for the ablation experiment (E8).
 //! * **The client sees only DOM-VXD.** [`Engine`] implements
 //!   [`Navigator`]; [`VirtualDocument`] wraps it in the thin client

@@ -3,9 +3,9 @@
 //! Everything an operator needs at navigation time is preprocessed out of
 //! the plan at engine construction, so navigation never re-inspects the
 //! plan: input operator ids, variables, predicates, compiled NFAs, schema
-//! sets — plus the caches §3 prescribes (groupBy's seen-groups buffer, the
-//! nested-loop join's inner cache) and the materialization state of the
-//! unbrowsable operators.
+//! sets — plus the caches §3 prescribes (groupBy's buffered input scan with
+//! per-group member lists, the nested-loop join's inner cache) and the
+//! materialization state of the unbrowsable operators.
 
 use crate::handle::{BHandle, VNode};
 use mix_algebra::{BindPred, GroupItem, PlanId};
@@ -36,25 +36,22 @@ pub(crate) struct JoinCache {
 
 /// The groupBy caches (Fig. 10's buffering remark: "the mediator stores
 /// the list in the buffer and uses a reference to the buffer in the
-/// node-ids"). One shared scan over the input records every binding's
-/// group key exactly once; groups and member navigation work off indices
-/// into that scan.
+/// node-ids"). One shared scan over the input files every binding under
+/// its group exactly once; a group's first binding and a member's next
+/// one are then looked up by index, never by walking the scan.
 #[derive(Default)]
 pub(crate) struct GroupCache {
-    /// Input bindings in order, each with its group key, recorded the
+    /// Input bindings in order, each with its group id, recorded the
     /// first time the scan passes over it.
-    pub scanned: Vec<(String, BHandle)>,
+    pub scanned: Vec<(usize, BHandle)>,
     /// The input is fully scanned.
     pub exhausted: bool,
-    /// `(key, index into `scanned` of the group's first binding)` per
-    /// discovered group, in output order.
-    pub groups: Vec<(String, usize)>,
-    /// Keys already seen (`G_prev` of Fig. 10).
-    pub seen: HashSet<String>,
-    /// Scan entries `[0, discovered_upto)` have been classified into
-    /// `groups`/`seen` by group discovery (member scans may extend
-    /// `scanned` further without classifying).
-    pub discovered_upto: usize,
+    /// Group key → group id (`G_prev` of Fig. 10). Ids count groups in
+    /// order of first occurrence, which is output order.
+    pub ids: HashMap<String, usize>,
+    /// Per group id, the indices into `scanned` of its members
+    /// (ascending).
+    pub members: Vec<Vec<usize>>,
 }
 
 /// Navigation-time state per plan operator.

@@ -110,7 +110,10 @@ fn first_result_costs_less_than_full_result() {
     // first* med_home needs a full input pass (its school list must be
     // provably complete) — the browsable-but-unbounded behavior Def. 2
     // describes. First ≤ full still holds, and the full pass is linear,
-    // not quadratic, thanks to the Fig. 10 buffering.
+    // not quadratic, thanks to the Fig. 10 buffering — in source
+    // navigations and in the mediator's own work, since a member's next
+    // one is looked up in its group's member list
+    // (`crates/bench/tests/alloc_walks.rs` counts the latter).
     let mk2 = || {
         let mut reg = SourceRegistry::new();
         reg.add_tree("homesSrc", &mix_homes(200));

@@ -438,3 +438,91 @@ fn conjunctive_join_predicate_scans_the_inner_cache() {
     // z 1 = 1 with 5 < 7; z 1 = 01 fails 5 < 3; z 2 = 2 fails 9 < 9.
     assert_eq!(t.to_string(), "out[7]");
 }
+
+#[test]
+fn group_by_pulls_input_only_on_demand_when_members_interleave() {
+    // Keys `a b a c b a`: every group discovery and member `r` extends the
+    // shared scan one input binding at a time, only as far as it must.
+    // The (bindings pulled, source navigations) pairs are those of the
+    // linear member scan the member lists replaced.
+    use mix_nav::Navigator;
+    let mut p = Plan::new();
+    let items = branch(&mut p, "s1", "r.i", "I");
+    let k = p.add(PlanNode::GetDescendants {
+        input: items,
+        parent: v("I"),
+        path: parse_path("k._").unwrap(),
+        out: v("K"),
+    });
+    let val = p.add(PlanNode::GetDescendants {
+        input: k,
+        parent: v("I"),
+        path: parse_path("v._").unwrap(),
+        out: v("V"),
+    });
+    let gb = p.add(PlanNode::GroupBy {
+        input: val,
+        group: vec![v("K")],
+        items: vec![GroupItem { value: v("V"), out: v("LV") }],
+    });
+    let ce = p.add(PlanNode::CreateElement {
+        input: gb,
+        label: LabelSpec::Const("g".into()),
+        ch: v("LV"),
+        out: v("G"),
+    });
+    finish(&mut p, ce, "G");
+    let mk = || {
+        let mut reg = SourceRegistry::new();
+        reg.add_term(
+            "s1",
+            "r[i[k[a],v[1]],i[k[b],v[2]],i[k[a],v[3]],i[k[c],v[4]],i[k[b],v[5]],i[k[a],v[6]]]",
+        );
+        reg
+    };
+    assert_eq!(check_lazy_eq_eager(&p, mk).to_string(), "out[g[1,3,6],g[2,5],g[4]]");
+
+    let mut e = Engine::new(p, &mk()).unwrap();
+    let step = |e: &mut Engine, what: &str, pulled: usize, navs: u64| {
+        let got = (e.group_cache(gb).scanned.len(), e.stats().total().total());
+        assert_eq!(got, (pulled, navs), "{what}: (bindings pulled, source navs)");
+    };
+    let member = |e: &mut Engine, h: &crate::VNode, value: &str| {
+        assert_eq!(e.fetch(h), value);
+    };
+    let root = e.root();
+    let ga = e.down(&root).unwrap();
+    step(&mut e, "group a", 1, 15);
+    let a1 = e.down(&ga).unwrap();
+    member(&mut e, &a1, "1");
+    step(&mut e, "a's first member", 1, 16);
+    let a3 = e.right(&a1).unwrap();
+    member(&mut e, &a3, "3");
+    step(&mut e, "a's second member", 3, 57);
+    let gb_ = e.right(&ga).unwrap();
+    step(&mut e, "group b, already scanned", 3, 57);
+    let gc = e.right(&gb_).unwrap();
+    step(&mut e, "group c", 4, 77);
+    let b2 = e.down(&gb_).unwrap();
+    member(&mut e, &b2, "2");
+    step(&mut e, "b's first member", 4, 78);
+    let b5 = e.right(&b2).unwrap();
+    member(&mut e, &b5, "5");
+    step(&mut e, "b's second member", 5, 99);
+    assert!(e.right(&b5).is_none());
+    step(&mut e, "past b's last member", 6, 127);
+    assert!(e.right(&gc).is_none());
+    step(&mut e, "past the last group", 6, 127);
+    // Handles of an earlier group still navigate after the scan is
+    // exhausted, answered from the member lists alone.
+    let a6 = e.right(&a3).unwrap();
+    member(&mut e, &a6, "6");
+    step(&mut e, "a's third member", 6, 128);
+    assert!(e.right(&a6).is_none());
+    let again = e.right(&a1).unwrap();
+    member(&mut e, &again, "3");
+    let c4 = e.down(&gc).unwrap();
+    member(&mut e, &c4, "4");
+    assert!(e.right(&c4).is_none());
+    step(&mut e, "c's only member", 6, 130);
+}

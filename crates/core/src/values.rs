@@ -10,8 +10,8 @@
 //! * `d⟨created, b⟩ ↦ d(b.HLSs)` — descending into a created element
 //!   descends into its `ch` attribute's list;
 //! * `r⟨LS, p_b, p_g⟩ ↦ ⟨LS, next(p_b, p_g), p_g⟩` — the next member of a
-//!   group list scans the input for the next binding with the same
-//!   group-by list.
+//!   group list is the next input binding with the same group-by list
+//!   (with the group cache on, a lookup in the group's member list).
 
 use crate::handle::{BData, BHandle, VData, VNode};
 use crate::ops::OpState;
@@ -130,12 +130,9 @@ impl Engine {
                 let (first, first_idx) = (first.clone()?, *first_idx);
                 match (ib_idx, first_idx) {
                     (Some(i), Some(fi)) => {
-                        // Cached: the group key sits in the shared scan.
-                        let OpState::GroupBy { cache, .. } = self.op(op) else {
-                            unreachable!()
-                        };
-                        let key = cache.scanned[fi].0.clone();
-                        let (ni, nh) = self.next_group_member_cached(op, &key, i)?;
+                        // Cached: the group id sits in the shared scan.
+                        let g = self.group_cache(op).scanned[fi].0;
+                        let (ni, nh) = self.next_group_member_cached(op, g, i)?;
                         let value = self.group_item_value(op, &nh, item);
                         Some(VNode::new(VData::GroupMember {
                             op,
