@@ -35,7 +35,7 @@ fn batched_fill_of_a_10k_row_scan_allocates_linearly_in_rows() {
     let rows = 10_000;
     let (allocations, fills) = batched_scan(rows, 4);
     assert_eq!(fills, 1001, "scan shape changed — rebaseline this test");
-    // Measured ~25 allocations/row (row fragment + attribute nodes +
+    // Measured ~15 allocations/row (row fragment + attribute nodes +
     // leaf strings + splice bookkeeping + the materialized answer).
     // 80/row still fails sharply if any per-exchange re-walk or
     // deep-clone returns: the old path did several hundred per row.

@@ -1,24 +1,37 @@
-//! Allocation-count gate for the Fig. 3 walk.
+//! Allocation- and navigation-count gates for the Fig. 3 walk.
 //!
 //! groupBy's member `r` used to walk the shared input scan entry by
-//! entry, cloning each entry's key and handle, so the `r` past a group's
-//! last member cost a walk to the end of the join: source navigations
-//! stayed linear while the mediator's own work grew quadratically. With
-//! per-group member lists the walk allocates O(homes). Counted, not
-//! timed: the allocations per home must stay flat as the view grows, and
-//! the source navigations must not move at all.
+//! entry, so the mediator's own work grew quadratically (fixed by
+//! per-group member lists). Then the group key of `$H` — a whole home row
+//! — and the join's outer key were recomputed for every join pair,
+//! although a home's pairs all carry the same outer binding: each key is
+//! now computed once per binding that defines it. Counted, not timed: the
+//! allocations and source navigations per home must stay flat as the view
+//! grows and under their budgets, and a checked `f` on a buffered node
+//! must not allocate at all.
 
 use mix_bench::{homes_schools_registry, plan_for, FIG3_QUERY};
-use mix_core::Engine;
+use mix_buffer::{BufferNavigator, FillPolicy, TreeWrapper};
+use mix_core::{Engine, SourceRegistry};
 use mix_nav::explore::materialize;
+use mix_nav::Navigator;
+use mix_wrappers::gen;
+use mix_xml::Document;
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: countalloc::CountingAlloc = countalloc::CountingAlloc::new();
+
+/// The counters are process-global, and the default test runner is
+/// multi-threaded: serialize measured regions so one test's allocations
+/// never land in another's delta.
+static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Full materialization of Fig. 3 over `n` homes and `n` schools (zip
 /// pool `n / 10`); returns (allocations per home, source navigations).
 /// The engine is built outside the measured closure.
 fn fig3_walk(n: usize) -> (f64, u64) {
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let mut engine =
         Engine::new(plan_for(FIG3_QUERY), &homes_schools_registry(2, n, n / 10)).unwrap();
     let (_, counts) = countalloc::count_allocations(|| materialize(&mut engine).to_string());
@@ -27,19 +40,25 @@ fn fig3_walk(n: usize) -> (f64, u64) {
 
 #[test]
 fn fig3_walk_allocates_linearly_in_homes() {
-    // Measured ~790-815 allocations per home at every size (the linear
-    // member scan read 2,034 at 250 homes and 10,996 at 2,000).
-    const BUDGET_PER_HOME: f64 = 1_000.0;
+    // Measured ~340 allocations per home at every size (791-813 while the
+    // keys were recomputed per pair; 2,034 at 250 homes and 10,996 at
+    // 2,000 with the linear member scan), and ~204 source navigations per
+    // home (399-412 before).
+    const BUDGET_PER_HOME: f64 = 400.0;
+    const NAVS_PER_HOME: f64 = 220.0;
     let mut per_home = Vec::new();
-    for (n, navs) in [(250, 99_668), (500, 202_462), (1_000, 410_282), (2_000, 823_942)] {
+    for (n, navs) in [(250, 50_944), (500, 103_100), (1_000, 208_280), (2_000, 417_870)] {
         let (allocs, got) = fig3_walk(n);
         assert_eq!(got, navs, "{n} homes: source navigations moved");
+        assert!(
+            got as f64 / n as f64 <= NAVS_PER_HOME,
+            "{n} homes: {got} source navigations, ceiling {NAVS_PER_HOME} per home"
+        );
         assert!(
             allocs < BUDGET_PER_HOME,
             "{n} homes: {allocs:.0} allocations per home, budget {BUDGET_PER_HOME}"
         );
-        per_home.push((n, allocs));
-    }
+        per_home.push((n, allocs));    }
     let lo = per_home.iter().map(|&(_, a)| a).fold(f64::INFINITY, f64::min);
     let hi = per_home.iter().map(|&(_, a)| a).fold(0.0, f64::max);
     assert!(
@@ -47,4 +66,29 @@ fn fig3_walk_allocates_linearly_in_homes() {
         "allocations per home grow with the view: {per_home:?} ({:.2}x)",
         hi / lo
     );
+}
+
+#[test]
+fn checked_fetch_of_a_buffered_node_does_not_allocate() {
+    // The degraded fallback label and the before/after health counts are
+    // built only when a source actually degraded.
+    let mut reg = SourceRegistry::new();
+    for (name, doc) in
+        [("homesSrc", gen::homes_doc(2, 20, 4)), ("schoolsSrc", gen::schools_doc(3, 20, 4))]
+    {
+        let mut w = TreeWrapper::new(FillPolicy::NodeAtATime);
+        w.add(name, Arc::new(Document::from_tree(&doc)));
+        reg.add_buffer(name, BufferNavigator::new(w, name));
+    }
+    let mut engine = Engine::new(plan_for(FIG3_QUERY), &reg).unwrap();
+    // First children down to a leaf: the first home's first field's text.
+    let mut node = engine.root();
+    while let Some(child) = engine.down(&node) {
+        node = child;
+    }
+    let expected = engine.fetch_checked(&node).expect("healthy sources");
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let (label, counts) = countalloc::count_allocations(|| engine.fetch_checked(&node));
+    assert_eq!(label, Ok(expected));
+    assert_eq!(counts.allocations, 0, "a checked fetch of a buffered node allocated");
 }

@@ -1063,11 +1063,17 @@ impl<W: LxpWrapper> BufferNavigator<W> {
         }
     }
 
-    /// Collapse a failed navigation to its fallback value, recording the
+    /// Collapse a failed navigation to its fallback value (built only on
+    /// failure: a successful `f` must not allocate), recording the
     /// degradation in health, the degraded epoch/last-error surface, and
     /// the flight recorder — the point where a wrong answer would
     /// otherwise become silent.
-    fn degrade<T>(&mut self, op: &'static str, result: Result<T, BufferError>, fallback: T) -> T {
+    fn degrade<T>(
+        &mut self,
+        op: &'static str,
+        result: Result<T, BufferError>,
+        fallback: impl FnOnce() -> T,
+    ) -> T {
         match result {
             Ok(v) => v,
             Err(e) => {
@@ -1084,7 +1090,7 @@ impl<W: LxpWrapper> BufferNavigator<W> {
                         TraceKind::Degradation { op, error: e.to_string() },
                     );
                 }
-                fallback
+                fallback()
             }
         }
     }
@@ -1142,17 +1148,17 @@ impl<W: LxpWrapper> Navigator for BufferNavigator<W> {
 
     fn down(&mut self, p: &BufNodeId) -> Option<BufNodeId> {
         let r = self.try_down(p);
-        self.degrade("down", r, None)
+        self.degrade("down", r, || None)
     }
 
     fn right(&mut self, p: &BufNodeId) -> Option<BufNodeId> {
         let r = self.try_right(p);
-        self.degrade("right", r, None)
+        self.degrade("right", r, || None)
     }
 
     fn fetch(&mut self, p: &BufNodeId) -> Label {
         let r = self.try_fetch(p);
-        self.degrade("fetch", r, Label::new(""))
+        self.degrade("fetch", r, || Label::new(""))
     }
 }
 

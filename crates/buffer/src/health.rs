@@ -103,17 +103,23 @@ impl SourceHealth {
             transient_faults: self.inner.transient_faults.load(Ordering::Relaxed),
             retries: self.inner.retries.load(Ordering::Relaxed),
             backoff_cost: self.inner.backoff_cost.load(Ordering::Relaxed),
-            degraded_ops: self.inner.degraded_ops.load(Ordering::Relaxed),
+            degraded_ops: self.degraded_ops(),
             prefetch_failures: self.inner.prefetch_failures.load(Ordering::Relaxed),
             last_error: lock_unpoisoned(&self.inner.last_error).clone(),
         }
+    }
+
+    /// Operations degraded so far — one atomic load, for callers that
+    /// compare before and after every navigation.
+    pub fn degraded_ops(&self) -> u64 {
+        self.inner.degraded_ops.load(Ordering::Relaxed)
     }
 
     /// Current condition.
     pub fn status(&self) -> HealthStatus {
         if self.inner.breaker_open.load(Ordering::Relaxed) {
             HealthStatus::Unavailable
-        } else if self.inner.degraded_ops.load(Ordering::Relaxed) > 0 {
+        } else if self.degraded_ops() > 0 {
             HealthStatus::Degraded
         } else {
             HealthStatus::Healthy

@@ -12,7 +12,7 @@
 
 use crate::handle::{BData, BHandle, VData, VNode};
 use crate::matchcur::{Frame, MatchCursor};
-use crate::ops::{GroupCache, OpState};
+use crate::ops::{GroupCache, JoinCache, OpState};
 use crate::Engine;
 use mix_algebra::pred::value_ord;
 use mix_algebra::{BindPred, PlanId};
@@ -512,6 +512,40 @@ impl Engine {
         }
     }
 
+    /// The binding, issued by the operator that binds `var`, which `attr`
+    /// reaches from binding `b` of `op` — found by following the same
+    /// handle chain without navigating. §3 handles are persistent and a
+    /// binding's values are a function of its handle, so two bindings with
+    /// the same defining binding hold the same `var` value. `None` where
+    /// the chain is not seen through.
+    fn defining_binding<'a>(
+        &self,
+        mut op: PlanId,
+        mut b: &'a BHandle,
+        var: &Var,
+    ) -> Option<&'a BHandle> {
+        loop {
+            (op, b) = match (self.op(op), &*b.0) {
+                (OpState::Source { .. }, _) => return Some(b),
+                (OpState::GetDesc { out, .. }, _) if out == var => return Some(b),
+                (OpState::GetDesc { input, .. }, BData::GetDesc { input: ib, .. })
+                | (OpState::Select { input, .. }, BData::Filtered { input: ib }) => (*input, ib),
+                (
+                    OpState::Join { left, right, left_schema, .. }
+                    | OpState::Cross { left, right, left_schema },
+                    BData::Pair { left: l, right: r, .. },
+                ) => {
+                    if left_schema.contains(var) {
+                        (*left, l)
+                    } else {
+                        (*right, r)
+                    }
+                }
+                _ => return None,
+            };
+        }
+    }
+
     /// Pull the complete input of an intermediate eager step into memory
     /// (one arena document per value), so everything above navigates
     /// without further source access.
@@ -574,6 +608,17 @@ impl Engine {
 
     // ---- join -----------------------------------------------------------
 
+    /// The join's inner cache.
+    fn join_cache(&self, op: PlanId) -> &JoinCache {
+        let OpState::Join { cache, .. } = self.op(op) else { unreachable!("join op") };
+        cache
+    }
+
+    fn join_cache_mut(&mut self, op: PlanId) -> &mut JoinCache {
+        let OpState::Join { cache, .. } = self.op_mut(op) else { unreachable!("join op") };
+        cache
+    }
+
     /// Find the next inner binding (at cache index ≥ `from_idx`, or — in
     /// uncached mode — after handle `resume`) that joins with outer
     /// binding `l`.
@@ -584,39 +629,41 @@ impl Engine {
         from_idx: usize,
         resume: Option<BHandle>,
     ) -> Option<BHandle> {
-        let OpState::Join { right, pred, left_schema, .. } = self.op(op) else {
+        let OpState::Join { left, right, pred, left_schema, eq_keys, .. } = self.op(op) else {
             unreachable!("join op")
         };
-        let (right, pred, left_schema) = (*right, pred.clone(), left_schema.clone());
+        let (left, right, pred, left_schema) = (*left, *right, pred.clone(), left_schema.clone());
+        let keyed = eq_keys.as_ref().filter(|_| self.config.join_cache).map(|(lk, _)| lk.clone());
 
-        // Materialize the outer side's predicate values once per outer
-        // binding.
+        // A keyed join's outer key, computed once per binding that defines
+        // it; otherwise the outer side's predicate values.
         let mut left_vals: HashMap<Var, Tree> = HashMap::new();
-        for v in pred.vars() {
-            if left_schema.contains(&v) {
-                let node = self.attr_on_left_of_pair(op, l, &v);
-                let t = self.materialize_value(&node);
-                left_vals.insert(v, t);
+        match &keyed {
+            Some(lk) => self.join_outer_key(op, left, l, lk),
+            None => {
+                for v in pred.vars() {
+                    if left_schema.contains(&v) {
+                        let node = self.attr(left, l, &v);
+                        let t = self.materialize_value(&node);
+                        left_vals.insert(v, t);
+                    }
+                }
             }
         }
 
         if self.config.join_cache {
-            let outer_key = {
-                let OpState::Join { eq_keys, .. } = self.op(op) else { unreachable!() };
-                eq_keys.as_ref().map(|(lk, _)| {
-                    eq_key(left_vals.get(lk).expect("outer key materialized above"))
-                })
-            };
             let mut from = from_idx;
             loop {
-                let OpState::Join { cache, .. } = self.op(op) else { unreachable!() };
-                let hit = match &outer_key {
+                let cache = self.join_cache(op);
+                let hit = match &keyed {
                     // Entries are appended in order, so each hit list is
                     // ascending: its first index ≥ `from` is the answer.
-                    Some(key) => cache
-                        .index
-                        .get(key)
-                        .and_then(|hits| hits.get(hits.partition_point(|&i| i < from)).copied()),
+                    Some(_) => {
+                        let (_, key) = cache.outer_key.as_ref().expect("set by join_outer_key");
+                        cache.index.get(key).and_then(|hits| {
+                            hits.get(hits.partition_point(|&i| i < from)).copied()
+                        })
+                    }
                     None => (from..cache.handles.len()).find(|&i| {
                         let rv = &cache.pred_vals[i];
                         pred.eval(&|v: &Var| left_vals.get(v).or_else(|| rv.get(v)))
@@ -664,12 +711,19 @@ impl Engine {
         }
     }
 
-    /// Attribute jump into the outer (left) half of a join before the pair
-    /// handle exists.
-    fn attr_on_left_of_pair(&mut self, op: PlanId, l: &BHandle, var: &Var) -> VNode {
-        let OpState::Join { left, .. } = self.op(op) else { unreachable!("join op") };
-        let left = *left;
-        self.attr(left, l, var)
+    /// Point the keyed join's memo at outer binding `l`'s key. The outer
+    /// value is materialized only when the binding that defines the key
+    /// variable `lk` (`l` itself when that one is hidden) is not the one
+    /// the memo holds — once per outer binding, not once per pair.
+    fn join_outer_key(&mut self, op: PlanId, left: PlanId, l: &BHandle, lk: &Var) {
+        let def = self.defining_binding(left, l, lk).unwrap_or(l);
+        if self.join_cache(op).outer_key.as_ref().is_some_and(|(d, _)| d.same(def)) {
+            return;
+        }
+        let def = def.clone();
+        let node = self.attr(left, l, lk);
+        let key = eq_key(&self.materialize_value(&node));
+        self.join_cache_mut(op).outer_key = Some((def, key));
     }
 
     /// Pull one more inner binding into the join's cache, together with
@@ -689,8 +743,7 @@ impl Engine {
             None => self.first_binding(right),
         };
         let Some(h) = next else {
-            let OpState::Join { cache, .. } = self.op_mut(op) else { unreachable!() };
-            cache.complete = true;
+            self.join_cache_mut(op).complete = true;
             return false;
         };
         let mut vals = HashMap::new();
@@ -699,7 +752,7 @@ impl Engine {
             let t = self.materialize_value(&node);
             vals.insert(v, t);
         }
-        let OpState::Join { cache, .. } = self.op_mut(op) else { unreachable!() };
+        let cache = self.join_cache_mut(op);
         match inner_key {
             Some(rk) => {
                 let key = eq_key(&vals[&rk]);
@@ -795,9 +848,28 @@ impl Engine {
         cache
     }
 
+    /// The group of input binding `ib` when the memo knows it: every group
+    /// variable is defined by the same binding as in the last scanned
+    /// entry, so the key would come out equal. Otherwise the defining
+    /// bindings to remember with the computed key (`None` if one is
+    /// hidden).
+    fn group_memo(&self, op: PlanId, ib: &BHandle) -> Result<usize, Option<Vec<BHandle>>> {
+        let OpState::GroupBy { input, group, cache, .. } = self.op(op) else {
+            unreachable!("groupBy op")
+        };
+        let defs = group.iter().map(|v| self.defining_binding(*input, ib, v));
+        if let Some((last, g)) = &cache.last_def {
+            if defs.clone().zip(last).all(|(d, l)| d.is_some_and(|d| d.same(l))) {
+                return Ok(*g);
+            }
+        }
+        Err(defs.map(|d| d.cloned()).collect())
+    }
+
     /// Extend the groupBy's shared input scan by exactly one binding —
-    /// never ahead of demand — computing its key once and filing it under
-    /// its group. `false` once the input is exhausted. Cached mode only.
+    /// never ahead of demand — filing it under its group, whose key is
+    /// computed only when the memo misses. `false` once the input is
+    /// exhausted. Cached mode only.
     fn group_scan_one(&mut self, op: PlanId) -> bool {
         let OpState::GroupBy { input, cache, .. } = self.op(op) else {
             unreachable!("groupBy op")
@@ -814,13 +886,21 @@ impl Engine {
             self.group_cache_mut(op).exhausted = true;
             return false;
         };
-        let key = self.group_key_of(op, &ib);
+        let g = match self.group_memo(op, &ib) {
+            Ok(g) => g,
+            Err(defs) => {
+                let key = self.group_key_of(op, &ib);
+                let cache = self.group_cache_mut(op);
+                let fresh = cache.members.len();
+                let g = *cache.ids.entry(key).or_insert(fresh);
+                if g == fresh {
+                    cache.members.push(Vec::new());
+                }
+                cache.last_def = defs.map(|d| (d, g));
+                g
+            }
+        };
         let cache = self.group_cache_mut(op);
-        let fresh = cache.members.len();
-        let g = *cache.ids.entry(key).or_insert(fresh);
-        if g == fresh {
-            cache.members.push(Vec::new());
-        }
         cache.members[g].push(cache.scanned.len());
         cache.scanned.push((g, ib));
         true

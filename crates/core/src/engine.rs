@@ -110,6 +110,13 @@ pub(crate) struct SourceConn {
     pub navs: [Counter; 4],
 }
 
+impl SourceConn {
+    /// Degraded operations recorded so far (0 without a health handle).
+    fn degraded_ops(&self) -> u64 {
+        self.health.as_ref().map_or(0, SourceHealth::degraded_ops)
+    }
+}
+
 /// Per-source navigation statistics.
 #[derive(Debug, Clone)]
 pub struct EngineStats {
@@ -176,6 +183,10 @@ pub struct Engine {
     /// ([`EngineConfig::semantic_cache`] and a registry-attached
     /// [`ViewCatalog`]).
     semantic: Option<SemanticState>,
+    /// Each source's degraded-operation count before the current
+    /// [`Engine::fetch_checked`]: scratch kept across calls, so a check
+    /// allocates only when a count moved.
+    degraded_before: Vec<u64>,
 }
 
 /// An attribution snapshot: the operator path (plan indices, outermost
@@ -316,6 +327,7 @@ impl Engine {
                     .inc();
             }
         }
+        let degraded_before = vec![0; sources.len()];
         let mut src_leaf_op = vec![0u32; sources.len()];
         for (i, op) in ops.iter().enumerate() {
             if let OpState::Source { src, .. } = op {
@@ -338,6 +350,7 @@ impl Engine {
             gauge: OverlapGauge::new(),
             warmed: false,
             semantic,
+            degraded_before,
         };
         engine.register_metric_series();
         Ok(engine)
@@ -535,35 +548,24 @@ impl Engine {
         self.register_metric_series();
     }
 
-    /// Snapshot of each source's recorded degraded-operation count, for
-    /// checked navigation's before/after comparison.
-    fn degraded_per_source(&self) -> Vec<u64> {
-        self.sources
-            .iter()
-            .map(|s| s.health.as_ref().map(|h| h.snapshot().degraded_ops).unwrap_or(0))
-            .collect()
-    }
-
     /// Like [`Navigator::fetch`], but *checked*: a degraded answer (the
     /// buffer fell back to an empty label after retries were exhausted) is
     /// an `Err` carrying the fallback and the sources that degraded —
     /// instead of being indistinguishable from a real empty PCDATA node.
     pub fn fetch_checked(&mut self, p: &VNode) -> Result<Label, Degraded> {
-        let before = self.degraded_per_source();
+        self.degraded_before.clear();
+        self.degraded_before.extend(self.sources.iter().map(SourceConn::degraded_ops));
         let label = self.fetch(p);
-        let sources: Vec<String> = self
+        let mut moved = self
             .sources
             .iter()
-            .zip(self.degraded_per_source())
-            .zip(before)
-            .filter(|((_, after), before)| after > before)
-            .map(|((s, _), _)| s.name.clone())
-            .collect();
-        if sources.is_empty() {
-            Ok(label)
-        } else {
-            Err(Degraded { label, sources })
+            .zip(&self.degraded_before)
+            .filter(|(s, &before)| s.degraded_ops() > before)
+            .peekable();
+        if moved.peek().is_none() {
+            return Ok(label);
         }
+        Err(Degraded { label, sources: moved.map(|(s, _)| s.name.clone()).collect() })
     }
 
     /// Fault/retry health per source, for buffered sources
@@ -596,8 +598,7 @@ impl Engine {
     pub(crate) fn total_degraded_ops(&self) -> u64 {
         self.sources
             .iter()
-            .filter_map(|s| s.health.as_ref())
-            .map(|h| h.snapshot().degraded_ops)
+            .map(SourceConn::degraded_ops)
             .sum()
     }
 

@@ -33,6 +33,11 @@ impl BHandle {
     pub(crate) fn new(data: BData) -> Self {
         BHandle(Arc::new(data))
     }
+
+    /// The same binding: handles are persistent, so identity is the `Arc`.
+    pub(crate) fn same(&self, other: &BHandle) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
 }
 
 /// Operator-specific binding associations.

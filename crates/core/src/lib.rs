@@ -24,7 +24,9 @@
 //! * **Targeted caches.** Stateless wherever possible; caches exactly
 //!   where §3 calls for them — groupBy's buffered input scan (`G_prev`
 //!   plus a member list per group), the nested-loop join's inner-side
-//!   cache — toggleable via
+//!   cache, each computing a key once per binding that defines it — the
+//!   node-ids are persistent, so a key is reused while its defining
+//!   binding is the same handle — toggleable via
 //!   [`EngineConfig`] for the ablation experiment (E8).
 //! * **The client sees only DOM-VXD.** [`Engine`] implements
 //!   [`Navigator`]; [`VirtualDocument`] wraps it in the thin client

@@ -4,8 +4,9 @@
 //! the plan at engine construction, so navigation never re-inspects the
 //! plan: input operator ids, variables, predicates, compiled NFAs, schema
 //! sets — plus the caches §3 prescribes (groupBy's buffered input scan with
-//! per-group member lists, the nested-loop join's inner cache) and the
-//! materialization state of the unbrowsable operators.
+//! per-group member lists, the nested-loop join's inner cache, each with a
+//! one-entry memo of the last key it computed) and the materialization
+//! state of the unbrowsable operators.
 
 use crate::handle::{BHandle, VNode};
 use mix_algebra::{BindPred, GroupItem, PlanId};
@@ -32,6 +33,12 @@ pub(crate) struct JoinCache {
     pub index: HashMap<String, Vec<usize>>,
     /// Scanned joins: the inner-side predicate values of `handles[i]`.
     pub pred_vals: Vec<HashMap<Var, Tree>>,
+    /// Keyed joins: the last outer key computed, with the binding that
+    /// defines the outer key variable. Handles are persistent and a
+    /// binding's values are a function of its handle (§3), so the key is
+    /// reused while the next outer binding's defining binding is
+    /// `Arc::ptr_eq` to this one.
+    pub outer_key: Option<(BHandle, String)>,
 }
 
 /// The groupBy caches (Fig. 10's buffering remark: "the mediator stores
@@ -52,6 +59,11 @@ pub(crate) struct GroupCache {
     /// Per group id, the indices into `scanned` of its members
     /// (ascending).
     pub members: Vec<Vec<usize>>,
+    /// The last scanned entry's defining bindings (one per group
+    /// variable) and group id: an entry whose group variables are defined
+    /// by the same bindings has the same key, so it is not recomputed.
+    /// Grouping itself stays by value, through `ids`.
+    pub last_def: Option<(Vec<BHandle>, usize)>,
 }
 
 /// Navigation-time state per plan operator.

@@ -526,3 +526,139 @@ fn group_by_pulls_input_only_on_demand_when_members_interleave() {
     assert!(e.right(&c4).is_none());
     step(&mut e, "c's only member", 6, 130);
 }
+
+// ---- key memos: a key is computed once per binding that defines it ----
+
+/// Translate a query; its groupBy with a non-empty key, if any.
+fn keyed_plan(query: &str) -> (Plan, Option<PlanId>) {
+    let plan = mix_algebra::translate(&mix_xmas::parse_query(query).unwrap()).unwrap();
+    let gb = plan.reachable().into_iter().find(
+        |&id| matches!(plan.node(id), PlanNode::GroupBy { group, .. } if !group.is_empty()),
+    );
+    (plan, gb)
+}
+
+/// Two registries, `s1` (homes) and `s2` (schools), from terms.
+fn two_sources(s1: &'static str, s2: &'static str) -> impl Fn() -> SourceRegistry {
+    move || {
+        let mut reg = SourceRegistry::new();
+        reg.add_term("s1", s1);
+        reg.add_term("s2", s2);
+        reg
+    }
+}
+
+/// Schools per home, grouped by home (Fig. 3's shape).
+const BY_HOME: &str = "CONSTRUCT <out> <g> $H $S {$S} </g> {$H} </out> {}
+    WHERE s1 r.h $H AND $H z._ $V1 AND s2 r.s $S AND $S z._ $V2 AND $V1 = $V2";
+
+#[test]
+fn equal_homes_share_a_group_though_their_keys_are_not_shared() {
+    // The two `h[z[1]]` homes are distinct bindings, so the memo misses
+    // on the second one — and its key, computed afresh, meets the first
+    // home's in the key map: grouping stays by value.
+    let mk = two_sources("r[h[z[1]],h[z[1]],h[z[2]]]", "r[s[z[1],n[a]],s[z[2],n[b]]]");
+    let (plan, gb) = keyed_plan(BY_HOME);
+    let t = check_lazy_eq_eager(&plan, &mk);
+    assert_eq!(t.to_string(), "out[g[h[z[1]],s[z[1],n[a]],s[z[1],n[a]]],g[h[z[2]],s[z[2],n[b]]]]");
+    let mut e = Engine::new(plan, &mk()).unwrap();
+    materialize(&mut e);
+    assert_eq!(e.group_cache(gb.unwrap()).members, [vec![0, 1], vec![2]]);
+}
+
+#[test]
+fn a_group_variable_from_the_inner_side_never_reuses_a_stale_key() {
+    // Grouped by the school: consecutive join pairs share their outer
+    // binding (the home) but not the binding that defines `$S`, so every
+    // pair's key is its own.
+    let mk = two_sources("r[h[z[1],n[x]],h[z[1],n[y]]]", "r[s[z[1],n[a]],s[z[1],n[b]]]");
+    let (plan, _) = keyed_plan(
+        "CONSTRUCT <out> <g> $S $H {$H} </g> {$S} </out> {}
+         WHERE s1 r.h $H AND $H z._ $V1 AND s2 r.s $S AND $S z._ $V2 AND $V1 = $V2",
+    );
+    assert_eq!(
+        check_lazy_eq_eager(&plan, &mk).to_string(),
+        "out[g[s[z[1],n[a]],h[z[1],n[x]],h[z[1],n[y]]],\
+         g[s[z[1],n[b]],h[z[1],n[x]],h[z[1],n[y]]]]"
+    );
+}
+
+#[test]
+fn group_memo_keeps_the_groups_and_the_pulls_of_interleaved_keys() {
+    // Homes keyed `a b a`, each joining both schools: the memo answers the
+    // second pair of each home, the third home's fresh key finds group a.
+    // Bindings pulled at every step are those of the unmemoized scan; the
+    // source navigations are lower by the group keys and outer join keys
+    // no longer recomputed (26, 26, 42, 100, 100, 114, 114 without the
+    // memos).
+    use mix_nav::Navigator;
+    let mk = two_sources(
+        "r[h[k[a],z[1]],h[k[b],z[1]],h[k[a],z[1]]]",
+        "r[s[z[1],n[1]],s[z[1],n[2]]]",
+    );
+    let (plan, gb) = keyed_plan(
+        "CONSTRUCT <out> <g> $S {$S} </g> {$K} </out> {}
+         WHERE s1 r.h $H AND $H k._ $K AND $H z._ $V1
+           AND s2 r.s $S AND $S z._ $V2 AND $V1 = $V2",
+    );
+    let gb = gb.unwrap();
+    let s = |n: u8| format!("s[z[1],n[{n}]]");
+    assert_eq!(
+        check_lazy_eq_eager(&plan, &mk).to_string(),
+        format!("out[g[{0},{1},{0},{1}],g[{0},{1}]]", s(1), s(2))
+    );
+
+    let mut e = Engine::new(plan, &mk()).unwrap();
+    let step = |e: &mut Engine, what: &str, pulled: usize, navs: u64| {
+        let got = (e.group_cache(gb).scanned.len(), e.stats().total().total());
+        assert_eq!(got, (pulled, navs), "{what}: (bindings pulled, source navs)");
+    };
+    let root = e.root();
+    let ga = e.down(&root).unwrap();
+    step(&mut e, "group a", 1, 26);
+    let a1 = e.down(&ga).unwrap();
+    step(&mut e, "a's first member", 1, 26);
+    let a2 = e.right(&a1).unwrap();
+    step(&mut e, "a's second member: memo hit", 2, 38);
+    let a3 = e.right(&a2).unwrap();
+    step(&mut e, "a's third member: b then a again", 5, 88);
+    let gb_ = e.right(&ga).unwrap();
+    step(&mut e, "group b, already scanned", 5, 88);
+    assert!(e.right(&gb_).is_none());
+    step(&mut e, "past the last group", 6, 96);
+    let a4 = e.right(&a3).unwrap();
+    assert!(e.right(&a4).is_none());
+    let b1 = e.down(&gb_).unwrap();
+    let b2 = e.right(&b1).unwrap();
+    assert!(e.right(&b2).is_none());
+    step(&mut e, "every member", 6, 96);
+}
+
+#[test]
+fn keyed_join_materializes_the_outer_value_once_per_outer_binding() {
+    // One home joining three schools, its join value a small subtree or
+    // a deep one: after the first pair, each further pair costs the same
+    // source navigations whatever the outer value's size — it is not
+    // materialized again (once per pair, the steps were 15 and 21).
+    use mix_nav::Navigator;
+    let query = "CONSTRUCT <out> $S {$S} </out> {}
+        WHERE s1 r.h $H AND $H z $V1 AND s2 r.s $S AND $S z $V2 AND $V1 = $V2";
+    let schools = "r[s[z[1]],s[z[1]],s[z[1]]]";
+    let mut steps = Vec::new();
+    for home in ["r[h[z[1]]]", "r[h[z[c[d[1]]]]]"] {
+        let mk = two_sources(home, schools);
+        let (plan, _) = keyed_plan(query);
+        assert_eq!(check_lazy_eq_eager(&plan, &mk).to_string(), "out[s[z[1]],s[z[1]],s[z[1]]]");
+        let mut e = Engine::new(plan, &mk()).unwrap();
+        let root = e.root();
+        let mut navs = Vec::new();
+        let mut cur = e.down(&root);
+        while let Some(m) = cur {
+            navs.push(e.stats().total().total());
+            cur = e.right(&m);
+        }
+        navs.push(e.stats().total().total());
+        steps.push(navs);
+    }
+    assert_eq!(steps, [vec![20, 30, 40, 46], vec![26, 36, 46, 52]]);
+}

@@ -2,15 +2,17 @@
 
 use crate::path::PathExpr;
 use std::fmt;
+use std::sync::Arc;
 
-/// A variable name (`$H` is spelled `Var("H")`).
+/// A variable name (`$H` is spelled `Var("H")`). Shared, so the engine's
+/// per-navigation clones are reference-count bumps, not allocations.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Var(pub String);
+pub struct Var(pub Arc<str>);
 
 impl Var {
     /// Construct a variable from its name (without the `$`).
-    pub fn new(name: impl Into<String>) -> Self {
-        Var(name.into())
+    pub fn new(name: impl AsRef<str>) -> Self {
+        Var(Arc::from(name.as_ref()))
     }
 
     /// The variable's name without the `$`.
