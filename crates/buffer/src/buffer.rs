@@ -295,6 +295,9 @@ pub struct BufferNavigator<W> {
     /// is being changed. One string for the navigator's lifetime,
     /// overwritten in place: asking for a fill allocates nothing.
     critical_scratch: HoleId,
+    /// The open-tree slots of the current batch after the critical hole,
+    /// in batch order, so parking their replies needs no lookup.
+    batch_scratch: Vec<HoleSlot>,
     connected: bool,
     stats: BufferStats,
     policy: RetryPolicy,
@@ -305,10 +308,9 @@ pub struct BufferNavigator<W> {
     batch_limit: usize,
     /// Replies received in a batch before any navigation needed them,
     /// keyed by hole id. Consumed instead of going back to the wire.
-    /// `Arc`-backed: the same allocation is shared with the cross-query
-    /// cache, so parking and consuming a reply never copies fragments.
-    /// Bounded by `pending_cap`; see `pending_order`.
-    pending: std::collections::HashMap<HoleId, Arc<Vec<Fragment>>>,
+    /// Bounded by `pending_cap`; see `pending_order`. A live hole of the
+    /// open tree is parked there exactly while it has an entry here.
+    pending: std::collections::HashMap<HoleId, Parked>,
     /// Insertion order of `pending` entries, for capped FIFO eviction.
     /// May contain stale ids of entries already consumed; eviction skips
     /// them lazily.
@@ -338,6 +340,9 @@ pub struct BufferNavigator<W> {
     /// Upper bound on fills per single navigation command (`FILL_FUEL`
     /// unless overridden for tests).
     fill_fuel: u32,
+    /// Batches compared with the reference scan so far.
+    #[cfg(test)]
+    reference_checks: u64,
 }
 
 impl<W: LxpWrapper> BufferNavigator<W> {
@@ -362,6 +367,7 @@ impl<W: LxpWrapper> BufferNavigator<W> {
             entry_scratch: Vec::new(),
             hole_scratch: Vec::new(),
             critical_scratch: HoleId::new(),
+            batch_scratch: Vec::new(),
             connected: false,
             stats,
             policy,
@@ -377,6 +383,8 @@ impl<W: LxpWrapper> BufferNavigator<W> {
             degraded_epoch: AtomicU64::new(0),
             last_degraded: Mutex::new(None),
             fill_fuel: FILL_FUEL,
+            #[cfg(test)]
+            reference_checks: 0,
         }
     }
 
@@ -589,7 +597,11 @@ impl<W: LxpWrapper> BufferNavigator<W> {
     /// operation, so a protocol-violating reply surfaces as a permanent
     /// error (and counts against the breaker) instead of being buffered.
     fn try_fill(&mut self, hole: &HoleId) -> Result<Arc<Vec<Fragment>>, BufferError> {
-        if let Some(reply) = self.pending.remove(hole) {
+        if let Some(Parked { reply, slot }) = self.pending.remove(hole) {
+            // Back in the askable list, so the splice can take its place.
+            if let Some(slot) = slot {
+                self.tree.unpark(slot);
+            }
             self.stats.fills.inc();
             if self.metrics.on() {
                 self.metrics.batch_cache_hits.inc();
@@ -694,7 +706,7 @@ impl<W: LxpWrapper> BufferNavigator<W> {
         // Continuation items count as waste until a navigation consumes
         // them (consumption credits the bytes back).
         let mut wasted = 0u64;
-        for item in rest {
+        for (k, item) in rest.into_iter().enumerate() {
             let (item_nodes, item_bytes) = volume(&item.fragments);
             nodes += item_nodes;
             bytes += item_bytes;
@@ -703,15 +715,22 @@ impl<W: LxpWrapper> BufferNavigator<W> {
             // client's own fill will face it on the critical path — and
             // its bytes stay waste for good. Verified ones are parked,
             // and shared cross-query too: one allocation, two `Arc`
-            // handles.
+            // handles. An item answering a batched hole parks that hole;
+            // a continuation item answers a hole of this very exchange's
+            // replies, which is not live yet (`park_answered` parks it
+            // when it is spliced in).
             if check_progress(&item.fragments).is_ok()
                 && item.hole != *hole
                 && !self.pending.contains_key(&item.hole)
             {
-                let fragments = Arc::new(item.fragments);
-                self.cache_store(&item.hole, &fragments);
+                let slot = self.batch_scratch.get(k).copied();
+                if let Some(slot) = slot {
+                    self.tree.park(slot);
+                }
+                let reply = Arc::new(item.fragments);
+                self.cache_store(&item.hole, &reply);
                 self.pending_order.push_back(item.hole.clone());
-                self.pending.insert(item.hole, fragments);
+                self.pending.insert(item.hole, Parked { reply, slot });
             }
         }
         self.stats.requests.inc();
@@ -757,7 +776,11 @@ impl<W: LxpWrapper> BufferNavigator<W> {
     fn enforce_pending_cap(&mut self) {
         while self.pending.len() > self.pending_cap {
             let Some(old) = self.pending_order.pop_front() else { break };
-            if let Some(frags) = self.pending.remove(&old) {
+            if let Some(Parked { reply, slot }) = self.pending.remove(&old) {
+                // Unanswered again: the hole rejoins the batches.
+                if let Some(slot) = slot {
+                    self.tree.unpark(slot);
+                }
                 self.pending_evictions.inc();
                 if self.metrics.on() {
                     self.metrics.batch_cache_evictions.inc();
@@ -768,7 +791,7 @@ impl<W: LxpWrapper> BufferNavigator<W> {
                         TraceKind::CacheEvict {
                             scope: "pending",
                             hole: old,
-                            bytes: wire_bytes(&frags),
+                            bytes: wire_bytes(&reply),
                         },
                     );
                 }
@@ -787,11 +810,15 @@ impl<W: LxpWrapper> BufferNavigator<W> {
     /// then other holes of the open tree in document order (the order a
     /// scanning client will want them), capped by the batch limit and
     /// excluding holes already answered in the pending cache. Empty at
-    /// batch limit 1, where the exchange is a plain `fill`.
+    /// batch limit 1, where the exchange is a plain `fill`. The slots of
+    /// the holes after the critical one are left in `batch_scratch`.
     ///
-    /// The arena maintains the holes as a document-order linked list, so
-    /// the enumeration is O(batch limit), not a walk of the open tree.
-    fn known_holes(&self, critical: &HoleId) -> Vec<HoleId> {
+    /// The arena keeps the holes without a parked reply as their own
+    /// document-order list, so the enumeration reads at most
+    /// `batch_limit` entries off its head — no walk of the open tree, no
+    /// skipping over parked holes, no lookup in `pending`.
+    fn known_holes(&mut self, critical: &HoleId) -> Vec<HoleId> {
+        self.batch_scratch.clear();
         if self.batch_limit <= 1 {
             return Vec::new();
         }
@@ -799,7 +826,29 @@ impl<W: LxpWrapper> BufferNavigator<W> {
         let mut batch = Vec::with_capacity(self.batch_limit.min(1 + self.tree.live_holes()));
         batch.push(critical.clone());
         if self.connected {
-            for h in self.tree.holes_in_order() {
+            for (slot, h) in self.tree.askable() {
+                if batch.len() >= self.batch_limit {
+                    break;
+                }
+                if h != critical {
+                    batch.push(h.clone());
+                    self.batch_scratch.push(slot);
+                }
+            }
+        }
+        #[cfg(test)]
+        self.assert_batch_matches_reference(&batch);
+        batch
+    }
+
+    /// The batch the head-of-list scan over every live hole picks, one
+    /// `pending` lookup per hole — what `known_holes` computed before the
+    /// askable list existed, kept as the reference it must reproduce.
+    #[cfg(test)]
+    fn reference_batch(&self, critical: &HoleId) -> Vec<HoleId> {
+        let mut batch = vec![critical.clone()];
+        if self.connected {
+            for (_, h, _) in self.tree.live_in_order() {
                 if batch.len() >= self.batch_limit {
                     break;
                 }
@@ -809,6 +858,22 @@ impl<W: LxpWrapper> BufferNavigator<W> {
             }
         }
         batch
+    }
+
+    /// Every exchange of every unit test checks its batch against the
+    /// reference scan.
+    #[cfg(test)]
+    fn assert_batch_matches_reference(&mut self, batch: &[HoleId]) {
+        assert_eq!(batch, self.reference_batch(&batch[0]), "batch differs from the reference scan");
+        self.reference_checks += 1;
+    }
+
+    /// A live hole is parked exactly while `pending` holds its reply.
+    #[cfg(test)]
+    fn assert_parked_flags_match_pending(&self) {
+        for (_, h, parked) in self.tree.live_in_order() {
+            assert_eq!(parked, self.pending.contains_key(h), "parked flag of `{h}` out of step");
+        }
     }
 
     /// Establish the connection if necessary: `get_root`, then chase
@@ -885,6 +950,7 @@ impl<W: LxpWrapper> BufferNavigator<W> {
         let root = self.try_intern(label, children, None, 0, &mut new_holes)?;
         // The first holes of the session seed the document-order list.
         self.tree.relink_holes(None, &new_holes);
+        self.park_answered(&new_holes);
         self.hole_scratch = new_holes;
         debug_assert_eq!(root, BufNodeId::ROOT);
         self.connected = true;
@@ -960,9 +1026,24 @@ impl<W: LxpWrapper> BufferNavigator<W> {
         // The reply's holes take over exactly the interval the old hole
         // occupied in document order.
         self.tree.relink_holes(Some(slot), &new_holes);
+        self.park_answered(&new_holes);
         self.entry_scratch = entries;
         self.hole_scratch = new_holes;
         Ok(())
+    }
+
+    /// Park the just-linked holes whose reply a continuation item already
+    /// delivered, and record their slots with those replies.
+    fn park_answered(&mut self, new_holes: &[HoleSlot]) {
+        if self.pending.is_empty() {
+            return;
+        }
+        for &slot in new_holes {
+            if let Some(parked) = self.pending.get_mut(self.tree.hole_id(slot)) {
+                parked.slot = Some(slot);
+                self.tree.park(slot);
+            }
+        }
     }
 
     /// First materialized node at or after child position `start` of
@@ -1042,9 +1123,10 @@ impl<W: LxpWrapper> BufferNavigator<W> {
     fn purge_on_degrade(&mut self) {
         if !self.pending.is_empty() {
             let entries = self.pending.len() as u64;
-            let bytes: u64 = self.pending.values().map(|r| wire_bytes(r)).sum();
+            let bytes: u64 = self.pending.values().map(|p| wire_bytes(&p.reply)).sum();
             self.pending.clear();
             self.pending_order.clear();
+            self.tree.unpark_all();
             if self.trace.is_enabled() {
                 self.trace.emit(
                     Some(self.uri.as_str()),
@@ -1094,6 +1176,16 @@ impl<W: LxpWrapper> BufferNavigator<W> {
             }
         }
     }
+}
+
+/// A batch reply received before any navigation needed it.
+struct Parked {
+    /// `Arc`-backed: the same allocation is shared with the cross-query
+    /// cache, so parking and consuming a reply never copies fragments.
+    reply: Arc<Vec<Fragment>>,
+    /// The open-tree hole it answers, once that hole is live (parked
+    /// there, and unparked if this entry is evicted).
+    slot: Option<HoleSlot>,
 }
 
 /// Wire bytes of a fragment list.
@@ -1169,8 +1261,9 @@ mod tests {
     use crate::health::HealthStatus;
     use crate::lxp::LxpError;
     use crate::treewrap::{FillPolicy, TreeWrapper};
-    use mix_nav::explore::materialize;
+    use mix_nav::explore::{materialize, materialize_at};
     use mix_xml::term::parse_term;
+    use mix_xml::Tree;
     use std::collections::VecDeque;
 
     fn buffered(term: &str, policy: FillPolicy) -> BufferNavigator<TreeWrapper> {
@@ -2147,5 +2240,168 @@ mod tests {
         // reconstructs the identical document.
         let mut warm = BufferNavigator::new(Dead, "doc").with_fragment_cache(cache.clone());
         assert_eq!(materialize(&mut warm).to_string(), term, "cache holds only the truth");
+    }
+
+    /// `schools[school[dir[…],zip[…]], …]`: the shape of
+    /// `mix_wrappers::gen::schools_doc` (whose crate depends on this one).
+    fn schools(n: usize) -> Tree {
+        let school = |i: usize| {
+            Tree::node(
+                "school",
+                vec![
+                    Tree::node("dir", vec![Tree::leaf(format!("d{}", i % 8))]),
+                    Tree::node("zip", vec![Tree::leaf(format!("{}", 91000 + i % 100))]),
+                ],
+            )
+        };
+        Tree::node("schools", (0..n).map(school).collect())
+    }
+
+    /// Walk `right` across every child of the root first, then into each
+    /// one: the order that leaves the longest run of parked replies
+    /// ahead of the holes nobody has answered. Returns what it read.
+    fn scan_then_descend<N: Navigator>(nav: &mut N) -> Tree {
+        let root = nav.root();
+        let mut kids = Vec::new();
+        let mut cur = nav.down(&root);
+        while let Some(c) = cur {
+            cur = nav.right(&c);
+            kids.push(c);
+        }
+        let label = nav.fetch(&root);
+        Tree::node(label, kids.iter().map(|k| materialize_at(nav, k)).collect())
+    }
+
+    #[test]
+    fn batch_enumeration_is_flat_in_the_source_size() {
+        // Before the askable list, each exchange walked the hole list
+        // past every parked reply: ~500 steps per exchange at n = 1000.
+        for n in [250, 500, 1000] {
+            let tree = schools(n);
+            let wrapper = TreeWrapper::single(&tree, FillPolicy::NodeAtATime);
+            let mut nav = BufferNavigator::new(wrapper, "doc").batched(8);
+            let stats = nav.stats();
+            assert_eq!(scan_then_descend(&mut nav), tree, "n = {n}");
+            let exchanges = stats.snapshot().requests;
+            let (list, search) = (nav.tree.steps.list.get(), nav.tree.steps.search.get());
+            assert_eq!(exchanges, 3 * n as u64 + 1, "n = {n}: traffic unchanged");
+            assert_eq!(nav.reference_checks, exchanges, "n = {n}: every batch checked");
+            assert!(list <= 9 * exchanges, "n = {n}: {list} list steps, {exchanges} exchanges");
+            assert!(search <= 4 * exchanges, "n = {n}: {search} search steps");
+        }
+    }
+
+    #[test]
+    fn pending_cap_eviction_churn_is_pinned() {
+        // Past the pending cap, each evicted reply rejoins the askable
+        // list and rides along in the very next batch, so the walk
+        // receives four times the bytes it needs. An evicted hole also
+        // sits in a long run of parked ones, so finding its askable
+        // position walks ~470 live holes per exchange (the old scan
+        // hashed ~770 per exchange on this walk). Pinned so that a better
+        // eviction policy shows up here as a diff.
+        let tree = schools(2000);
+        let run = |cap: usize| {
+            let wrapper = TreeWrapper::single(&tree, FillPolicy::NodeAtATime);
+            let mut nav = BufferNavigator::new(wrapper, "doc").batched(8).pending_cap(cap);
+            let stats = nav.stats();
+            assert_eq!(scan_then_descend(&mut nav), tree, "cap {cap}");
+            let s = stats.snapshot();
+            let search = nav.tree.steps.search.get();
+            (nav.pending_evictions(), s.requests, s.bytes_received, s.wasted_bytes, search)
+        };
+        assert_eq!(
+            run(DEFAULT_PENDING_CAP),
+            (18_544, 6_009, 1_258_165, 942_148, 2_817_256),
+            "evictions, requests, bytes, wasted bytes, search steps"
+        );
+        assert_eq!(run(1 << 20), (0, 6_001, 316_017, 0, 0), "uncapped");
+    }
+
+    /// Fails its `fail_at`-th exchange (counting from 0) and serves every
+    /// other one from `inner`.
+    struct FailOnce {
+        inner: TreeWrapper,
+        exchanges: u32,
+        fail_at: u32,
+    }
+    impl FailOnce {
+        fn tick(&mut self) -> Result<(), LxpError> {
+            self.exchanges += 1;
+            if self.exchanges - 1 == self.fail_at {
+                return Err(LxpError::SourceError("dropped".into()));
+            }
+            Ok(())
+        }
+    }
+    impl LxpWrapper for FailOnce {
+        fn get_root(&mut self, uri: &str) -> Result<HoleId, LxpError> {
+            self.inner.get_root(uri)
+        }
+        fn fill(&mut self, hole: &HoleId) -> Result<Vec<Fragment>, LxpError> {
+            self.tick()?;
+            self.inner.fill(hole)
+        }
+        fn fill_many(&mut self, holes: &[HoleId]) -> Result<Vec<BatchItem>, LxpError> {
+            self.tick()?;
+            self.inner.fill_many(holes)
+        }
+    }
+
+    fn arb_tree() -> impl proptest::prelude::Strategy<Value = Tree> {
+        use proptest::prelude::*;
+        let label = prop_oneof![Just("a"), Just("b"), Just("c"), Just("long-label")];
+        label.clone().prop_map(Tree::leaf).prop_recursive(4, 48, 6, move |inner| {
+            (label.clone(), proptest::collection::vec(inner, 0..6))
+                .prop_map(|(l, children)| Tree::node(l, children))
+        })
+    }
+
+    fn arb_policy() -> impl proptest::prelude::Strategy<Value = FillPolicy> {
+        use proptest::prelude::*;
+        prop_oneof![
+            Just(FillPolicy::NodeAtATime),
+            (1usize..4).prop_map(|n| FillPolicy::Chunked { n }),
+            Just(FillPolicy::WholeSubtree),
+            (1usize..6).prop_map(|max_nodes| FillPolicy::SizeThreshold { max_nodes }),
+            (1usize..4).prop_map(|initial| FillPolicy::Adaptive { initial }),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 128,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn batches_match_the_reference_scan_through_eviction_and_purge(
+            tree in arb_tree(),
+            policy in arb_policy(),
+            limit in 2usize..=8,
+            cap in 1usize..=4,
+            budget in 0usize..3,
+            fail_at in 0u32..12,
+        ) {
+            // `known_holes` checks every batch against the head-of-list
+            // reference scan; a small cap forces eviction (unparking) and
+            // the dropped exchange a degradation (the purge).
+            let wrapper = FailOnce {
+                inner: TreeWrapper::single(&tree, policy).with_batch_budget(budget),
+                exchanges: 0,
+                fail_at,
+            };
+            let mut nav = BufferNavigator::with_retry(wrapper, "doc", RetryPolicy::none())
+                .batched(limit)
+                .pending_cap(cap);
+            // The first walk may be cut short by the dropped exchange.
+            let _ = scan_then_descend(&mut nav);
+            nav.assert_parked_flags_match_pending();
+            let degraded = nav.degraded_epoch() > 0;
+            let again = scan_then_descend(&mut nav);
+            nav.assert_parked_flags_match_pending();
+            proptest::prop_assert_eq!(again.to_string(), tree.to_string());
+            proptest::prop_assert_eq!(degraded, nav.wrapper.exchanges > fail_at);
+        }
     }
 }

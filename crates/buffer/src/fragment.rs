@@ -183,7 +183,36 @@ struct HoleRec {
     /// Document-order neighbours among live holes (`NONE` = list end).
     prev: u32,
     next: u32,
+    /// Document-order neighbours among askable holes (live, not parked);
+    /// meaningless while the hole is parked.
+    ask_prev: u32,
+    ask_next: u32,
     live: bool,
+    /// A reply for this hole is already in hand (the buffer's pending
+    /// batch cache), so no exchange should ask for it.
+    parked: bool,
+}
+
+impl HoleRec {
+    fn new(id: HoleId) -> Self {
+        HoleRec { id, prev: NONE, next: NONE, ask_prev: NONE, ask_next: NONE, live: true, parked: false }
+    }
+}
+
+/// Work counters for the hole lists, compiled into unit tests only: the
+/// count gates pin them flat in the size of the source.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct HoleSteps {
+    /// Askable-list entries visited by [`OpenTree::askable`] iterators.
+    pub(crate) list: std::cell::Cell<u64>,
+    /// Live-list entries visited while placing a hole in the askable list.
+    pub(crate) search: std::cell::Cell<u64>,
+}
+
+#[cfg(test)]
+fn bump(c: &std::cell::Cell<u64>) {
+    c.set(c.get() + 1);
 }
 
 /// An arena-allocated open tree (paper Def. 3).
@@ -198,15 +227,22 @@ struct HoleRec {
 ///   entries in place; growth abandons the old range and bump-allocates
 ///   a geometrically larger one, so the repeated trailing-hole splice of
 ///   a scan is amortized O(1) per arriving child;
-/// - a **hole slab** whose live records form a doubly-linked list in
-///   document order. Enumerating the open tree's holes (the batched
-///   fill path's per-exchange need) walks the list — O(live holes), not
-///   O(tree) — and a splice replaces one hole's list position with the
-///   reply's new holes in one O(new holes) relink.
+/// - a **hole slab** threaded by two doubly-linked lists in document
+///   order: every live hole, and the *askable* ones — live holes whose
+///   reply is not already parked in the buffer (`OpenTree::park`). A
+///   batched fill reads its batch off the head of the askable list
+///   (`OpenTree::askable`): O(batch limit) per exchange, however many
+///   parked holes precede the first askable one. A splice replaces one
+///   askable hole's position in both lists with the reply's new holes,
+///   and parking a hole unlinks it in O(1). Unparking one finds its
+///   askable position by walking the live list outwards to the nearest
+///   askable hole on either side — O(distance to it): none on a walk
+///   that consumes parked replies in document order, but up to a whole
+///   run of parked holes when the buffer evicts one from its middle.
 ///
 /// All indices are stable: node ids never move, and pool ranges are only
 /// ever abandoned, never compacted, while the tree lives.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct OpenTree {
     nodes: Vec<NodeRec>,
     pool: Vec<TreeEntry>,
@@ -215,7 +251,18 @@ pub struct OpenTree {
     /// Head/tail of the live-hole list in document order.
     head: u32,
     tail: u32,
+    /// Head/tail of the askable-hole list in document order.
+    ask_head: u32,
+    ask_tail: u32,
     live_holes: usize,
+    #[cfg(test)]
+    pub(crate) steps: HoleSteps,
+}
+
+impl Default for OpenTree {
+    fn default() -> Self {
+        OpenTree::new()
+    }
 }
 
 impl OpenTree {
@@ -228,7 +275,11 @@ impl OpenTree {
             free_holes: Vec::new(),
             head: NONE,
             tail: NONE,
+            ask_head: NONE,
+            ask_tail: NONE,
             live_holes: 0,
+            #[cfg(test)]
+            steps: HoleSteps::default(),
         }
     }
 
@@ -379,17 +430,17 @@ impl OpenTree {
         true
     }
 
-    /// Allocate a live hole record (recycling freed slots). The hole is
-    /// not yet part of the document-order list — see
+    /// Allocate a live, askable hole record (recycling freed slots). The
+    /// hole is not yet part of the document-order lists — see
     /// [`OpenTree::relink_holes`].
     pub fn new_hole(&mut self, id: HoleId) -> HoleSlot {
         self.live_holes += 1;
         if let Some(slot) = self.free_holes.pop() {
-            self.holes[slot as usize] = HoleRec { id, prev: NONE, next: NONE, live: true };
+            self.holes[slot as usize] = HoleRec::new(id);
             return HoleSlot(slot);
         }
         let slot = u32::try_from(self.holes.len()).expect("hole slab overflow");
-        self.holes.push(HoleRec { id, prev: NONE, next: NONE, live: true });
+        self.holes.push(HoleRec::new(id));
         HoleSlot(slot)
     }
 
@@ -399,21 +450,22 @@ impl OpenTree {
         &self.holes[slot.index()].id
     }
 
-    /// Replace `old` (if any) in the document-order hole list with the
+    /// Replace `old` (if any) in the document-order hole lists with the
     /// already-allocated slots of `seq`, in order, and free `old`. With
     /// `old == None` the sequence is appended at the tail (the initial
     /// root intern). This is the one incremental update that keeps the
-    /// list equal to a DFS enumeration of the tree's holes: a splice
+    /// live list equal to a DFS enumeration of the tree's holes: a splice
     /// confines its new holes to exactly the interval the old hole
-    /// occupied.
+    /// occupied. `old` must be askable (unpark it first), and `seq`, all
+    /// askable too, takes its place in the askable list as well.
     pub fn relink_holes(&mut self, old: Option<HoleSlot>, seq: &[HoleSlot]) {
-        let (before, after) = match old {
+        let (before, after, ask_before, ask_after) = match old {
             Some(h) => {
                 let rec = &self.holes[h.index()];
-                debug_assert!(rec.live, "relink of a freed hole");
-                (rec.prev, rec.next)
+                debug_assert!(rec.live && !rec.parked, "relink of a freed or parked hole");
+                (rec.prev, rec.next, rec.ask_prev, rec.ask_next)
             }
-            None => (self.tail, NONE),
+            None => (self.tail, NONE, self.ask_tail, NONE),
         };
         if let Some(h) = old {
             let rec = &mut self.holes[h.index()];
@@ -422,46 +474,124 @@ impl OpenTree {
             self.free_holes.push(h.0);
             self.live_holes -= 1;
         }
-        let (first, last) = if seq.is_empty() {
-            (after, before) // degenerate: just bridge before <-> after
-        } else {
-            for w in seq.windows(2) {
-                self.holes[w[0].index()].next = w[1].0;
-                self.holes[w[1].index()].prev = w[0].0;
-            }
-            self.holes[seq[0].index()].prev = before;
-            self.holes[seq[seq.len() - 1].index()].next = after;
-            (seq[0].0, seq[seq.len() - 1].0)
-        };
-        if seq.is_empty() {
-            if before != NONE {
-                self.holes[before as usize].next = after;
-            } else {
-                self.head = after;
-            }
-            if after != NONE {
-                self.holes[after as usize].prev = before;
-            } else {
-                self.tail = before;
-            }
-            let _ = (first, last);
-        } else {
-            if before != NONE {
-                self.holes[before as usize].next = first;
-            } else {
-                self.head = first;
-            }
-            if after != NONE {
-                self.holes[after as usize].prev = last;
-            } else {
-                self.tail = last;
-            }
+        self.link_run(List::Live, before, seq, after);
+        self.link_run(List::Askable, ask_before, seq, ask_after);
+    }
+
+    /// Link `seq` between `before` and `after` of `list`, which must be
+    /// adjacent there apart from what `seq` replaces. `NONE` stands for
+    /// the list's ends; an empty run bridges `before` and `after`.
+    fn link_run(&mut self, list: List, before: u32, seq: &[HoleSlot], after: u32) {
+        let mut last = before;
+        for &s in seq {
+            self.set_next(list, last, s.0);
+            self.set_prev(list, s.0, last);
+            last = s.0;
+        }
+        self.set_next(list, last, after);
+        self.set_prev(list, after, last);
+    }
+
+    /// Point `from`'s forward link in `list` at `to` (the head for `NONE`).
+    fn set_next(&mut self, list: List, from: u32, to: u32) {
+        match (list, from) {
+            (List::Live, NONE) => self.head = to,
+            (List::Live, f) => self.holes[f as usize].next = to,
+            (List::Askable, NONE) => self.ask_head = to,
+            (List::Askable, f) => self.holes[f as usize].ask_next = to,
         }
     }
 
-    /// The live holes in document order.
-    pub fn holes_in_order(&self) -> HoleOrderIter<'_> {
-        HoleOrderIter { tree: self, next: self.head }
+    /// Point `from`'s backward link in `list` at `to` (the tail for `NONE`).
+    fn set_prev(&mut self, list: List, from: u32, to: u32) {
+        match (list, from) {
+            (List::Live, NONE) => self.tail = to,
+            (List::Live, f) => self.holes[f as usize].prev = to,
+            (List::Askable, NONE) => self.ask_tail = to,
+            (List::Askable, f) => self.holes[f as usize].ask_prev = to,
+        }
+    }
+
+    /// The askable neighbours `(before, after)` of a hole whose live
+    /// neighbours are `back` and `fwd`: walk outwards from
+    /// both, one hole at a time on each side, and stop at the first
+    /// askable hole or list end.
+    fn ask_position(&self, mut back: u32, mut fwd: u32) -> (u32, u32) {
+        loop {
+            if back == NONE {
+                return (NONE, self.ask_head);
+            }
+            #[cfg(test)]
+            bump(&self.steps.search);
+            let b = &self.holes[back as usize];
+            if !b.parked {
+                return (back, b.ask_next);
+            }
+            if fwd == NONE {
+                return (self.ask_tail, NONE);
+            }
+            #[cfg(test)]
+            bump(&self.steps.search);
+            let f = &self.holes[fwd as usize];
+            if !f.parked {
+                return (f.ask_prev, fwd);
+            }
+            back = b.prev;
+            fwd = f.next;
+        }
+    }
+
+    /// Mark the live, askable hole `slot` as parked: its reply is in
+    /// hand, so batches stop offering it. O(1).
+    pub(crate) fn park(&mut self, slot: HoleSlot) {
+        let rec = &mut self.holes[slot.index()];
+        debug_assert!(rec.live && !rec.parked, "park of a freed or parked hole");
+        rec.parked = true;
+        let (before, after) = (rec.ask_prev, rec.ask_next);
+        self.link_run(List::Askable, before, &[], after);
+    }
+
+    /// Return the live, parked hole `slot` to the askable list (its
+    /// parked reply was dropped). O(distance to the nearest askable hole).
+    pub(crate) fn unpark(&mut self, slot: HoleSlot) {
+        let rec = &self.holes[slot.index()];
+        debug_assert!(rec.live && rec.parked, "unpark of a freed or askable hole");
+        let (before, after) = self.ask_position(rec.prev, rec.next);
+        self.holes[slot.index()].parked = false;
+        self.link_run(List::Askable, before, &[slot], after);
+    }
+
+    /// Unpark every live hole (all parked replies were dropped at once):
+    /// one pass over the live list, which the askable list then equals.
+    pub(crate) fn unpark_all(&mut self) {
+        let mut i = self.head;
+        while i != NONE {
+            let rec = &mut self.holes[i as usize];
+            rec.parked = false;
+            rec.ask_prev = rec.prev;
+            rec.ask_next = rec.next;
+            i = rec.next;
+        }
+        self.ask_head = self.head;
+        self.ask_tail = self.tail;
+    }
+
+    /// The askable holes — live, not parked — in document order, with
+    /// their slots.
+    pub(crate) fn askable(&self) -> Askable<'_> {
+        Askable { tree: self, next: self.ask_head }
+    }
+
+    /// Every live hole in document order as `(slot, id, parked)`.
+    #[cfg(test)]
+    pub(crate) fn live_in_order(&self) -> impl Iterator<Item = (HoleSlot, &HoleId, bool)> {
+        let mut i = self.head;
+        std::iter::from_fn(move || {
+            let slot = HoleSlot(i);
+            let rec = self.holes.get(i as usize)?;
+            i = rec.next;
+            Some((slot, &rec.id, rec.parked))
+        })
     }
 
     /// Render the subtree under `id` in the paper's `r[a,◦2]` notation.
@@ -480,22 +610,32 @@ impl OpenTree {
     }
 }
 
-/// Iterator over an [`OpenTree`]'s live holes in document order.
-pub struct HoleOrderIter<'a> {
+/// The two document-order lists threaded through the hole slab.
+#[derive(Clone, Copy)]
+enum List {
+    Live,
+    Askable,
+}
+
+/// Iterator over an [`OpenTree`]'s askable holes in document order.
+pub(crate) struct Askable<'a> {
     tree: &'a OpenTree,
     next: u32,
 }
 
-impl<'a> Iterator for HoleOrderIter<'a> {
-    type Item = &'a HoleId;
+impl<'a> Iterator for Askable<'a> {
+    type Item = (HoleSlot, &'a HoleId);
 
-    fn next(&mut self) -> Option<&'a HoleId> {
+    fn next(&mut self) -> Option<(HoleSlot, &'a HoleId)> {
         if self.next == NONE {
             return None;
         }
+        #[cfg(test)]
+        bump(&self.tree.steps.list);
+        let slot = HoleSlot(self.next);
         let rec = &self.tree.holes[self.next as usize];
-        self.next = rec.next;
-        Some(&rec.id)
+        self.next = rec.ask_next;
+        Some((slot, &rec.id))
     }
 }
 
@@ -638,6 +778,28 @@ mod tests {
 
     // ---- OpenTree arena -------------------------------------------------
 
+    /// The live holes' ids in document order.
+    fn live_ids(t: &OpenTree) -> Vec<&str> {
+        t.live_in_order().map(|(_, h, _)| h.as_str()).collect()
+    }
+
+    /// The askable list, read forwards and backwards, is the live list
+    /// without its parked holes.
+    fn assert_askable_is_unparked_live(t: &OpenTree) {
+        let want: Vec<HoleSlot> =
+            t.live_in_order().filter(|(_, _, p)| !p).map(|(s, _, _)| s).collect();
+        let fwd: Vec<HoleSlot> = t.askable().map(|(s, _)| s).collect();
+        assert_eq!(fwd, want, "askable list forwards");
+        let mut back = Vec::new();
+        let mut i = t.ask_tail;
+        while i != NONE {
+            back.push(HoleSlot(i));
+            i = t.holes[i as usize].ask_prev;
+        }
+        back.reverse();
+        assert_eq!(back, want, "askable list backwards");
+    }
+
     /// `r[a, ◦1, b]` with the hole registered in the order list.
     fn small_tree() -> (OpenTree, BufNodeId, HoleSlot) {
         let mut t = OpenTree::new();
@@ -681,7 +843,7 @@ mod tests {
         };
         assert_eq!(t.label(b).as_str(), "b");
         assert_eq!(t.idx(b), 4, "shifted sibling's cached idx is fixed");
-        let order: Vec<&str> = t.holes_in_order().map(|h| h.as_str()).collect();
+        let order = live_ids(&t);
         assert_eq!(order, ["2", "3"], "reply holes take the old hole's position");
         assert_eq!(t.live_holes(), 2);
     }
@@ -702,7 +864,7 @@ mod tests {
         assert!(t.splice_children(r, 1, &[]));
         t.relink_holes(Some(h2), &[]);
         assert_eq!(t.fragment_of(r).to_string(), "r[◦1,◦3]");
-        let order: Vec<&str> = t.holes_in_order().map(|h| h.as_str()).collect();
+        let order = live_ids(&t);
         assert_eq!(order, ["1", "3"], "neighbours bridge over the freed slot");
         // Freed slots are recycled.
         let h4 = t.new_hole("4".to_string());
@@ -736,9 +898,129 @@ mod tests {
             assert_eq!(t.idx(*id), i);
             assert_eq!(t.label(*id).as_str(), format!("c{i}"));
         }
-        let order: Vec<&str> = t.holes_in_order().map(|h| h.as_str()).collect();
+        let order = live_ids(&t);
         assert_eq!(order, ["h50"], "one live hole at the frontier");
         assert_eq!(t.live_holes(), 1);
+    }
+
+    #[test]
+    fn parked_holes_leave_and_rejoin_the_askable_list_in_place() {
+        let mut t = OpenTree::new();
+        let r = t.alloc_node(Label::new("r"), None, 0).unwrap();
+        assert!(t.reserve_children(r, 5));
+        let slots: Vec<HoleSlot> = (0..5)
+            .map(|i| {
+                let h = t.new_hole(format!("h{i}"));
+                t.set_child(r, i, TreeEntry::Hole(h));
+                h
+            })
+            .collect();
+        t.relink_holes(None, &slots);
+        let askable = |t: &OpenTree| -> Vec<String> {
+            t.askable().map(|(_, h)| h.clone()).collect()
+        };
+        assert_eq!(askable(&t), live_ids(&t), "born askable");
+        t.park(slots[1]);
+        assert_eq!(askable(&t), ["h0", "h2", "h3", "h4"]);
+        t.park(slots[3]);
+        t.park(slots[0]);
+        assert_eq!(askable(&t), ["h2", "h4"]);
+        t.unpark(slots[0]);
+        assert_eq!(askable(&t), ["h0", "h2", "h4"], "back at the head");
+        t.unpark(slots[1]);
+        assert_eq!(askable(&t), ["h0", "h1", "h2", "h4"]);
+        // Splicing a consumed parked reply: the hole is unparked, and its
+        // replacements take its place in both lists.
+        t.unpark(slots[3]);
+        let a = t.new_hole("a".into());
+        let b = t.new_hole("b".into());
+        let c = t.new_hole("c".into());
+        t.relink_holes(Some(slots[3]), &[a, b, c]);
+        t.park(b);
+        assert_eq!(live_ids(&t), ["h0", "h1", "h2", "a", "b", "c", "h4"]);
+        assert_eq!(askable(&t), ["h0", "h1", "h2", "a", "c", "h4"]);
+        assert_askable_is_unparked_live(&t);
+        t.park(slots[4]);
+        t.park(a);
+        t.unpark_all();
+        assert_eq!(askable(&t), live_ids(&t), "nothing parked after unpark_all");
+        assert_askable_is_unparked_live(&t);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn askable_list_is_the_unparked_live_list_after_any_edit_sequence(
+            ops in proptest::collection::vec((0u8..8, 0usize..1024, 0usize..5, 0u8..32), 1..80),
+        ) {
+            // A flat model of the live list, `(id, parked)` in document
+            // order; every edit is applied to the model and the tree alike.
+            let mut t = OpenTree::new();
+            let mut model: Vec<(String, bool)> = Vec::new();
+            let mut fresh = 0u32;
+            // Link a run of `n` new holes in place of `old`, then park
+            // the ones `parked_bits` picks (answered by continuation items).
+            let mut splice = |t: &mut OpenTree, old: Option<HoleSlot>, n: usize, parked_bits: u8| {
+                let run: Vec<(HoleSlot, String, bool)> = (0..n)
+                    .map(|k| {
+                        fresh += 1;
+                        let id = format!("h{fresh}");
+                        (t.new_hole(id.clone()), id, parked_bits >> k & 1 == 1)
+                    })
+                    .collect();
+                t.relink_holes(old, &run.iter().map(|(s, _, _)| *s).collect::<Vec<_>>());
+                for (s, _, parked) in &run {
+                    if *parked {
+                        t.park(*s);
+                    }
+                }
+                run.into_iter().map(|(_, id, p)| (id, p)).collect::<Vec<_>>()
+            };
+            model.extend(splice(&mut t, None, 3, 0b010));
+            for (op, pick, n, bits) in ops {
+                let live: Vec<_> = t.live_in_order().collect();
+                if live.is_empty() {
+                    break;
+                }
+                let at = pick % live.len();
+                let (slot, parked) = (live[at].0, live[at].2);
+                match op {
+                    // Splice (most often) 0–4 new holes, some then parked;
+                    // a parked hole is unparked first, as consuming its
+                    // reply does.
+                    0..=3 => {
+                        if parked {
+                            t.unpark(slot);
+                        }
+                        let run = splice(&mut t, Some(slot), n, bits);
+                        model.splice(at..=at, run);
+                    }
+                    4 | 5 if !parked => {
+                        t.park(slot);
+                        model[at].1 = true;
+                    }
+                    4 | 5 => {
+                        t.unpark(slot);
+                        model[at].1 = false;
+                    }
+                    6 if bits == 0 => {
+                        t.unpark_all();
+                        model.iter_mut().for_each(|m| m.1 = false);
+                    }
+                    _ => {}
+                }
+                let live: Vec<_> = t.live_in_order().collect();
+                let got: Vec<(&str, bool)> = live.iter().map(|(_, h, p)| (h.as_str(), *p)).collect();
+                let want: Vec<(&str, bool)> = model.iter().map(|(h, p)| (h.as_str(), *p)).collect();
+                proptest::prop_assert_eq!(got, want);
+                proptest::prop_assert_eq!(t.live_holes(), model.len());
+                assert_askable_is_unparked_live(&t);
+            }
+        }
     }
 
     #[test]
@@ -748,5 +1030,11 @@ mod tests {
         assert!(t.reserve_children(r, 0));
         assert_eq!(t.children(r).len(), 0);
         assert_eq!(t.fragment_of(r).to_string(), "leaf");
+    }
+
+    #[test]
+    fn askable_links_cost_a_hole_record_at_most_eight_bytes() {
+        // Id, two live links and the live flag took 40 B on 64-bit targets.
+        assert!(std::mem::size_of::<HoleRec>() <= 48, "{} B", std::mem::size_of::<HoleRec>());
     }
 }
