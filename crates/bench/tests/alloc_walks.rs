@@ -40,11 +40,13 @@ fn fig3_walk(n: usize) -> (f64, u64) {
 
 #[test]
 fn fig3_walk_allocates_linearly_in_homes() {
-    // Measured ~340 allocations per home at every size (791-813 while the
-    // keys were recomputed per pair; 2,034 at 250 homes and 10,996 at
-    // 2,000 with the linear member scan), and ~204 source navigations per
-    // home (399-412 before).
-    const BUDGET_PER_HOME: f64 = 400.0;
+    // Measured 298.5 / 301.0 / 303.3 / 303.9 allocations per home at
+    // 250 / 500 / 1,000 / 2,000 homes (309.5-314.9 while each operator
+    // call copied its spec fields; 791-813 while the keys were recomputed
+    // per pair; 2,034 at 250 homes and 10,996 at 2,000 with the linear
+    // member scan), and ~204 source navigations per home (399-412
+    // before). The budget keeps the 27 % headroom 400 gave over 314.9.
+    const BUDGET_PER_HOME: f64 = 386.0;
     const NAVS_PER_HOME: f64 = 220.0;
     let mut per_home = Vec::new();
     for (n, navs) in [(250, 50_944), (500, 103_100), (1_000, 208_280), (2_000, 417_870)] {
@@ -58,7 +60,8 @@ fn fig3_walk_allocates_linearly_in_homes() {
             allocs < BUDGET_PER_HOME,
             "{n} homes: {allocs:.0} allocations per home, budget {BUDGET_PER_HOME}"
         );
-        per_home.push((n, allocs));    }
+        per_home.push((n, allocs));
+    }
     let lo = per_home.iter().map(|&(_, a)| a).fold(f64::INFINITY, f64::min);
     let hi = per_home.iter().map(|&(_, a)| a).fold(0.0, f64::max);
     assert!(

@@ -7,19 +7,27 @@
 //! walking the `bs`/`b` spine of the binding-list tree. Only above the
 //! root `tupleDestroy` does the engine expose plain DOM-VXD.
 //!
+//! Navigation runs on a [`Nav`]: the engine's operator table
+//! ([`OpSpec`]s, fixed at construction) borrowed once per client command,
+//! beside the engine itself, whose [`OpState`](crate::ops::OpState) slots
+//! are the only state that changes. `next_binding` and `attr` each match
+//! the operator's spec and the binding handle together, once, with one
+//! arm for a handle issued by another operator; the helpers below them
+//! take the spec they work for, never an operator id to look up again.
+//!
 //! Every function here is *persistent* over handles: computing the next
 //! binding never invalidates earlier ones.
 
 use crate::handle::{BData, BHandle, VData, VNode};
 use crate::matchcur::{Frame, MatchCursor};
-use crate::ops::{GroupCache, JoinCache, OpState};
+use crate::ops::{DiffSpec, GetDescSpec, GroupSpec, JoinSpec, MatRow, OpSpec};
 use crate::Engine;
 use mix_algebra::pred::value_ord;
 use mix_algebra::{BindPred, PlanId};
 use mix_buffer::TraceKind;
 use mix_xmas::Var;
-use mix_xml::Tree;
-use std::collections::HashMap;
+use mix_xml::{Label, Tree};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Separator for composite group/difference keys; labels are
@@ -37,99 +45,114 @@ fn eq_key(t: &Tree) -> String {
     }
 }
 
+/// The engine during one client command: its operator table, borrowed
+/// apart from the engine so a spec stays in hand while the operator
+/// navigates its inputs.
+pub(crate) struct Nav<'a> {
+    /// One spec per plan operator, indexed by [`PlanId`].
+    pub ops: &'a [OpSpec],
+    pub e: &'a mut Engine,
+}
+
 impl Engine {
-    /// First binding of an operator's output list.
-    pub(crate) fn first_binding(&mut self, op: PlanId) -> Option<BHandle> {
-        // Metrics: count the call and keep `op` on the attribution stack
-        // while it (and everything it pulls from below) executes.
-        let metered = self.metrics_on();
+    /// Run `f` over this engine with its operator table borrowed for the
+    /// whole call — one reference-count increment per client command.
+    pub(crate) fn nav<R>(&mut self, f: impl FnOnce(&mut Nav<'_>) -> R) -> R {
+        let ops = Arc::clone(&self.ops);
+        f(&mut Nav { ops: &ops, e: self })
+    }
+}
+
+impl<'a> Nav<'a> {
+    /// The spec of operator `op`, borrowed from the table rather than from
+    /// `self`.
+    pub(crate) fn spec(&self, op: PlanId) -> &'a OpSpec {
+        let ops: &'a [OpSpec] = self.ops;
+        &ops[op.index()]
+    }
+
+    /// Run one enumeration call of `op`: metrics count it and keep `op` on
+    /// the attribution stack while it (and everything it pulls from below)
+    /// executes; the flight recorder brackets it.
+    fn enumerate(
+        &mut self,
+        op: PlanId,
+        call: &'static str,
+        f: impl FnOnce(&mut Self) -> Option<BHandle>,
+    ) -> Option<BHandle> {
+        let metered = self.e.metrics_on();
         if metered {
-            self.enter_op(op);
+            self.e.enter_op(op);
         }
-        let out = if self.trace.is_enabled() {
-            let name = self.op(op).kind_name();
-            self.trace.emit(None, TraceKind::OperatorIn { op: name, call: "first_binding" });
-            let out = self.first_binding_inner(op);
-            self.trace.emit(None, TraceKind::OperatorOut { op: name, produced: out.is_some() });
+        let out = if self.e.trace.is_enabled() {
+            let name = self.e.plan().node(op).op_name();
+            self.e.trace.emit(None, TraceKind::OperatorIn { op: name, call });
+            let out = f(self);
+            self.e.trace.emit(None, TraceKind::OperatorOut { op: name, produced: out.is_some() });
             out
         } else {
-            self.first_binding_inner(op)
+            f(self)
         };
         if metered {
-            self.exit_op(op, out.is_some());
+            self.e.exit_op(op, out.is_some());
         }
         out
     }
 
+    /// First binding of an operator's output list.
+    pub(crate) fn first_binding(&mut self, op: PlanId) -> Option<BHandle> {
+        self.enumerate(op, "first_binding", |n| n.first_binding_inner(op))
+    }
+
     fn first_binding_inner(&mut self, op: PlanId) -> Option<BHandle> {
-        match self.op(op) {
-            OpState::Source { .. } => Some(BHandle::new(BData::Source)),
-            OpState::GetDesc { input, .. } => {
-                let input = *input;
-                let mut ib = self.first_binding(input);
-                while let Some(b) = ib {
-                    if let Some(cursor) = self.gd_start(op, &b) {
-                        return Some(BHandle::new(BData::GetDesc { input: b, cursor }));
-                    }
-                    ib = self.next_binding(input, &b);
-                }
-                None
+        match self.spec(op) {
+            OpSpec::Source { .. } => Some(BHandle::new(BData::Source)),
+            OpSpec::GetDesc(gd) => {
+                let start = self.first_binding(gd.input);
+                self.gd_scan(gd, start)
             }
-            OpState::Select { input, pred } => {
-                let (input, pred) = (*input, pred.clone());
-                let start = self.first_binding(input);
-                self.select_scan(op, input, &pred, start)
+            OpSpec::Select { input, pred } => {
+                let start = self.first_binding(*input);
+                self.select_scan(op, *input, pred, start)
             }
-            OpState::Join { left, .. } => {
-                let left = *left;
-                let mut lb = self.first_binding(left);
-                while let Some(l) = lb {
-                    if let Some(pair) = self.join_scan(op, &l, 0, None) {
-                        return Some(pair);
-                    }
-                    lb = self.next_binding(left, &l);
-                }
-                None
+            OpSpec::Join(j) => {
+                let start = self.first_binding(j.left);
+                self.join_outer_scan(j, start)
             }
-            OpState::Cross { left, right, .. } => {
-                let (left, right) = (*left, *right);
-                let l = self.first_binding(left)?;
-                let r = self.first_binding(right)?;
+            OpSpec::Cross { left, right, .. } => {
+                let l = self.first_binding(*left)?;
+                let r = self.first_binding(*right)?;
                 Some(BHandle::new(BData::Pair { left: l, right: r, ridx: 0 }))
             }
-            OpState::Union { left, right } => {
-                let (left, right) = (*left, *right);
-                if let Some(l) = self.first_binding(left) {
+            OpSpec::Union { left, right } => {
+                if let Some(l) = self.first_binding(*left) {
                     return Some(BHandle::new(BData::Tagged { side: 0, inner: l }));
                 }
-                self.first_binding(right)
+                self.first_binding(*right)
                     .map(|r| BHandle::new(BData::Tagged { side: 1, inner: r }))
             }
-            OpState::Difference { left, .. } => {
-                let left = *left;
-                let start = self.first_binding(left);
-                self.difference_scan(op, left, start)
+            OpSpec::Difference(d) => {
+                let start = self.first_binding(d.left);
+                self.difference_scan(d, start)
             }
-            OpState::Project { input, .. }
-            | OpState::Concat { input, .. }
-            | OpState::Create { input, .. }
-            | OpState::Constant { input, .. }
-            | OpState::Wrap { input, .. } => {
-                let input = *input;
-                let inner = self.first_binding(input)?;
+            OpSpec::Project { input, .. }
+            | OpSpec::Concat { input, .. }
+            | OpSpec::Create { input, .. }
+            | OpSpec::Constant { input, .. }
+            | OpSpec::Wrap { input, .. } => {
+                let inner = self.first_binding(*input)?;
                 Some(BHandle::new(BData::Through { inner }))
             }
-            OpState::GroupBy { input, group, .. } => {
-                let (input, empty_group) = (*input, group.is_empty());
-                let first = if self.config.group_cache {
-                    self.group_first(op, 0).map(|idx| self.group_handle(op, idx))
+            OpSpec::GroupBy(g) => {
+                let first = if self.e.config.group_cache {
+                    self.group_first(g, 0).map(|idx| self.group_handle(g, idx))
                 } else {
                     // Uncached: the first input binding always opens the
                     // first group.
-                    self.first_binding(input)
+                    self.first_binding(g.input)
                         .map(|h| BHandle::new(BData::Group { first: Some(h), first_idx: None }))
                 };
-                if first.is_none() && empty_group {
+                if first.is_none() && g.group.is_empty() {
                     // `groupBy {}` always produces exactly one output
                     // binding (possibly with empty lists) — this keeps the
                     // root element of a query alive on empty inputs.
@@ -137,194 +160,107 @@ impl Engine {
                 }
                 first
             }
-            OpState::OrderBy { .. } => {
-                self.ensure_sorted(op);
-                let OpState::OrderBy { sorted, .. } = self.op(op) else { unreachable!() };
-                if sorted.as_ref().is_some_and(|s| !s.is_empty()) {
-                    Some(BHandle::new(BData::Ordered { index: 0 }))
-                } else {
-                    None
-                }
+            OpSpec::OrderBy { input, keys, slot } => {
+                let sorted = self.ensure_sorted(*input, keys, *slot);
+                (!sorted.is_empty()).then(|| BHandle::new(BData::Ordered { index: 0 }))
             }
-            OpState::Materialize { .. } => {
-                self.ensure_materialized(op);
-                let OpState::Materialize { rows, .. } = self.op(op) else { unreachable!() };
-                if rows.as_ref().is_some_and(|r| !r.is_empty()) {
-                    Some(BHandle::new(BData::Ordered { index: 0 }))
-                } else {
-                    None
-                }
+            OpSpec::Materialize { input, schema, slot } => {
+                let rows = self.ensure_materialized(*input, schema, *slot);
+                (!rows.is_empty()).then(|| BHandle::new(BData::Ordered { index: 0 }))
             }
-            OpState::TupleDestroy { .. } => {
-                unreachable!("tupleDestroy exports a document, not bindings")
-            }
+            // The root exports a document, not bindings.
+            OpSpec::Root => None,
         }
     }
 
     /// Binding after `b` in an operator's output list.
     pub(crate) fn next_binding(&mut self, op: PlanId, b: &BHandle) -> Option<BHandle> {
-        let metered = self.metrics_on();
-        if metered {
-            self.enter_op(op);
-        }
-        let out = if self.trace.is_enabled() {
-            let name = self.op(op).kind_name();
-            self.trace.emit(None, TraceKind::OperatorIn { op: name, call: "next_binding" });
-            let out = self.next_binding_inner(op, b);
-            self.trace.emit(None, TraceKind::OperatorOut { op: name, produced: out.is_some() });
-            out
-        } else {
-            self.next_binding_inner(op, b)
-        };
-        if metered {
-            self.exit_op(op, out.is_some());
-        }
-        out
+        self.enumerate(op, "next_binding", |n| n.next_binding_inner(op, b))
     }
 
     fn next_binding_inner(&mut self, op: PlanId, b: &BHandle) -> Option<BHandle> {
-        match self.op(op) {
-            OpState::Source { .. } => None,
-            OpState::GetDesc { input, .. } => {
-                let input = *input;
-                let BData::GetDesc { input: ib, cursor } = &*b.0 else {
-                    unreachable!("getDescendants handle")
-                };
-                let (ib, cursor) = (ib.clone(), cursor.clone());
+        match (self.spec(op), &*b.0) {
+            (OpSpec::Source { .. }, _) => None,
+            (OpSpec::GetDesc(gd), BData::GetDesc { input: ib, cursor }) => {
                 // Next match within the same input binding…
-                if let Some(next) = self.gd_advance(op, &ib, &cursor) {
-                    return Some(BHandle::new(BData::GetDesc { input: ib, cursor: next }));
+                if let Some(next) = self.gd_advance(gd, ib, cursor) {
+                    return Some(BHandle::new(BData::GetDesc { input: ib.clone(), cursor: next }));
                 }
                 // …or the first match of a later input binding.
-                let mut next_ib = self.next_binding(input, &ib);
-                while let Some(nb) = next_ib {
-                    if let Some(cursor) = self.gd_start(op, &nb) {
-                        return Some(BHandle::new(BData::GetDesc { input: nb, cursor }));
-                    }
-                    next_ib = self.next_binding(input, &nb);
-                }
-                None
+                let start = self.next_binding(gd.input, ib);
+                self.gd_scan(gd, start)
             }
-            OpState::Select { input, pred } => {
-                let (input, pred) = (*input, pred.clone());
-                let BData::Filtered { input: inner } = &*b.0 else {
-                    unreachable!("select handle")
-                };
-                let start = self.next_binding(input, &inner.clone());
-                self.select_scan(op, input, &pred, start)
+            (OpSpec::Select { input, pred }, BData::Filtered { input: ib }) => {
+                let start = self.next_binding(*input, ib);
+                self.select_scan(op, *input, pred, start)
             }
-            OpState::Join { left, .. } => {
-                let left = *left;
-                let BData::Pair { left: l, right: r, ridx } = &*b.0 else {
-                    unreachable!("join handle")
-                };
-                let (l, r, ridx) = (l.clone(), r.clone(), *ridx);
+            (OpSpec::Join(j), BData::Pair { left: l, right: r, ridx }) => {
                 // Resume the inner scan past the current inner binding…
-                let resume = if self.config.join_cache { None } else { Some(r) };
-                if let Some(pair) = self.join_scan(op, &l, ridx + 1, resume) {
+                let resume = if self.e.config.join_cache { None } else { Some(r) };
+                if let Some(pair) = self.join_scan(j, l, ridx + 1, resume) {
                     return Some(pair);
                 }
                 // …then restart it for later outer bindings.
-                let mut lb = self.next_binding(left, &l);
-                while let Some(nl) = lb {
-                    if let Some(pair) = self.join_scan(op, &nl, 0, None) {
-                        return Some(pair);
-                    }
-                    lb = self.next_binding(left, &nl);
-                }
-                None
+                let start = self.next_binding(j.left, l);
+                self.join_outer_scan(j, start)
             }
-            OpState::Cross { left, right, .. } => {
-                let (left, right) = (*left, *right);
-                let BData::Pair { left: l, right: r, .. } = &*b.0 else {
-                    unreachable!("cross handle")
-                };
-                let (l, r) = (l.clone(), r.clone());
-                if let Some(nr) = self.next_binding(right, &r) {
-                    return Some(BHandle::new(BData::Pair { left: l, right: nr, ridx: 0 }));
+            (OpSpec::Cross { left, right, .. }, BData::Pair { left: l, right: r, .. }) => {
+                if let Some(nr) = self.next_binding(*right, r) {
+                    return Some(BHandle::new(BData::Pair { left: l.clone(), right: nr, ridx: 0 }));
                 }
-                let nl = self.next_binding(left, &l)?;
-                let r0 = self.first_binding(right)?;
+                let nl = self.next_binding(*left, l)?;
+                let r0 = self.first_binding(*right)?;
                 Some(BHandle::new(BData::Pair { left: nl, right: r0, ridx: 0 }))
             }
-            OpState::Union { left, right } => {
-                let (left, right) = (*left, *right);
-                let BData::Tagged { side, inner } = &*b.0 else {
-                    unreachable!("union handle")
-                };
-                let (side, inner) = (*side, inner.clone());
-                if side == 0 {
-                    if let Some(n) = self.next_binding(left, &inner) {
+            (OpSpec::Union { left, right }, BData::Tagged { side, inner }) => {
+                if *side == 0 {
+                    if let Some(n) = self.next_binding(*left, inner) {
                         return Some(BHandle::new(BData::Tagged { side: 0, inner: n }));
                     }
                     return self
-                        .first_binding(right)
+                        .first_binding(*right)
                         .map(|r| BHandle::new(BData::Tagged { side: 1, inner: r }));
                 }
-                self.next_binding(right, &inner)
+                self.next_binding(*right, inner)
                     .map(|n| BHandle::new(BData::Tagged { side: 1, inner: n }))
             }
-            OpState::Difference { left, .. } => {
-                let left = *left;
-                let BData::Through { inner } = &*b.0 else {
-                    unreachable!("difference handle")
-                };
-                let start = self.next_binding(left, &inner.clone());
-                self.difference_scan(op, left, start)
+            (OpSpec::Difference(d), BData::Through { inner }) => {
+                let start = self.next_binding(d.left, inner);
+                self.difference_scan(d, start)
             }
-            OpState::Project { input, .. }
-            | OpState::Concat { input, .. }
-            | OpState::Create { input, .. }
-            | OpState::Constant { input, .. }
-            | OpState::Wrap { input, .. } => {
-                let input = *input;
-                let BData::Through { inner } = &*b.0 else {
-                    unreachable!("pass-through handle")
-                };
-                let n = self.next_binding(input, &inner.clone())?;
+            (
+                OpSpec::Project { input, .. }
+                | OpSpec::Concat { input, .. }
+                | OpSpec::Create { input, .. }
+                | OpSpec::Constant { input, .. }
+                | OpSpec::Wrap { input, .. },
+                BData::Through { inner },
+            ) => {
+                let n = self.next_binding(*input, inner)?;
                 Some(BHandle::new(BData::Through { inner: n }))
             }
-            OpState::GroupBy { group, .. } => {
-                if group.is_empty() {
-                    return None; // the single all-in-one group
-                }
-                let BData::Group { first: Some(first), first_idx } = &*b.0 else {
-                    unreachable!("groupBy handle")
-                };
-                let (first, first_idx) = (first.clone(), *first_idx);
-                match (self.config.group_cache, first_idx) {
+            // The single all-in-one group.
+            (OpSpec::GroupBy(g), _) if g.group.is_empty() => None,
+            (OpSpec::GroupBy(g), BData::Group { first: Some(first), first_idx }) => {
+                match (self.e.config.group_cache, first_idx) {
                     (true, Some(idx)) => {
-                        let g = self.group_cache(op).scanned[idx].0;
-                        self.group_first(op, g + 1).map(|nidx| self.group_handle(op, nidx))
+                        let gid = self.e.state.groups[g.slot].scanned[*idx].0;
+                        self.group_first(g, gid + 1).map(|nidx| self.group_handle(g, nidx))
                     }
                     _ => self
-                        .next_group_uncached(op, &first)
+                        .next_group_uncached(g, first)
                         .map(|h| BHandle::new(BData::Group { first: Some(h), first_idx: None })),
                 }
             }
-            OpState::OrderBy { sorted, .. } => {
-                let BData::Ordered { index } = &*b.0 else { unreachable!("orderBy handle") };
-                let len = sorted.as_ref().map(|s| s.len()).unwrap_or(0);
-                if index + 1 < len {
-                    Some(BHandle::new(BData::Ordered { index: index + 1 }))
-                } else {
-                    None
-                }
+            (OpSpec::OrderBy { slot, .. }, BData::Ordered { index }) => {
+                let len = self.e.state.sorted[*slot].as_ref().map_or(0, Vec::len);
+                (index + 1 < len).then(|| BHandle::new(BData::Ordered { index: index + 1 }))
             }
-            OpState::Materialize { rows, .. } => {
-                let BData::Ordered { index } = &*b.0 else {
-                    unreachable!("materialize handle")
-                };
-                let len = rows.as_ref().map(|r| r.len()).unwrap_or(0);
-                if index + 1 < len {
-                    Some(BHandle::new(BData::Ordered { index: index + 1 }))
-                } else {
-                    None
-                }
+            (OpSpec::Materialize { slot, .. }, BData::Ordered { index }) => {
+                let len = self.e.state.rows[*slot].as_ref().map_or(0, Vec::len);
+                (index + 1 < len).then(|| BHandle::new(BData::Ordered { index: index + 1 }))
             }
-            OpState::TupleDestroy { .. } => {
-                unreachable!("tupleDestroy exports a document, not bindings")
-            }
+            _ => unreachable!("binding handle of another operator"),
         }
     }
 
@@ -334,170 +270,107 @@ impl Engine {
         // Attribute jumps keep `op` on the attribution stack (they can
         // trigger source navigation) but are not enumeration calls, so
         // they don't count toward calls/produced.
-        let metered = self.metrics_on();
+        let metered = self.e.metrics_on();
         if metered {
-            self.op_stack.push(op.index() as u32);
+            self.e.op_stack.push(op.index() as u32);
         }
-        if self.trace.is_enabled() {
-            self.trace.emit(
-                None,
-                TraceKind::AttrJump { op: self.op(op).kind_name(), var: var.to_string() },
-            );
+        if self.e.trace.is_enabled() {
+            let name = self.e.plan().node(op).op_name();
+            self.e.trace.emit(None, TraceKind::AttrJump { op: name, var: var.to_string() });
         }
         let out = self.attr_inner(op, b, var);
         if metered {
-            self.op_stack.pop();
+            self.e.op_stack.pop();
         }
         out
     }
 
     fn attr_inner(&mut self, op: PlanId, b: &BHandle, var: &Var) -> VNode {
-        match self.op(op) {
-            OpState::Source { src, out } => {
+        match (self.spec(op), &*b.0) {
+            (OpSpec::Source { src, out }, _) => {
                 debug_assert_eq!(var, out, "source binds exactly one variable");
                 VNode::new(VData::SrcDoc { src: *src })
             }
-            OpState::GetDesc { input, out, .. } => {
-                let (input, out) = (*input, out.clone());
-                let BData::GetDesc { input: ib, cursor } = &*b.0 else {
-                    unreachable!("getDescendants handle")
-                };
-                if *var == out {
-                    let (ib, cursor) = (ib.clone(), cursor.clone());
-                    let root = self.gd_parent_value(op, &ib);
+            (OpSpec::GetDesc(gd), BData::GetDesc { input: ib, cursor }) => {
+                if *var == gd.out {
+                    let root = self.gd_parent_value(gd, ib);
                     cursor.current(&root)
                 } else {
-                    let ib = ib.clone();
-                    self.attr(input, &ib, var)
+                    self.attr(gd.input, ib, var)
                 }
             }
-            OpState::Select { input, .. } => {
-                let input = *input;
-                let BData::Filtered { input: inner } = &*b.0 else {
-                    unreachable!("select handle")
-                };
-                let inner = inner.clone();
-                self.attr(input, &inner, var)
+            (OpSpec::Select { input, .. }, BData::Filtered { input: inner })
+            | (OpSpec::Difference(DiffSpec { left: input, .. }), BData::Through { inner }) => {
+                self.attr(*input, inner, var)
             }
-            OpState::Join { left, right, left_schema, .. }
-            | OpState::Cross { left, right, left_schema } => {
-                let (left, right, ls) = (*left, *right, left_schema.clone());
-                let BData::Pair { left: l, right: r, .. } = &*b.0 else {
-                    unreachable!("join/cross handle")
-                };
-                let (l, r) = (l.clone(), r.clone());
-                if ls.contains(var) {
-                    self.attr(left, &l, var)
+            (
+                OpSpec::Join(JoinSpec { left, right, left_schema, .. })
+                | OpSpec::Cross { left, right, left_schema },
+                BData::Pair { left: l, right: r, .. },
+            ) => {
+                if left_schema.contains(var) {
+                    self.attr(*left, l, var)
                 } else {
-                    self.attr(right, &r, var)
+                    self.attr(*right, r, var)
                 }
             }
-            OpState::Union { left, right } => {
-                let (left, right) = (*left, *right);
-                let BData::Tagged { side, inner } = &*b.0 else {
-                    unreachable!("union handle")
-                };
-                let (side, inner) = (*side, inner.clone());
-                self.attr(if side == 0 { left } else { right }, &inner, var)
+            (OpSpec::Union { left, right }, BData::Tagged { side, inner }) => {
+                self.attr(if *side == 0 { *left } else { *right }, inner, var)
             }
-            OpState::Difference { left, .. } => {
-                let left = *left;
-                let BData::Through { inner } = &*b.0 else {
-                    unreachable!("difference handle")
-                };
-                let inner = inner.clone();
-                self.attr(left, &inner, var)
-            }
-            OpState::Project { input, keep } => {
+            (OpSpec::Project { input, keep }, BData::Through { inner }) => {
                 assert!(keep.contains(var), "projected-away variable {var}");
-                let input = *input;
-                let BData::Through { inner } = &*b.0 else {
-                    unreachable!("project handle")
-                };
-                let inner = inner.clone();
-                self.attr(input, &inner, var)
+                self.attr(*input, inner, var)
             }
-            OpState::GroupBy { input, items, .. } => {
-                let input = *input;
-                if let Some(pos) = items.iter().position(|it| it.out == *var) {
-                    return VNode::new(VData::GroupList { op, gb: b.clone(), item: pos });
+            (OpSpec::GroupBy(g), BData::Group { first, first_idx }) => {
+                if let Some(item) = g.items.iter().position(|it| it.out == *var) {
+                    return VNode::new(VData::GroupList {
+                        op,
+                        first: first.clone(),
+                        first_idx: *first_idx,
+                        item,
+                    });
                 }
-                let BData::Group { first, .. } = &*b.0 else {
-                    unreachable!("groupBy handle")
-                };
                 let first = first
-                    .clone()
+                    .as_ref()
                     .expect("group variables exist only when groups are non-synthetic");
-                self.attr(input, &first, var)
+                self.attr(g.input, first, var)
             }
-            OpState::Concat { input, out, .. } => {
-                let input = *input;
-                if var == out {
-                    return VNode::new(VData::ConcatList { op, b: b.clone() });
+            (OpSpec::Concat { out, .. }, _) if var == out => {
+                VNode::new(VData::ConcatList { op, b: b.clone() })
+            }
+            (OpSpec::Create { out, .. }, _) if var == out => {
+                VNode::new(VData::Created { op, b: b.clone() })
+            }
+            (OpSpec::Constant { doc, out, .. }, _) if var == out => {
+                VNode::new(VData::Const { doc: doc.clone(), node: doc.root() })
+            }
+            (OpSpec::Wrap { input, var: wrapped, out }, BData::Through { inner }) if var == out => {
+                // `wrap` yields the value itself when it is already a
+                // list, else the synthesized singleton list.
+                let value = self.attr(*input, inner, wrapped);
+                if self.val_fetch(&value) == Label::list() {
+                    return value;
                 }
-                let BData::Through { inner } = &*b.0 else {
-                    unreachable!("concatenate handle")
-                };
-                let inner = inner.clone();
-                self.attr(input, &inner, var)
+                VNode::new(VData::WrapList { op, b: b.clone() })
             }
-            OpState::Create { input, out, .. } => {
-                let input = *input;
-                if var == out {
-                    return VNode::new(VData::Created { op, b: b.clone() });
-                }
-                let BData::Through { inner } = &*b.0 else {
-                    unreachable!("createElement handle")
-                };
-                let inner = inner.clone();
-                self.attr(input, &inner, var)
-            }
-            OpState::Constant { input, doc, out } => {
-                let input = *input;
-                if var == out {
-                    let doc = doc.clone();
-                    let root = doc.root();
-                    return VNode::new(VData::Const { doc, node: root });
-                }
-                let BData::Through { inner } = &*b.0 else {
-                    unreachable!("constant handle")
-                };
-                let inner = inner.clone();
-                self.attr(input, &inner, var)
-            }
-            OpState::Wrap { input, var: wrapped, out } => {
-                let (input, wrapped) = (*input, wrapped.clone());
-                if var == out {
-                    // `wrap` yields the value itself when it is already a
-                    // list, else the synthesized singleton list.
-                    let BData::Through { inner } = &*b.0 else {
-                        unreachable!("wrap handle")
-                    };
-                    let inner = inner.clone();
-                    let value = self.attr(input, &inner, &wrapped);
-                    if self.val_fetch(&value) == mix_xml::Label::list() {
-                        return value;
-                    }
-                    return VNode::new(VData::WrapList { op, b: b.clone() });
-                }
-                let BData::Through { inner } = &*b.0 else { unreachable!("wrap handle") };
-                let inner = inner.clone();
-                self.attr(input, &inner, var)
-            }
-            OpState::OrderBy { input, sorted, .. } => {
-                let input = *input;
-                let BData::Ordered { index } = &*b.0 else { unreachable!("orderBy handle") };
-                let inner = sorted
+            (
+                OpSpec::Concat { input, .. }
+                | OpSpec::Create { input, .. }
+                | OpSpec::Constant { input, .. }
+                | OpSpec::Wrap { input, .. },
+                BData::Through { inner },
+            ) => self.attr(*input, inner, var),
+            (OpSpec::OrderBy { input, slot, .. }, BData::Ordered { index }) => {
+                let inner = self.e.state.sorted[*slot]
                     .as_ref()
                     .expect("orderBy materialized before binding handles exist")[*index]
                     .clone();
-                self.attr(input, &inner, var)
+                self.attr(*input, &inner, var)
             }
-            OpState::Materialize { rows, .. } => {
-                let BData::Ordered { index } = &*b.0 else {
-                    unreachable!("materialize handle")
-                };
-                let row = &rows.as_ref().expect("materialized before handles exist")[*index];
+            (OpSpec::Materialize { slot, .. }, BData::Ordered { index }) => {
+                let row = &self.e.state.rows[*slot]
+                    .as_ref()
+                    .expect("materialized before handles exist")[*index];
                 let doc = row
                     .iter()
                     .find(|(v, _)| v == var)
@@ -506,9 +379,7 @@ impl Engine {
                 let root = doc.root();
                 VNode::new(VData::Const { doc, node: root })
             }
-            OpState::TupleDestroy { .. } => {
-                unreachable!("tupleDestroy exports a document, not bindings")
-            }
+            _ => unreachable!("binding handle of another operator"),
         }
     }
 
@@ -518,21 +389,21 @@ impl Engine {
     /// binding's values are a function of its handle, so two bindings with
     /// the same defining binding hold the same `var` value. `None` where
     /// the chain is not seen through.
-    fn defining_binding<'a>(
+    fn defining_binding<'h>(
         &self,
         mut op: PlanId,
-        mut b: &'a BHandle,
+        mut b: &'h BHandle,
         var: &Var,
-    ) -> Option<&'a BHandle> {
+    ) -> Option<&'h BHandle> {
         loop {
-            (op, b) = match (self.op(op), &*b.0) {
-                (OpState::Source { .. }, _) => return Some(b),
-                (OpState::GetDesc { out, .. }, _) if out == var => return Some(b),
-                (OpState::GetDesc { input, .. }, BData::GetDesc { input: ib, .. })
-                | (OpState::Select { input, .. }, BData::Filtered { input: ib }) => (*input, ib),
+            (op, b) = match (self.spec(op), &*b.0) {
+                (OpSpec::Source { .. }, _) => return Some(b),
+                (OpSpec::GetDesc(gd), _) if gd.out == *var => return Some(b),
+                (OpSpec::GetDesc(GetDescSpec { input, .. }), BData::GetDesc { input: ib, .. })
+                | (OpSpec::Select { input, .. }, BData::Filtered { input: ib }) => (*input, ib),
                 (
-                    OpState::Join { left, right, left_schema, .. }
-                    | OpState::Cross { left, right, left_schema },
+                    OpSpec::Join(JoinSpec { left, right, left_schema, .. })
+                    | OpSpec::Cross { left, right, left_schema },
                     BData::Pair { left: l, right: r, .. },
                 ) => {
                     if left_schema.contains(var) {
@@ -549,28 +420,23 @@ impl Engine {
     /// Pull the complete input of an intermediate eager step into memory
     /// (one arena document per value), so everything above navigates
     /// without further source access.
-    fn ensure_materialized(&mut self, op: PlanId) {
-        let OpState::Materialize { input, schema, rows } = self.op(op) else {
-            unreachable!("materialize op")
-        };
-        if rows.is_some() {
-            return;
-        }
-        let (input, schema) = (*input, schema.clone());
-        let mut out: Vec<crate::ops::MatRow> = Vec::new();
-        let mut cur = self.first_binding(input);
-        while let Some(ib) = cur {
-            let mut row = Vec::with_capacity(schema.len());
-            for v in &schema {
-                let node = self.attr(input, &ib, v);
-                let t = self.materialize_value(&node);
-                row.push((v.clone(), Arc::new(mix_xml::Document::from_tree(&t))));
+    fn ensure_materialized(&mut self, input: PlanId, schema: &[Var], slot: usize) -> &[MatRow] {
+        if self.e.state.rows[slot].is_none() {
+            let mut out: Vec<MatRow> = Vec::new();
+            let mut cur = self.first_binding(input);
+            while let Some(ib) = cur {
+                let mut row = Vec::with_capacity(schema.len());
+                for v in schema {
+                    let node = self.attr(input, &ib, v);
+                    let t = self.materialize_value(&node);
+                    row.push((v.clone(), Arc::new(mix_xml::Document::from_tree(&t))));
+                }
+                out.push(row);
+                cur = self.next_binding(input, &ib);
             }
-            out.push(row);
-            cur = self.next_binding(input, &ib);
+            self.e.state.rows[slot] = Some(out);
         }
-        let OpState::Materialize { rows, .. } = self.op_mut(op) else { unreachable!() };
-        *rows = Some(Arc::new(out));
+        self.e.state.rows[slot].as_deref().unwrap_or_default()
     }
 
     // ---- select ---------------------------------------------------------
@@ -596,7 +462,7 @@ impl Engine {
 
     /// Evaluate a predicate by materializing the values of its variables
     /// through attribute jumps on the candidate binding.
-    pub(crate) fn eval_pred(&mut self, op: PlanId, cand: &BHandle, pred: &BindPred) -> bool {
+    fn eval_pred(&mut self, op: PlanId, cand: &BHandle, pred: &BindPred) -> bool {
         let mut vals: HashMap<Var, Tree> = HashMap::new();
         for v in pred.vars() {
             let node = self.attr(op, cand, &v);
@@ -608,15 +474,15 @@ impl Engine {
 
     // ---- join -----------------------------------------------------------
 
-    /// The join's inner cache.
-    fn join_cache(&self, op: PlanId) -> &JoinCache {
-        let OpState::Join { cache, .. } = self.op(op) else { unreachable!("join op") };
-        cache
-    }
-
-    fn join_cache_mut(&mut self, op: PlanId) -> &mut JoinCache {
-        let OpState::Join { cache, .. } = self.op_mut(op) else { unreachable!("join op") };
-        cache
+    /// The first pair joining outer binding `start` or a later one.
+    fn join_outer_scan(&mut self, j: &JoinSpec, mut start: Option<BHandle>) -> Option<BHandle> {
+        while let Some(l) = start {
+            if let Some(pair) = self.join_scan(j, &l, 0, None) {
+                return Some(pair);
+            }
+            start = self.next_binding(j.left, &l);
+        }
+        None
     }
 
     /// Find the next inner binding (at cache index ≥ `from_idx`, or — in
@@ -624,26 +490,22 @@ impl Engine {
     /// binding `l`.
     fn join_scan(
         &mut self,
-        op: PlanId,
+        j: &JoinSpec,
         l: &BHandle,
         from_idx: usize,
-        resume: Option<BHandle>,
+        resume: Option<&BHandle>,
     ) -> Option<BHandle> {
-        let OpState::Join { left, right, pred, left_schema, eq_keys, .. } = self.op(op) else {
-            unreachable!("join op")
-        };
-        let (left, right, pred, left_schema) = (*left, *right, pred.clone(), left_schema.clone());
-        let keyed = eq_keys.as_ref().filter(|_| self.config.join_cache).map(|(lk, _)| lk.clone());
+        let keyed = j.eq_keys.as_ref().filter(|_| self.e.config.join_cache).map(|(lk, _)| lk);
 
         // A keyed join's outer key, computed once per binding that defines
         // it; otherwise the outer side's predicate values.
         let mut left_vals: HashMap<Var, Tree> = HashMap::new();
-        match &keyed {
-            Some(lk) => self.join_outer_key(op, left, l, lk),
+        match keyed {
+            Some(lk) => self.join_outer_key(j, l, lk),
             None => {
-                for v in pred.vars() {
-                    if left_schema.contains(&v) {
-                        let node = self.attr(left, l, &v);
+                for v in j.pred.vars() {
+                    if j.left_schema.contains(&v) {
+                        let node = self.attr(j.left, l, &v);
                         let t = self.materialize_value(&node);
                         left_vals.insert(v, t);
                     }
@@ -651,11 +513,11 @@ impl Engine {
             }
         }
 
-        if self.config.join_cache {
+        if self.e.config.join_cache {
             let mut from = from_idx;
             loop {
-                let cache = self.join_cache(op);
-                let hit = match &keyed {
+                let cache = &self.e.state.joins[j.slot];
+                let hit = match keyed {
                     // Entries are appended in order, so each hit list is
                     // ascending: its first index ≥ `from` is the answer.
                     Some(_) => {
@@ -666,7 +528,7 @@ impl Engine {
                     }
                     None => (from..cache.handles.len()).find(|&i| {
                         let rv = &cache.pred_vals[i];
-                        pred.eval(&|v: &Var| left_vals.get(v).or_else(|| rv.get(v)))
+                        j.pred.eval(&|v: &Var| left_vals.get(v).or_else(|| rv.get(v)))
                     }),
                 };
                 if let Some(idx) = hit {
@@ -679,25 +541,25 @@ impl Engine {
                 // Nothing cached joins: pull one more inner binding and
                 // probe again from there.
                 from = cache.handles.len();
-                if !self.join_cache_extend(op) {
+                if !self.join_cache_extend(j) {
                     return None;
                 }
             }
         } else {
             let mut cur = match resume {
-                Some(r) => self.next_binding(right, &r),
-                None => self.first_binding(right),
+                Some(r) => self.next_binding(j.right, r),
+                None => self.first_binding(j.right),
             };
             while let Some(r) = cur {
                 let mut right_vals: HashMap<Var, Tree> = HashMap::new();
-                for v in pred.vars() {
-                    if !left_schema.contains(&v) {
-                        let node = self.attr(right, &r, &v);
+                for v in j.pred.vars() {
+                    if !j.left_schema.contains(&v) {
+                        let node = self.attr(j.right, &r, &v);
                         let t = self.materialize_value(&node);
                         right_vals.insert(v, t);
                     }
                 }
-                let ok = pred.eval(&|v: &Var| left_vals.get(v).or_else(|| right_vals.get(v)));
+                let ok = j.pred.eval(&|v: &Var| left_vals.get(v).or_else(|| right_vals.get(v)));
                 if ok {
                     return Some(BHandle::new(BData::Pair {
                         left: l.clone(),
@@ -705,7 +567,7 @@ impl Engine {
                         ridx: 0,
                     }));
                 }
-                cur = self.next_binding(right, &r);
+                cur = self.next_binding(j.right, &r);
             }
             None
         }
@@ -715,47 +577,44 @@ impl Engine {
     /// value is materialized only when the binding that defines the key
     /// variable `lk` (`l` itself when that one is hidden) is not the one
     /// the memo holds — once per outer binding, not once per pair.
-    fn join_outer_key(&mut self, op: PlanId, left: PlanId, l: &BHandle, lk: &Var) {
-        let def = self.defining_binding(left, l, lk).unwrap_or(l);
-        if self.join_cache(op).outer_key.as_ref().is_some_and(|(d, _)| d.same(def)) {
+    fn join_outer_key(&mut self, j: &JoinSpec, l: &BHandle, lk: &Var) {
+        let def = self.defining_binding(j.left, l, lk).unwrap_or(l);
+        let memo = &self.e.state.joins[j.slot].outer_key;
+        if memo.as_ref().is_some_and(|(d, _)| d.same(def)) {
             return;
         }
         let def = def.clone();
-        let node = self.attr(left, l, lk);
+        let node = self.attr(j.left, l, lk);
         let key = eq_key(&self.materialize_value(&node));
-        self.join_cache_mut(op).outer_key = Some((def, key));
+        self.e.state.joins[j.slot].outer_key = Some((def, key));
     }
 
     /// Pull one more inner binding into the join's cache, together with
     /// its key (keyed joins) or its predicate values (scanned joins).
     /// `false` once the inner input is exhausted.
-    fn join_cache_extend(&mut self, op: PlanId) -> bool {
-        let OpState::Join { cache, right, right_pred_vars, eq_keys, .. } = self.op(op) else {
-            unreachable!("join op")
-        };
+    fn join_cache_extend(&mut self, j: &JoinSpec) -> bool {
+        let cache = &self.e.state.joins[j.slot];
         if cache.complete {
             return false;
         }
-        let (right, pred_vars) = (*right, right_pred_vars.clone());
-        let inner_key = eq_keys.as_ref().map(|(_, rk)| rk.clone());
         let next = match cache.handles.last().cloned() {
-            Some(h) => self.next_binding(right, &h),
-            None => self.first_binding(right),
+            Some(h) => self.next_binding(j.right, &h),
+            None => self.first_binding(j.right),
         };
         let Some(h) = next else {
-            self.join_cache_mut(op).complete = true;
+            self.e.state.joins[j.slot].complete = true;
             return false;
         };
         let mut vals = HashMap::new();
-        for v in pred_vars {
-            let node = self.attr(right, &h, &v);
+        for v in &j.right_pred_vars {
+            let node = self.attr(j.right, &h, v);
             let t = self.materialize_value(&node);
-            vals.insert(v, t);
+            vals.insert(v.clone(), t);
         }
-        let cache = self.join_cache_mut(op);
-        match inner_key {
-            Some(rk) => {
-                let key = eq_key(&vals[&rk]);
+        let cache = &mut self.e.state.joins[j.slot];
+        match &j.eq_keys {
+            Some((_, rk)) => {
+                let key = eq_key(&vals[rk]);
                 cache.index.entry(key).or_default().push(cache.handles.len());
             }
             None => cache.pred_vals.push(vals),
@@ -778,50 +637,25 @@ impl Engine {
         key
     }
 
-    fn difference_scan(
-        &mut self,
-        op: PlanId,
-        left: PlanId,
-        start: Option<BHandle>,
-    ) -> Option<BHandle> {
+    fn difference_scan(&mut self, d: &DiffSpec, start: Option<BHandle>) -> Option<BHandle> {
         // Materialize the right side's keys once (the operator is
         // unbrowsable: Def. 2).
-        let keys = {
-            let OpState::Difference { right_keys, .. } = self.op(op) else {
-                unreachable!("difference op")
-            };
-            match right_keys {
-                Some(k) => k.clone(),
-                None => {
-                    let OpState::Difference { right, schema, .. } = self.op(op) else {
-                        unreachable!()
-                    };
-                    let (right, schema) = (*right, schema.clone());
-                    let mut set = std::collections::HashSet::new();
-                    let mut cur = self.first_binding(right);
-                    while let Some(rb) = cur {
-                        let k = self.binding_key(right, &rb, &schema);
-                        set.insert(k);
-                        cur = self.next_binding(right, &rb);
-                    }
-                    let set = Arc::new(set);
-                    let OpState::Difference { right_keys, .. } = self.op_mut(op) else {
-                        unreachable!()
-                    };
-                    *right_keys = Some(set.clone());
-                    set
-                }
+        if self.e.state.right_keys[d.slot].is_none() {
+            let mut set = HashSet::new();
+            let mut cur = self.first_binding(d.right);
+            while let Some(rb) = cur {
+                set.insert(self.binding_key(d.right, &rb, &d.schema));
+                cur = self.next_binding(d.right, &rb);
             }
-        };
-        let OpState::Difference { schema, .. } = self.op(op) else { unreachable!() };
-        let schema = schema.clone();
+            self.e.state.right_keys[d.slot] = Some(set);
+        }
         let mut cur = start;
         while let Some(lb) = cur {
-            let k = self.binding_key(left, &lb, &schema);
-            if !keys.contains(&k) {
+            let k = self.binding_key(d.left, &lb, &d.schema);
+            if !self.e.state.right_keys[d.slot].as_ref().is_some_and(|keys| keys.contains(&k)) {
                 return Some(BHandle::new(BData::Through { inner: lb }));
             }
-            cur = self.next_binding(left, &lb);
+            cur = self.next_binding(d.left, &lb);
         }
         None
     }
@@ -829,23 +663,8 @@ impl Engine {
     // ---- groupBy ----------------------------------------------------------
 
     /// Key of the group an input binding belongs to.
-    pub(crate) fn group_key_of(&mut self, op: PlanId, ib: &BHandle) -> String {
-        let OpState::GroupBy { input, group, .. } = self.op(op) else {
-            unreachable!("groupBy op")
-        };
-        let (input, group) = (*input, group.clone());
-        self.binding_key(input, ib, &group)
-    }
-
-    /// The groupBy's shared-scan cache.
-    pub(crate) fn group_cache(&self, op: PlanId) -> &GroupCache {
-        let OpState::GroupBy { cache, .. } = self.op(op) else { unreachable!("groupBy op") };
-        cache
-    }
-
-    fn group_cache_mut(&mut self, op: PlanId) -> &mut GroupCache {
-        let OpState::GroupBy { cache, .. } = self.op_mut(op) else { unreachable!("groupBy op") };
-        cache
+    pub(crate) fn group_key_of(&mut self, g: &GroupSpec, ib: &BHandle) -> String {
+        self.binding_key(g.input, ib, &g.group)
     }
 
     /// The group of input binding `ib` when the memo knows it: every group
@@ -853,14 +672,11 @@ impl Engine {
     /// entry, so the key would come out equal. Otherwise the defining
     /// bindings to remember with the computed key (`None` if one is
     /// hidden).
-    fn group_memo(&self, op: PlanId, ib: &BHandle) -> Result<usize, Option<Vec<BHandle>>> {
-        let OpState::GroupBy { input, group, cache, .. } = self.op(op) else {
-            unreachable!("groupBy op")
-        };
-        let defs = group.iter().map(|v| self.defining_binding(*input, ib, v));
-        if let Some((last, g)) = &cache.last_def {
+    fn group_memo(&self, g: &GroupSpec, ib: &BHandle) -> Result<usize, Option<Vec<BHandle>>> {
+        let defs = g.group.iter().map(|v| self.defining_binding(g.input, ib, v));
+        if let Some((last, gid)) = &self.e.state.groups[g.slot].last_def {
             if defs.clone().zip(last).all(|(d, l)| d.is_some_and(|d| d.same(l))) {
-                return Ok(*g);
+                return Ok(*gid);
             }
         }
         Err(defs.map(|d| d.cloned()).collect())
@@ -870,73 +686,68 @@ impl Engine {
     /// never ahead of demand — filing it under its group, whose key is
     /// computed only when the memo misses. `false` once the input is
     /// exhausted. Cached mode only.
-    fn group_scan_one(&mut self, op: PlanId) -> bool {
-        let OpState::GroupBy { input, cache, .. } = self.op(op) else {
-            unreachable!("groupBy op")
-        };
+    fn group_scan_one(&mut self, g: &GroupSpec) -> bool {
+        let cache = &self.e.state.groups[g.slot];
         if cache.exhausted {
             return false;
         }
-        let (input, last) = (*input, cache.scanned.last().map(|(_, h)| h.clone()));
-        let next = match last {
-            None => self.first_binding(input),
-            Some(h) => self.next_binding(input, &h),
+        let next = match cache.scanned.last().map(|(_, h)| h.clone()) {
+            None => self.first_binding(g.input),
+            Some(h) => self.next_binding(g.input, &h),
         };
         let Some(ib) = next else {
-            self.group_cache_mut(op).exhausted = true;
+            self.e.state.groups[g.slot].exhausted = true;
             return false;
         };
-        let g = match self.group_memo(op, &ib) {
-            Ok(g) => g,
+        let gid = match self.group_memo(g, &ib) {
+            Ok(gid) => gid,
             Err(defs) => {
-                let key = self.group_key_of(op, &ib);
-                let cache = self.group_cache_mut(op);
+                let key = self.group_key_of(g, &ib);
+                let cache = &mut self.e.state.groups[g.slot];
                 let fresh = cache.members.len();
-                let g = *cache.ids.entry(key).or_insert(fresh);
-                if g == fresh {
+                let gid = *cache.ids.entry(key).or_insert(fresh);
+                if gid == fresh {
                     cache.members.push(Vec::new());
                 }
-                cache.last_def = defs.map(|d| (d, g));
-                g
+                cache.last_def = defs.map(|d| (d, gid));
+                gid
             }
         };
-        let cache = self.group_cache_mut(op);
-        cache.members[g].push(cache.scanned.len());
-        cache.scanned.push((g, ib));
+        let cache = &mut self.e.state.groups[g.slot];
+        cache.members[gid].push(cache.scanned.len());
+        cache.scanned.push((gid, ib));
         true
     }
 
-    /// Scan index of group `g`'s first binding, scanning on until `g` is
-    /// discovered. Cached mode only.
-    fn group_first(&mut self, op: PlanId, g: usize) -> Option<usize> {
+    /// Scan index of group `gid`'s first binding, scanning on until `gid`
+    /// is discovered. Cached mode only.
+    fn group_first(&mut self, g: &GroupSpec, gid: usize) -> Option<usize> {
         loop {
-            if let Some(m) = self.group_cache(op).members.get(g) {
+            if let Some(m) = self.e.state.groups[g.slot].members.get(gid) {
                 return Some(m[0]);
             }
-            if !self.group_scan_one(op) {
+            if !self.group_scan_one(g) {
                 return None;
             }
         }
     }
 
     /// The group whose first binding sits at scan index `idx`.
-    fn group_handle(&self, op: PlanId, idx: usize) -> BHandle {
-        let first = self.group_cache(op).scanned[idx].1.clone();
+    fn group_handle(&self, g: &GroupSpec, idx: usize) -> BHandle {
+        let first = self.e.state.groups[g.slot].scanned[idx].1.clone();
         BHandle::new(BData::Group { first: Some(first), first_idx: Some(idx) })
     }
 
     /// Next group without persistent state: rescan the input from the
     /// start, reconstructing `G_prev` (the expensive stateless variant the
     /// paper's buffering remark avoids — ablation E8).
-    fn next_group_uncached(&mut self, op: PlanId, first: &BHandle) -> Option<BHandle> {
-        let OpState::GroupBy { input, .. } = self.op(op) else { unreachable!() };
-        let input = *input;
-        let my_key = self.group_key_of(op, first);
-        let mut seen = std::collections::HashSet::new();
+    fn next_group_uncached(&mut self, g: &GroupSpec, first: &BHandle) -> Option<BHandle> {
+        let my_key = self.group_key_of(g, first);
+        let mut seen = HashSet::new();
         let mut passed = false;
-        let mut cur = self.first_binding(input);
+        let mut cur = self.first_binding(g.input);
         while let Some(ib) = cur {
-            let key = self.group_key_of(op, &ib);
+            let key = self.group_key_of(g, &ib);
             if passed && !seen.contains(&key) {
                 return Some(ib);
             }
@@ -944,27 +755,27 @@ impl Engine {
                 passed = true;
             }
             seen.insert(key);
-            cur = self.next_binding(input, &ib);
+            cur = self.next_binding(g.input, &ib);
         }
         None
     }
 
-    /// Next member of group `g` after scan index `ib_idx` (Fig. 10's
+    /// Next member of group `gid` after scan index `ib_idx` (Fig. 10's
     /// `next(p_b, p_g)`): looked up in the group's member list, scanning
     /// on only past the end of the scan so far.
     pub(crate) fn next_group_member_cached(
         &mut self,
-        op: PlanId,
-        g: usize,
+        g: &GroupSpec,
+        gid: usize,
         ib_idx: usize,
     ) -> Option<(usize, BHandle)> {
         loop {
-            let cache = self.group_cache(op);
-            let m = &cache.members[g];
+            let cache = &self.e.state.groups[g.slot];
+            let m = &cache.members[gid];
             if let Some(&idx) = m.get(m.partition_point(|&i| i <= ib_idx)) {
                 return Some((idx, cache.scanned[idx].1.clone()));
             }
-            if !self.group_scan_one(op) {
+            if !self.group_scan_one(g) {
                 return None;
             }
         }
@@ -973,18 +784,16 @@ impl Engine {
     /// Handle-based member scan for cache-disabled mode.
     pub(crate) fn next_group_member(
         &mut self,
-        op: PlanId,
+        g: &GroupSpec,
         gb_key: &str,
         ib: &BHandle,
     ) -> Option<BHandle> {
-        let OpState::GroupBy { input, .. } = self.op(op) else { unreachable!() };
-        let input = *input;
-        let mut cur = self.next_binding(input, ib);
+        let mut cur = self.next_binding(g.input, ib);
         while let Some(nb) = cur {
-            if self.group_key_of(op, &nb) == gb_key {
+            if self.group_key_of(g, &nb) == gb_key {
                 return Some(nb);
             }
-            cur = self.next_binding(input, &nb);
+            cur = self.next_binding(g.input, &nb);
         }
         None
     }
@@ -992,87 +801,85 @@ impl Engine {
     // ---- orderBy ----------------------------------------------------------
 
     /// Materialize and sort the input — the unbrowsable step.
-    fn ensure_sorted(&mut self, op: PlanId) {
-        let OpState::OrderBy { input, keys, sorted } = self.op(op) else {
-            unreachable!("orderBy op")
-        };
-        if sorted.is_some() {
-            return;
-        }
-        let (input, keys) = (*input, keys.clone());
-        let mut entries: Vec<(Vec<Tree>, BHandle)> = Vec::new();
-        let mut cur = self.first_binding(input);
-        while let Some(ib) = cur {
-            let mut kv = Vec::with_capacity(keys.len());
-            for k in &keys {
-                let node = self.attr(input, &ib, k);
-                kv.push(self.materialize_value(&node));
-            }
-            entries.push((kv, ib.clone()));
-            cur = self.next_binding(input, &ib);
-        }
-        entries.sort_by(|a, b| {
-            for (x, y) in a.0.iter().zip(&b.0) {
-                let ord = value_ord(x, y);
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
+    fn ensure_sorted(&mut self, input: PlanId, keys: &[Var], slot: usize) -> &[BHandle] {
+        if self.e.state.sorted[slot].is_none() {
+            let mut entries: Vec<(Vec<Tree>, BHandle)> = Vec::new();
+            let mut cur = self.first_binding(input);
+            while let Some(ib) = cur {
+                let mut kv = Vec::with_capacity(keys.len());
+                for k in keys {
+                    let node = self.attr(input, &ib, k);
+                    kv.push(self.materialize_value(&node));
                 }
+                entries.push((kv, ib.clone()));
+                cur = self.next_binding(input, &ib);
             }
-            std::cmp::Ordering::Equal
-        });
-        let handles: Vec<BHandle> = entries.into_iter().map(|(_, h)| h).collect();
-        let OpState::OrderBy { sorted, .. } = self.op_mut(op) else { unreachable!() };
-        *sorted = Some(Arc::new(handles));
+            entries.sort_by(|a, b| {
+                for (x, y) in a.0.iter().zip(&b.0) {
+                    let ord = value_ord(x, y);
+                    if ord != std::cmp::Ordering::Equal {
+                        return ord;
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+            self.e.state.sorted[slot] = Some(entries.into_iter().map(|(_, h)| h).collect());
+        }
+        self.e.state.sorted[slot].as_deref().unwrap_or_default()
     }
 
     // ---- getDescendants -----------------------------------------------------
 
     /// The parent value `bin.e` a getDescendants binding matches inside.
-    pub(crate) fn gd_parent_value(&mut self, op: PlanId, ib: &BHandle) -> VNode {
-        let OpState::GetDesc { input, parent, .. } = self.op(op) else {
-            unreachable!("getDescendants op")
-        };
-        let (input, parent) = (*input, parent.clone());
-        self.attr(input, ib, &parent)
+    fn gd_parent_value(&mut self, gd: &GetDescSpec, ib: &BHandle) -> VNode {
+        self.attr(gd.input, ib, &gd.parent)
+    }
+
+    /// The first match under input binding `start` or a later one.
+    fn gd_scan(&mut self, gd: &GetDescSpec, mut start: Option<BHandle>) -> Option<BHandle> {
+        while let Some(b) = start {
+            if let Some(cursor) = self.gd_start(gd, &b) {
+                return Some(BHandle::new(BData::GetDesc { input: b, cursor }));
+            }
+            start = self.next_binding(gd.input, &b);
+        }
+        None
     }
 
     /// Position a fresh cursor on the first match under input binding
     /// `ib`, or `None` when the subtree holds no match.
-    fn gd_start(&mut self, op: PlanId, ib: &BHandle) -> Option<MatchCursor> {
-        let OpState::GetDesc { nfa, start_set, .. } = self.op(op) else {
-            unreachable!("getDescendants op")
-        };
-        let (nfa, start_set) = (nfa.clone(), start_set.clone());
-        let root = self.gd_parent_value(op, ib);
+    fn gd_start(&mut self, gd: &GetDescSpec, ib: &BHandle) -> Option<MatchCursor> {
+        let root = self.gd_parent_value(gd, ib);
         let cursor = MatchCursor::new(Vec::new());
         // Zero-step match: the parent itself (paths accepting ε).
-        if cursor.is_match(&nfa, &start_set) {
+        if cursor.is_match(&gd.nfa, &gd.start_set) {
             return Some(cursor);
         }
-        self.gd_next_match(op, &root, cursor)
+        self.gd_next_match(gd, &root, cursor)
     }
 
     /// Advance to the next match after `cursor` (pre-order).
-    fn gd_advance(&mut self, op: PlanId, ib: &BHandle, cursor: &MatchCursor) -> Option<MatchCursor> {
-        let root = self.gd_parent_value(op, ib);
-        self.gd_next_match(op, &root, cursor.clone())
+    fn gd_advance(
+        &mut self,
+        gd: &GetDescSpec,
+        ib: &BHandle,
+        cursor: &MatchCursor,
+    ) -> Option<MatchCursor> {
+        let root = self.gd_parent_value(gd, ib);
+        self.gd_next_match(gd, &root, cursor.clone())
     }
 
     /// Advance the DFS to the next accepting position strictly after the
     /// current one.
     fn gd_next_match(
         &mut self,
-        op: PlanId,
+        gd: &GetDescSpec,
         root: &VNode,
         mut cursor: MatchCursor,
     ) -> Option<MatchCursor> {
-        let OpState::GetDesc { nfa, start_set, .. } = self.op(op) else {
-            unreachable!("getDescendants op")
-        };
-        let (nfa, start_set) = (nfa.clone(), start_set.clone());
         loop {
-            cursor = self.gd_step(root, &nfa, &start_set, cursor)?;
-            if cursor.is_match(&nfa, &start_set) {
+            cursor = self.gd_step(gd, root, cursor)?;
+            if cursor.is_match(&gd.nfa, &gd.start_set) {
                 return Some(cursor);
             }
         }
@@ -1080,13 +887,8 @@ impl Engine {
 
     /// One pre-order step of the pruned DFS: descend when the automaton
     /// can still make progress, else move right, popping as needed.
-    fn gd_step(
-        &mut self,
-        root: &VNode,
-        nfa: &mix_xmas::Nfa,
-        start_set: &mix_xmas::StateSet,
-        cursor: MatchCursor,
-    ) -> Option<MatchCursor> {
+    fn gd_step(&mut self, gd: &GetDescSpec, root: &VNode, cursor: MatchCursor) -> Option<MatchCursor> {
+        let (nfa, start_set) = (&gd.nfa, &gd.start_set);
         let mut frames: Vec<Frame> = (*cursor.frames).clone();
         // Try to descend from the current position.
         let (cur_node, cur_states) = match frames.last() {
@@ -1112,7 +914,7 @@ impl Engine {
             // With select_φ in NC and a label-only frontier, jump straight
             // to the next sibling that can advance the automaton (§2: this
             // is what turns the Example 1 filter view bounded).
-            let sib = if self.config.use_select {
+            let sib = if self.e.config.use_select {
                 match nfa.label_frontier(&parent_states) {
                     Some(labels) if !labels.is_empty() => {
                         let pred = if labels.len() == 1 {
@@ -1122,7 +924,7 @@ impl Engine {
                                 // NFA frontier labels are query constants:
                                 // intern them so the per-sibling compare in
                                 // `val_select` is an integer test.
-                                labels.iter().map(mix_xml::Label::intern).collect(),
+                                labels.iter().map(Label::intern).collect(),
                             )
                         };
                         self.val_select(&f.node, &pred)

@@ -176,7 +176,7 @@ impl VirtualElement {
 
     /// Materialize the whole subtree (the client's "copy into memory").
     pub fn to_tree(&self) -> Tree {
-        lock_unpoisoned(&self.engine).materialize_value(&self.node)
+        lock_unpoisoned(&self.engine).nav(|n| n.materialize_value(&self.node))
     }
 }
 

@@ -1,15 +1,16 @@
 //! The engine: a tree of lazy mediators behind one DOM-VXD interface.
 //!
 //! Construction (`Engine::new`) is the tail of the paper's *preprocessing*
-//! phase: the validated plan is compiled into per-operator navigation
-//! state (`OpState`) and the `source` leaves are wired to registered
+//! phase: the validated plan is compiled into a table of per-operator
+//! navigation specs (`OpSpec`) plus the typed slots of their mutable state
+//! (`OpState`), and the `source` leaves are wired to registered
 //! navigators. Construction performs **no source access** — the client
 //! gets the virtual root handle for free, and every subsequent navigation
 //! pulls exactly the source fragments needed to answer it.
 
 use crate::handle::{VData, VNode};
 use crate::metrics::{OpMetrics, NAV_CMDS};
-use crate::ops::OpState;
+use crate::ops::{new_slot, DiffSpec, GetDescSpec, GroupSpec, JoinSpec, OpSpec, OpState};
 use crate::registry::{SharedSource, SourceRegistry};
 use crate::EngineError;
 use mix_algebra::{Plan, PlanId, PlanNode, SemanticOutcome, ViewCatalog};
@@ -20,6 +21,7 @@ use mix_buffer::{
 };
 use mix_nav::{LabelPred, NavCounters, NavStats, Navigator};
 use mix_xml::{Document, Label, Tree};
+use mix_xmas::Var;
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -147,9 +149,15 @@ impl EngineStats {
 /// [`materialize`]: mix_nav::explore::materialize
 /// [`VirtualDocument`]: crate::VirtualDocument
 pub struct Engine {
-    pub(crate) ops: Vec<OpState>,
+    /// One spec per plan operator, indexed by [`PlanId`]; fixed after
+    /// construction and borrowed by navigation (`Engine::nav`).
+    pub(crate) ops: Arc<[OpSpec]>,
+    /// The operators' mutable state, in the slots their specs name.
+    pub(crate) state: OpState,
     pub(crate) sources: Vec<SourceConn>,
-    pub(crate) root_op: PlanId,
+    /// The root `tupleDestroy`'s input operator and exported variable.
+    pub(crate) root_input: PlanId,
+    pub(crate) root_var: Var,
     pub(crate) config: EngineConfig,
     pub(crate) trace: TraceSink,
     plan: Plan,
@@ -275,19 +283,19 @@ impl Engine {
         }
 
         plan.validate().map_err(|e| EngineError::new(e.message))?;
-        let root_op = plan.root();
-        if !matches!(plan.node(root_op), PlanNode::TupleDestroy { .. }) {
+        let PlanNode::TupleDestroy { input: root_input, var: root_var } =
+            plan.node(plan.root()).clone()
+        else {
             return Err(EngineError::new(
                 "the plan root must be tupleDestroy to export a client document",
             ));
-        }
+        };
 
         let mut sources: Vec<SourceConn> = Vec::new();
-        let mut ops: Vec<OpState> = Vec::with_capacity(plan.len());
-        for i in 0..plan.len() {
-            let id = PlanId::from_index(i);
-            ops.push(build_op(&plan, id, registry, &mut sources)?);
-        }
+        let mut state = OpState::default();
+        let ops = (0..plan.len())
+            .map(|i| build_op(&plan, PlanId::from_index(i), registry, &mut sources, &mut state))
+            .collect::<Result<Arc<[OpSpec]>, EngineError>>()?;
         // Adopt the first source-provided sink so engine spans and buffer
         // fills land in one ring; a plain (disabled-by-default) sink
         // otherwise.
@@ -330,14 +338,16 @@ impl Engine {
         let degraded_before = vec![0; sources.len()];
         let mut src_leaf_op = vec![0u32; sources.len()];
         for (i, op) in ops.iter().enumerate() {
-            if let OpState::Source { src, .. } = op {
+            if let OpSpec::Source { src, .. } = op {
                 src_leaf_op[*src] = i as u32;
             }
         }
         let mut engine = Engine {
             ops,
+            state,
             sources,
-            root_op,
+            root_input,
+            root_var,
             config,
             trace,
             plan,
@@ -627,14 +637,6 @@ impl Engine {
         t
     }
 
-    pub(crate) fn op(&self, id: PlanId) -> &OpState {
-        &self.ops[id.index()]
-    }
-
-    pub(crate) fn op_mut(&mut self, id: PlanId) -> &mut OpState {
-        &mut self.ops[id.index()]
-    }
-
     // ---- counted source navigation -------------------------------------
 
     /// Is metric recording on? One relaxed atomic load — the whole cost
@@ -826,7 +828,7 @@ impl Engine {
             }
         }
         let mut rows = Vec::new();
-        collect(&self.plan, self.root_op, 0, &mut rows);
+        collect(&self.plan, self.plan.root(), 0, &mut rows);
         let descs: Vec<String> = rows
             .iter()
             .map(|(d, id)| format!("{}{}", "  ".repeat(*d), self.plan.node_desc(*id)))
@@ -933,7 +935,8 @@ fn build_op(
     id: PlanId,
     registry: &SourceRegistry,
     sources: &mut Vec<SourceConn>,
-) -> Result<OpState, EngineError> {
+    state: &mut OpState,
+) -> Result<OpSpec, EngineError> {
     Ok(match plan.node(id) {
         PlanNode::Source { name, out } => {
             // Same-named leaves share one connection (and its counters).
@@ -957,21 +960,21 @@ fn build_op(
                     sources.len() - 1
                 }
             };
-            OpState::Source { src: idx, out: out.clone() }
+            OpSpec::Source { src: idx, out: out.clone() }
         }
         PlanNode::GetDescendants { input, parent, path, out } => {
-            let nfa = Arc::new(mix_xmas::Nfa::compile(path));
+            let nfa = mix_xmas::Nfa::compile(path);
             let start_set = nfa.start_set();
-            OpState::GetDesc {
+            OpSpec::GetDesc(GetDescSpec {
                 input: *input,
                 parent: parent.clone(),
                 out: out.clone(),
                 nfa,
                 start_set,
-            }
+            })
         }
         PlanNode::Select { input, pred } => {
-            OpState::Select { input: *input, pred: pred.clone() }
+            OpSpec::Select { input: *input, pred: pred.clone() }
         }
         PlanNode::Join { left, right, pred } => {
             let left_schema: HashSet<_> = plan.schema(*left).into_iter().collect();
@@ -995,67 +998,67 @@ fn build_op(
                 }
                 _ => None,
             };
-            OpState::Join {
+            OpSpec::Join(JoinSpec {
                 left: *left,
                 right: *right,
                 pred: pred.clone(),
-                left_schema: Arc::new(left_schema),
+                left_schema,
                 right_pred_vars,
                 eq_keys,
-                cache: Default::default(),
-            }
+                slot: new_slot(&mut state.joins),
+            })
         }
-        PlanNode::Cross { left, right } => OpState::Cross {
+        PlanNode::Cross { left, right } => OpSpec::Cross {
             left: *left,
             right: *right,
-            left_schema: Arc::new(plan.schema(*left).into_iter().collect()),
+            left_schema: plan.schema(*left).into_iter().collect(),
         },
-        PlanNode::Union { left, right } => OpState::Union { left: *left, right: *right },
-        PlanNode::Difference { left, right } => OpState::Difference {
+        PlanNode::Union { left, right } => OpSpec::Union { left: *left, right: *right },
+        PlanNode::Difference { left, right } => OpSpec::Difference(DiffSpec {
             left: *left,
             right: *right,
             schema: plan.schema(*left),
-            right_keys: None,
-        },
+            slot: new_slot(&mut state.right_keys),
+        }),
         PlanNode::Project { input, keep } => {
-            OpState::Project { input: *input, keep: keep.iter().cloned().collect() }
+            OpSpec::Project { input: *input, keep: keep.iter().cloned().collect() }
         }
-        PlanNode::GroupBy { input, group, items } => OpState::GroupBy {
+        PlanNode::GroupBy { input, group, items } => OpSpec::GroupBy(GroupSpec {
             input: *input,
             group: group.clone(),
             items: items.clone(),
-            cache: Default::default(),
-        },
-        PlanNode::Concatenate { input, x, y, out } => OpState::Concat {
+            slot: new_slot(&mut state.groups),
+        }),
+        PlanNode::Concatenate { input, x, y, out } => OpSpec::Concat {
             input: *input,
             x: x.clone(),
             y: y.clone(),
             out: out.clone(),
         },
-        PlanNode::CreateElement { input, label, ch, out } => OpState::Create {
+        PlanNode::CreateElement { input, label, ch, out } => OpSpec::Create {
             input: *input,
             label: label.clone(),
             ch: ch.clone(),
             out: out.clone(),
         },
-        PlanNode::Constant { input, value, out } => OpState::Constant {
+        PlanNode::Constant { input, value, out } => OpSpec::Constant {
             input: *input,
             doc: Arc::new(Document::from_tree(value)),
             out: out.clone(),
         },
         PlanNode::Wrap { input, var, out } => {
-            OpState::Wrap { input: *input, var: var.clone(), out: out.clone() }
+            OpSpec::Wrap { input: *input, var: var.clone(), out: out.clone() }
         }
-        PlanNode::OrderBy { input, keys } => {
-            OpState::OrderBy { input: *input, keys: keys.clone(), sorted: None }
-        }
-        PlanNode::TupleDestroy { input, var } => {
-            OpState::TupleDestroy { input: *input, var: var.clone(), root: None }
-        }
-        PlanNode::Materialize { input } => OpState::Materialize {
+        PlanNode::OrderBy { input, keys } => OpSpec::OrderBy {
+            input: *input,
+            keys: keys.clone(),
+            slot: new_slot(&mut state.sorted),
+        },
+        PlanNode::TupleDestroy { .. } => OpSpec::Root,
+        PlanNode::Materialize { input } => OpSpec::Materialize {
             input: *input,
             schema: plan.schema(*input),
-            rows: None,
+            slot: new_slot(&mut state.rows),
         },
     })
 }
@@ -1082,7 +1085,7 @@ impl Navigator for Engine {
         if self.metrics_on() {
             self.cmd_counters[0].inc();
         }
-        self.val_down(p)
+        self.nav(|n| n.val_down(p))
     }
 
     fn right(&mut self, p: &VNode) -> Option<VNode> {
@@ -1092,7 +1095,7 @@ impl Navigator for Engine {
         if self.metrics_on() {
             self.cmd_counters[1].inc();
         }
-        self.val_right(p)
+        self.nav(|n| n.val_right(p))
     }
 
     fn fetch(&mut self, p: &VNode) -> Label {
@@ -1102,7 +1105,7 @@ impl Navigator for Engine {
         if self.metrics_on() {
             self.cmd_counters[2].inc();
         }
-        self.val_fetch(p)
+        self.nav(|n| n.val_fetch(p))
     }
 
     fn select(&mut self, p: &VNode, pred: &LabelPred) -> Option<VNode> {
@@ -1112,7 +1115,7 @@ impl Navigator for Engine {
         if self.metrics_on() {
             self.cmd_counters[3].inc();
         }
-        self.val_select(p, pred)
+        self.nav(|n| n.val_select(p, pred))
     }
 }
 
@@ -1246,7 +1249,7 @@ mod concurrency_tests {
             VData::Src { h, .. } => h.clone(),
             other => panic!("unexpected root payload {other:?}"),
         };
-        let victim = e.root_op;
+        let victim = e.plan.root();
         let bystander = PlanId::from_index(e.src_leaf_op[0] as usize);
         assert_ne!(victim.index(), bystander.index());
 

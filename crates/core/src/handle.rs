@@ -107,16 +107,20 @@ pub(crate) enum VData {
     /// `from_list` tells whether `inner` iterates within a source list
     /// (true) or is a whole non-list value (false).
     ConcatMember { op: PlanId, b: BHandle, side: u8, from_list: bool, inner: VNode },
-    /// The `list[coll]` node of groupBy item `item` for group `gb`.
-    GroupList { op: PlanId, gb: BHandle, item: usize },
+    /// The `list[coll]` node of groupBy item `item` for the group whose
+    /// first input binding is `first` (at `first_idx` in the shared scan),
+    /// as in [`BData::Group`].
+    GroupList { op: PlanId, first: Option<BHandle>, first_idx: Option<usize>, item: usize },
     /// A member of a group's list: `⟨LS, p_b, p_g⟩` of Fig. 10 — the input
-    /// binding `ib` holding this value, the group `gb`, and the value
-    /// node itself. `ib_idx` is `ib`'s position in the shared input scan
-    /// (cache-enabled mode only).
+    /// binding `ib` holding this value, the group `p_g` (its first input
+    /// binding `first`, at `first_idx`), and the value node itself.
+    /// `ib_idx` is `ib`'s position in the shared input scan (cache-enabled
+    /// mode only).
     GroupMember {
         op: PlanId,
-        gb: BHandle,
         item: usize,
+        first: BHandle,
+        first_idx: Option<usize>,
         ib: BHandle,
         ib_idx: Option<usize>,
         inner: VNode,

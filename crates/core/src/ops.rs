@@ -1,12 +1,20 @@
-//! Per-operator engine state.
+//! Per-operator engine tables: what each operator *is*, and what it has
+//! *seen*.
 //!
 //! Everything an operator needs at navigation time is preprocessed out of
 //! the plan at engine construction, so navigation never re-inspects the
-//! plan: input operator ids, variables, predicates, compiled NFAs, schema
-//! sets — plus the caches §3 prescribes (groupBy's buffered input scan with
-//! per-group member lists, the nested-loop join's inner cache, each with a
-//! one-entry memo of the last key it computed) and the materialization
-//! state of the unbrowsable operators.
+//! plan. That part — input operator ids, variables, predicates, compiled
+//! NFAs, schema sets — is an [`OpSpec`]: fixed once the engine is built,
+//! shared by every navigation, and borrowed, never copied, while one
+//! operator's transducer table runs.
+//!
+//! What changes as the client navigates lives apart, in [`OpState`]: the
+//! caches §3 prescribes (groupBy's buffered input scan with per-group
+//! member lists, the nested-loop join's inner cache, each with a one-entry
+//! memo of the last key it computed), the materialization state of the
+//! unbrowsable operators and the resolved client root. Each kind of state
+//! has a vector of its own; the spec of an operator that keeps state names
+//! its index there (`slot`), so reaching it takes no match.
 
 use crate::handle::{BHandle, VNode};
 use mix_algebra::{BindPred, GroupItem, PlanId};
@@ -17,6 +25,140 @@ use std::sync::Arc;
 
 /// One materialized binding: `(variable, its value as an arena document)`.
 pub(crate) type MatRow = Vec<(Var, Arc<Document>)>;
+
+/// The navigation-time description of one plan operator.
+pub(crate) enum OpSpec {
+    Source {
+        /// Index into the engine's source table.
+        src: usize,
+        out: Var,
+    },
+    GetDesc(GetDescSpec),
+    Select {
+        input: PlanId,
+        pred: BindPred,
+    },
+    Join(JoinSpec),
+    Cross {
+        left: PlanId,
+        right: PlanId,
+        left_schema: HashSet<Var>,
+    },
+    Union {
+        left: PlanId,
+        right: PlanId,
+    },
+    Difference(DiffSpec),
+    Project {
+        input: PlanId,
+        keep: HashSet<Var>,
+    },
+    GroupBy(GroupSpec),
+    Concat {
+        input: PlanId,
+        x: Var,
+        y: Var,
+        out: Var,
+    },
+    Create {
+        input: PlanId,
+        label: LabelSpec,
+        ch: Var,
+        out: Var,
+    },
+    Constant {
+        input: PlanId,
+        doc: Arc<Document>,
+        out: Var,
+    },
+    Wrap {
+        input: PlanId,
+        var: Var,
+        out: Var,
+    },
+    OrderBy {
+        input: PlanId,
+        keys: Vec<Var>,
+        /// Index into [`OpState::sorted`].
+        slot: usize,
+    },
+    Materialize {
+        input: PlanId,
+        /// The input schema, in order.
+        schema: Vec<Var>,
+        /// Index into [`OpState::rows`].
+        slot: usize,
+    },
+    /// The plan root, `tupleDestroy`: it exports a document, not bindings,
+    /// so no binding navigation reaches it. Its input and variable are held
+    /// by the engine itself, its resolved root by [`OpState::client_root`].
+    Root,
+}
+
+pub(crate) struct GetDescSpec {
+    pub input: PlanId,
+    pub parent: Var,
+    pub out: Var,
+    pub nfa: Nfa,
+    pub start_set: StateSet,
+}
+
+pub(crate) struct JoinSpec {
+    pub left: PlanId,
+    pub right: PlanId,
+    pub pred: BindPred,
+    pub left_schema: HashSet<Var>,
+    /// Predicate variables that live on the inner (right) side.
+    pub right_pred_vars: Vec<Var>,
+    /// `Some((outer var, inner var))` when the predicate is a single
+    /// equality spanning the inputs: the cache is probed by key.
+    pub eq_keys: Option<(Var, Var)>,
+    /// Index into [`OpState::joins`].
+    pub slot: usize,
+}
+
+pub(crate) struct DiffSpec {
+    pub left: PlanId,
+    pub right: PlanId,
+    pub schema: Vec<Var>,
+    /// Index into [`OpState::right_keys`].
+    pub slot: usize,
+}
+
+pub(crate) struct GroupSpec {
+    pub input: PlanId,
+    pub group: Vec<Var>,
+    pub items: Vec<GroupItem>,
+    /// Index into [`OpState::groups`].
+    pub slot: usize,
+}
+
+/// The mutable per-operator state, one vector per kind, indexed by the
+/// `slot` of the owning operator's spec.
+#[derive(Default)]
+pub(crate) struct OpState {
+    pub joins: Vec<JoinCache>,
+    pub groups: Vec<GroupCache>,
+    /// Difference: canonical keys of the right side, materialized on
+    /// first use.
+    pub right_keys: Vec<Option<HashSet<String>>>,
+    /// OrderBy: sorted input bindings, materialized on first access (the
+    /// operator is unbrowsable by design).
+    pub sorted: Vec<Option<Vec<BHandle>>>,
+    /// Materialize: the fully materialized binding list (one document per
+    /// value), filled on first access — the intermediate eager step.
+    pub rows: Vec<Option<Vec<MatRow>>>,
+    /// The client root below `tupleDestroy`, resolved on the first real
+    /// navigation.
+    pub client_root: Option<VNode>,
+}
+
+/// Append a fresh entry to one of [`OpState`]'s vectors; its index is the
+/// owning operator's slot.
+pub(crate) fn new_slot<T: Default>(v: &mut Vec<T>) -> usize {
+    v.push(T::default());
+    v.len() - 1
+}
 
 /// Inner-side cache of a nested-loop join: the inner bindings pulled so
 /// far, in order, plus "the attributes that participate in the join
@@ -64,129 +206,4 @@ pub(crate) struct GroupCache {
     /// by the same bindings has the same key, so it is not recomputed.
     /// Grouping itself stays by value, through `ids`.
     pub last_def: Option<(Vec<BHandle>, usize)>,
-}
-
-/// Navigation-time state per plan operator.
-pub(crate) enum OpState {
-    Source {
-        /// Index into the engine's source table.
-        src: usize,
-        out: Var,
-    },
-    GetDesc {
-        input: PlanId,
-        parent: Var,
-        out: Var,
-        nfa: Arc<Nfa>,
-        start_set: StateSet,
-    },
-    Select {
-        input: PlanId,
-        pred: BindPred,
-    },
-    Join {
-        left: PlanId,
-        right: PlanId,
-        pred: BindPred,
-        left_schema: Arc<HashSet<Var>>,
-        /// Predicate variables that live on the inner (right) side.
-        right_pred_vars: Vec<Var>,
-        /// `Some((outer var, inner var))` when the predicate is a single
-        /// equality spanning the inputs: the cache is probed by key.
-        eq_keys: Option<(Var, Var)>,
-        cache: JoinCache,
-    },
-    Cross {
-        left: PlanId,
-        right: PlanId,
-        left_schema: Arc<HashSet<Var>>,
-    },
-    Union {
-        left: PlanId,
-        right: PlanId,
-    },
-    Difference {
-        left: PlanId,
-        right: PlanId,
-        schema: Vec<Var>,
-        /// Canonical keys of the right side, materialized on first use.
-        right_keys: Option<Arc<HashSet<String>>>,
-    },
-    Project {
-        input: PlanId,
-        keep: HashSet<Var>,
-    },
-    GroupBy {
-        input: PlanId,
-        group: Vec<Var>,
-        items: Vec<GroupItem>,
-        cache: GroupCache,
-    },
-    Concat {
-        input: PlanId,
-        x: Var,
-        y: Var,
-        out: Var,
-    },
-    Create {
-        input: PlanId,
-        label: LabelSpec,
-        ch: Var,
-        out: Var,
-    },
-    Constant {
-        input: PlanId,
-        doc: Arc<Document>,
-        out: Var,
-    },
-    Wrap {
-        input: PlanId,
-        var: Var,
-        out: Var,
-    },
-    OrderBy {
-        input: PlanId,
-        keys: Vec<Var>,
-        /// Sorted input bindings, materialized on first access (the
-        /// operator is unbrowsable by design).
-        sorted: Option<Arc<Vec<BHandle>>>,
-    },
-    TupleDestroy {
-        input: PlanId,
-        var: Var,
-        /// Resolved client root (cached after the first navigation).
-        root: Option<VNode>,
-    },
-    Materialize {
-        input: PlanId,
-        /// The input schema, in order.
-        schema: Vec<Var>,
-        /// The fully materialized binding list (one document per value),
-        /// filled on first access — the intermediate eager step.
-        rows: Option<Arc<Vec<MatRow>>>,
-    },
-}
-
-impl OpState {
-    /// The operator's algebra name, for trace events and rollups.
-    pub(crate) fn kind_name(&self) -> &'static str {
-        match self {
-            OpState::Source { .. } => "source",
-            OpState::GetDesc { .. } => "getDescendants",
-            OpState::Select { .. } => "select",
-            OpState::Join { .. } => "join",
-            OpState::Cross { .. } => "cross",
-            OpState::Union { .. } => "union",
-            OpState::Difference { .. } => "difference",
-            OpState::Project { .. } => "project",
-            OpState::GroupBy { .. } => "groupBy",
-            OpState::Concat { .. } => "concatenate",
-            OpState::Create { .. } => "createElement",
-            OpState::Constant { .. } => "constant",
-            OpState::Wrap { .. } => "wrap",
-            OpState::OrderBy { .. } => "orderBy",
-            OpState::TupleDestroy { .. } => "tupleDestroy",
-            OpState::Materialize { .. } => "materialize",
-        }
-    }
 }

@@ -2,6 +2,7 @@
 //! emit directly: union, difference, project, orderBy, materialize —
 //! lazy vs eager on each, plus laziness/eagerness properties.
 
+use crate::ops::{GroupCache, OpSpec};
 use crate::{eager, Engine, SourceRegistry};
 use mix_algebra::rewrite::insert_eager_steps;
 use mix_algebra::{BindPred, GroupItem, Plan, PlanId, PlanNode};
@@ -10,6 +11,12 @@ use mix_xmas::{parse_path, LabelSpec, Var};
 
 fn v(s: &str) -> Var {
     Var::new(s)
+}
+
+/// The shared-scan cache of groupBy `gb`.
+fn group_scan(e: &Engine, gb: PlanId) -> &GroupCache {
+    let OpSpec::GroupBy(g) = &e.ops[gb.index()] else { panic!("not a groupBy") };
+    &e.state.groups[g.slot]
 }
 
 /// source → getDescendants(path → $X) chain.
@@ -484,7 +491,7 @@ fn group_by_pulls_input_only_on_demand_when_members_interleave() {
 
     let mut e = Engine::new(p, &mk()).unwrap();
     let step = |e: &mut Engine, what: &str, pulled: usize, navs: u64| {
-        let got = (e.group_cache(gb).scanned.len(), e.stats().total().total());
+        let got = (group_scan(e, gb).scanned.len(), e.stats().total().total());
         assert_eq!(got, (pulled, navs), "{what}: (bindings pulled, source navs)");
     };
     let member = |e: &mut Engine, h: &crate::VNode, value: &str| {
@@ -563,7 +570,7 @@ fn equal_homes_share_a_group_though_their_keys_are_not_shared() {
     assert_eq!(t.to_string(), "out[g[h[z[1]],s[z[1],n[a]],s[z[1],n[a]]],g[h[z[2]],s[z[2],n[b]]]]");
     let mut e = Engine::new(plan, &mk()).unwrap();
     materialize(&mut e);
-    assert_eq!(e.group_cache(gb.unwrap()).members, [vec![0, 1], vec![2]]);
+    assert_eq!(group_scan(&e, gb.unwrap()).members, [vec![0, 1], vec![2]]);
 }
 
 #[test]
@@ -610,7 +617,7 @@ fn group_memo_keeps_the_groups_and_the_pulls_of_interleaved_keys() {
 
     let mut e = Engine::new(plan, &mk()).unwrap();
     let step = |e: &mut Engine, what: &str, pulled: usize, navs: u64| {
-        let got = (e.group_cache(gb).scanned.len(), e.stats().total().total());
+        let got = (group_scan(e, gb).scanned.len(), e.stats().total().total());
         assert_eq!(got, (pulled, navs), "{what}: (bindings pulled, source navs)");
     };
     let root = e.root();

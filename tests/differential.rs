@@ -49,6 +49,8 @@ fn query_pool() -> Vec<&'static str> {
         // Equi-join with a second cross-input condition.
         "CONSTRUCT <out> <p> $A $B {$B} </p> {$A} </out> {} \
          WHERE src _ $V AND $V _ $A AND src _ $W AND $W _ $B AND $V = $W AND $A < $B",
+        // Cross product: two branches with no comparison between them.
+        "CONSTRUCT <out> <p> $V $W {$W} </p> {$V} </out> {} WHERE src _.a $V AND src _.b $W",
     ]
 }
 
@@ -59,7 +61,7 @@ proptest! {
     fn lazy_matches_eager_on_random_documents(
         seed in 0u64..10_000,
         nodes in 1usize..40,
-        qidx in 0usize..18,
+        qidx in 0usize..19,
     ) {
         let tree = random_tree(seed, nodes, LABELS);
         let query = query_pool()[qidx];
@@ -80,7 +82,7 @@ proptest! {
     fn cache_configuration_is_observationally_equivalent(
         seed in 0u64..5_000,
         nodes in 1usize..30,
-        qidx in 0usize..18,
+        qidx in 0usize..19,
     ) {
         let tree = random_tree(seed, nodes, LABELS);
         let query = query_pool()[qidx];
@@ -105,7 +107,7 @@ proptest! {
     fn rewriting_preserves_results(
         seed in 0u64..5_000,
         nodes in 1usize..30,
-        qidx in 0usize..18,
+        qidx in 0usize..19,
     ) {
         // Rewritten plans must produce the same answer. The only rule
         // that can permute binding order on these queries is the join
@@ -140,7 +142,7 @@ proptest! {
     fn eager_steps_preserve_results(
         seed in 0u64..5_000,
         nodes in 1usize..30,
-        qidx in 0usize..18,
+        qidx in 0usize..19,
     ) {
         let tree = random_tree(seed, nodes, LABELS);
         let query = query_pool()[qidx];
