@@ -15,6 +15,7 @@ use mix_bench::*;
 use mix_buffer::BufferNavigator;
 use mix_core::{eager, Engine, EngineConfig, SourceRegistry};
 use mix_nav::explore::{first_k_children, materialize};
+use mix_nav::HandleTable;
 use mix_wrappers::gen;
 use mix_wrappers::RelationalWrapper;
 use std::time::Instant;
@@ -147,7 +148,7 @@ fn e12_composition() {
     let stacked_base = NavCounters::new();
     let lower = Engine::new(view.clone(), &mk_base(&stacked_base)).unwrap();
     let mut upper_reg = SourceRegistry::new();
-    upper_reg.add_navigator("medview", lower);
+    upper_reg.add_navigator("medview", HandleTable::new(lower));
     let mut stacked = Engine::new(query.clone(), &upper_reg).unwrap();
     let stacked_answer = materialize(&mut stacked);
     let stacked_view_navs = stacked.stats().total().total();

@@ -137,6 +137,16 @@ impl BufNodeId {
     }
 }
 
+impl mix_nav::IntHandle for BufNodeId {
+    fn to_int(&self) -> u64 {
+        u64::from(self.0)
+    }
+
+    fn from_int(raw: u64) -> Self {
+        BufNodeId(raw as u32)
+    }
+}
+
 /// Index of a hole record in an [`OpenTree`]'s hole slab. Only valid
 /// while the hole is live (slots are recycled after a splice fills them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -289,7 +289,7 @@ impl<'a> Nav<'a> {
         match (self.spec(op), &*b.0) {
             (OpSpec::Source { src, out }, _) => {
                 debug_assert_eq!(var, out, "source binds exactly one variable");
-                VNode::new(VData::SrcDoc { src: *src })
+                self.e.sources[*src].doc.clone()
             }
             (OpSpec::GetDesc(gd), BData::GetDesc { input: ib, cursor }) => {
                 if *var == gd.out {

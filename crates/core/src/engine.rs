@@ -102,6 +102,8 @@ struct SemanticState {
 pub(crate) struct SourceConn {
     pub name: String,
     pub nav: SharedSource,
+    /// The source's virtual document node ([`VData::SrcDoc`]), built once.
+    pub doc: VNode,
     pub counters: NavCounters,
     pub health: Option<SourceHealth>,
     pub stats: Option<BufferStats>,
@@ -196,15 +198,6 @@ pub struct Engine {
     /// allocates only when a count moved.
     degraded_before: Vec<u64>,
 }
-
-/// An attribution snapshot: the operator path (plan indices, outermost
-/// first) captured at the moment a source exchange is issued. The
-/// exchange functions meter from this snapshot instead of the live,
-/// engine-global operator stack, so attribution cannot interleave when
-/// exchanges overlap in time (warm-up workers, prefetch) or complete
-/// after the stack has moved on.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct OpPath(Vec<u32>);
 
 /// A checked navigation's evidence that its answer is partial: the
 /// fallback value the unchecked API would have silently returned, plus the
@@ -661,31 +654,18 @@ impl Engine {
         }
     }
 
-    /// Snapshot the operator path for explicit exchange attribution (see
-    /// [`OpPath`]). Cheap when metrics are off: nothing will be metered,
-    /// so the empty path suffices.
-    pub(crate) fn current_path(&self) -> OpPath {
-        if self.metrics_on() {
-            OpPath(self.op_stack.clone())
-        } else {
-            OpPath::default()
-        }
-    }
-
     /// Attribute one source command: to the `(source, cmd)` series, to
-    /// the operator on top of the captured path (self), and to every
+    /// the operator on top of the operator stack (self), and to every
     /// distinct operator on it (cumulative). With no operator active —
     /// the client walking inside an already-produced source value — both
-    /// charges fall to the source's own leaf. Attribution reads the
-    /// snapshot `at`, never the live `op_stack`, so an exchange finishing
-    /// after the stack has moved on (or one issued off the enumeration
-    /// path entirely) still charges the operators that caused it.
-    fn meter_src(&self, src: usize, cmd: usize, at: &OpPath) {
+    /// charges fall to the source's own leaf.
+    fn meter_src(&self, src: usize, cmd: usize) {
         if !self.metrics_on() {
             return;
         }
         self.sources[src].navs[cmd].inc();
-        match at.0.last() {
+        let path = &self.op_stack;
+        match path.last() {
             None => {
                 let leaf = &self.op_metrics[self.src_leaf_op[src] as usize];
                 leaf.src_navs.inc();
@@ -693,10 +673,10 @@ impl Engine {
             }
             Some(&top) => {
                 self.op_metrics[top as usize].src_navs.inc();
-                for (i, &op) in at.0.iter().enumerate() {
+                for (i, &op) in path.iter().enumerate() {
                     // Recursive operators (e.g. join re-entering its own
                     // scan) appear more than once; charge cum once each.
-                    if !at.0[..i].contains(&op) {
+                    if !path[..i].contains(&op) {
                         self.op_metrics[op as usize].src_navs_cum.inc();
                     }
                 }
@@ -704,97 +684,41 @@ impl Engine {
         }
     }
 
-    /// Record one source-level navigation command on the recorder.
-    fn trace_src(&self, src: usize, cmd: &'static str) {
+    /// Record one source command on the recorder and the meters; `cmd`
+    /// indexes [`NAV_CMDS`]. Returns the source's connection.
+    fn note_src(&self, src: usize, cmd: usize) -> &SourceConn {
+        let conn = &self.sources[src];
         if self.trace.is_enabled() {
-            self.trace.emit(Some(&self.sources[src].name), TraceKind::SourceNav { cmd });
+            self.trace.emit(Some(&conn.name), TraceKind::SourceNav { cmd: NAV_CMDS[cmd] });
         }
+        self.meter_src(src, cmd);
+        conn
     }
 
-    pub(crate) fn src_down(&mut self, src: usize, h: &mix_nav::DynHandle) -> Option<VNode> {
-        let at = self.current_path();
-        self.exchange_down(src, h, &at)
-    }
-
-    pub(crate) fn src_right(&mut self, src: usize, h: &mix_nav::DynHandle) -> Option<VNode> {
-        let at = self.current_path();
-        self.exchange_right(src, h, &at)
-    }
-
-    pub(crate) fn src_fetch(&mut self, src: usize, h: &mix_nav::DynHandle) -> Label {
-        let at = self.current_path();
-        self.exchange_fetch(src, h, &at)
-    }
-
-    pub(crate) fn src_select(
-        &mut self,
-        src: usize,
-        h: &mix_nav::DynHandle,
-        pred: &LabelPred,
-    ) -> Option<VNode> {
-        let at = self.current_path();
-        self.exchange_select(src, h, pred, &at)
-    }
-
-    /// `d` on a source with explicit attribution: the captured path `at`
-    /// is charged, regardless of what the live operator stack holds by
-    /// the time the exchange completes.
-    pub(crate) fn exchange_down(
-        &mut self,
-        src: usize,
-        h: &mix_nav::DynHandle,
-        at: &OpPath,
-    ) -> Option<VNode> {
-        self.trace_src(src, "d");
-        self.meter_src(src, 0, at);
-        let conn = &self.sources[src];
+    pub(crate) fn src_down(&mut self, src: usize, h: u64) -> Option<VNode> {
+        let conn = self.note_src(src, 0);
         conn.counters.bump_down();
-        let out = lock_unpoisoned(&conn.nav).down(h)?;
+        let out = lock_unpoisoned(&conn.nav).down(&h)?;
         Some(VNode::new(VData::Src { src, h: out }))
     }
 
-    /// `r` on a source with explicit attribution.
-    pub(crate) fn exchange_right(
-        &mut self,
-        src: usize,
-        h: &mix_nav::DynHandle,
-        at: &OpPath,
-    ) -> Option<VNode> {
-        self.trace_src(src, "r");
-        self.meter_src(src, 1, at);
-        let conn = &self.sources[src];
+    pub(crate) fn src_right(&mut self, src: usize, h: u64) -> Option<VNode> {
+        let conn = self.note_src(src, 1);
         conn.counters.bump_right();
-        let out = lock_unpoisoned(&conn.nav).right(h)?;
+        let out = lock_unpoisoned(&conn.nav).right(&h)?;
         Some(VNode::new(VData::Src { src, h: out }))
     }
 
-    /// `f` on a source with explicit attribution.
-    pub(crate) fn exchange_fetch(
-        &mut self,
-        src: usize,
-        h: &mix_nav::DynHandle,
-        at: &OpPath,
-    ) -> Label {
-        self.trace_src(src, "f");
-        self.meter_src(src, 2, at);
-        let conn = &self.sources[src];
+    pub(crate) fn src_fetch(&mut self, src: usize, h: u64) -> Label {
+        let conn = self.note_src(src, 2);
         conn.counters.bump_fetch();
-        lock_unpoisoned(&conn.nav).fetch(h)
+        lock_unpoisoned(&conn.nav).fetch(&h)
     }
 
-    /// `select_φ` on a source with explicit attribution.
-    pub(crate) fn exchange_select(
-        &mut self,
-        src: usize,
-        h: &mix_nav::DynHandle,
-        pred: &LabelPred,
-        at: &OpPath,
-    ) -> Option<VNode> {
-        self.trace_src(src, "s");
-        self.meter_src(src, 3, at);
-        let conn = &self.sources[src];
+    pub(crate) fn src_select(&mut self, src: usize, h: u64, pred: &LabelPred) -> Option<VNode> {
+        let conn = self.note_src(src, 3);
         conn.counters.bump_select();
-        let out = lock_unpoisoned(&conn.nav).select(h, pred)?;
+        let out = lock_unpoisoned(&conn.nav).select(&h, pred)?;
         Some(VNode::new(VData::Src { src, h: out }))
     }
 
@@ -947,6 +871,7 @@ fn build_op(
                     sources.push(SourceConn {
                         name: name.clone(),
                         nav: reg.nav,
+                        doc: VNode::new(VData::SrcDoc { src: sources.len() }),
                         counters: NavCounters::new(),
                         health: reg.health,
                         stats: reg.stats,
@@ -1238,43 +1163,5 @@ mod concurrency_tests {
         for m in &e.op_metrics {
             assert!(m.src_navs_cum.get() >= m.src_navs.get(), "cum dominates self");
         }
-    }
-
-    #[test]
-    fn exchange_attribution_rides_the_snapshot_not_the_live_stack() {
-        let mut e = Engine::new(trio_plan(), &buffered_registry(Duration::ZERO)).unwrap();
-        e.set_metrics(MetricsRegistry::enabled());
-        let v = e.src_root(0);
-        let h = match &*v.0 {
-            VData::Src { h, .. } => h.clone(),
-            other => panic!("unexpected root payload {other:?}"),
-        };
-        let victim = e.plan.root();
-        let bystander = PlanId::from_index(e.src_leaf_op[0] as usize);
-        assert_ne!(victim.index(), bystander.index());
-
-        // Capture the path while `victim` is on the stack, then let the
-        // stack move on — even onto a different operator — before the
-        // exchange is issued.
-        e.enter_op(victim);
-        let at = e.current_path();
-        e.exit_op(victim, false);
-
-        let victim_before = e.op_metrics[victim.index()].src_navs.get();
-        let bystander_before = e.op_metrics[bystander.index()].src_navs.get();
-        e.enter_op(bystander);
-        let _ = e.exchange_fetch(0, &h, &at);
-        e.exit_op(bystander, false);
-
-        assert_eq!(
-            e.op_metrics[victim.index()].src_navs.get(),
-            victim_before + 1,
-            "the captured path is charged"
-        );
-        assert_eq!(
-            e.op_metrics[bystander.index()].src_navs.get(),
-            bystander_before,
-            "the live stack is not consulted"
-        );
     }
 }

@@ -16,7 +16,6 @@
 
 use crate::matchcur::MatchCursor;
 use mix_algebra::PlanId;
-use mix_nav::DynHandle;
 use mix_xml::{Document, NodeId};
 use std::sync::Arc;
 
@@ -91,9 +90,12 @@ pub(crate) enum VData {
     /// XMAS paths are rooted here: `homesSrc homes.home $H` consumes the
     /// root element's label (`homes`) as its first step, exactly like the
     /// tree-pattern form `<homes> … </homes> IN homesSrc` of footnote 6.
+    /// One per source, built with the engine and cloned wherever a
+    /// binding of the source is read.
     SrcDoc { src: usize },
-    /// A node inside wrapped source `src`.
-    Src { src: usize, h: DynHandle },
+    /// A node inside wrapped source `src`: the source's own integer
+    /// node-id (`DynNavigator`'s handle), as the source issued it.
+    Src { src: usize, h: u64 },
     /// A node of an owned constant tree (literals in query heads).
     Const { doc: Arc<Document>, node: NodeId },
     /// A value torn from its original sibling context: `d`/`f` delegate,

@@ -6,7 +6,7 @@ use mix_buffer::{
     BufferNavigator, BufferStats, FragmentCache, LxpWrapper, MetricsRegistry, SourceHealth,
     TraceSink,
 };
-use mix_nav::{erase, DocNavigator, DynNavigator, Navigator};
+use mix_nav::{erase, DocNavigator, DynNavigator, IntHandle, Navigator};
 use mix_xml::Tree;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 /// A shared, interiorly-mutable source connection. Two `source` leaves
 /// naming the same source (a self-join) share one connection — and one set
 /// of navigation counters.
-pub(crate) type SharedSource = Arc<Mutex<Box<dyn DynNavigator>>>;
+pub(crate) type SharedSource = Arc<Mutex<Box<DynNavigator>>>;
 
 /// One registered source: the navigator plus, for a buffered source,
 /// the handles its [`BufferNavigator`] carries — fault/retry health,
@@ -35,7 +35,7 @@ impl Registered {
     fn plain<N>(nav: N) -> Self
     where
         N: Navigator + Send + 'static,
-        N::Handle: Send + Sync + 'static,
+        N::Handle: IntHandle,
     {
         Registered {
             nav: Arc::new(Mutex::new(erase(nav))),
@@ -52,9 +52,10 @@ impl Registered {
 ///
 /// Anything that navigates can be a source: materialized documents
 /// ([`DocNavigator`]), buffered LXP wrappers (`mix_buffer::BufferNavigator`
-/// over relational / web / OODB wrappers), or another [`Engine`] — lazy
-/// mediators compose, which is how Figure 1 stacks mediator `m_q1` on top
-/// of lower-level mediators and wrappers.
+/// over relational / web / OODB wrappers), or another [`Engine`] behind a
+/// [`HandleTable`](mix_nav::HandleTable) — lazy mediators compose, which
+/// is how Figure 1 stacks mediator `m_q1` on top of lower-level mediators
+/// and wrappers.
 ///
 /// [`Engine`]: crate::Engine
 #[derive(Default)]
@@ -74,15 +75,19 @@ impl SourceRegistry {
         SourceRegistry::default()
     }
 
-    /// Register any navigator under a source name: a materialized
-    /// document, another [`Engine`](crate::Engine), an instrumented
-    /// adapter. Buffered LXP sources go through
+    /// Register any navigator with integer handles ([`IntHandle`]) under
+    /// a source name: a materialized document, an instrumented adapter.
+    /// Another [`Engine`](crate::Engine) hands out richer node-ids, so it
+    /// is registered through a [`HandleTable`](mix_nav::HandleTable):
+    /// `add_navigator(name, HandleTable::new(engine))`. The table keeps
+    /// every handle the lower engine hands out for as long as the
+    /// registry's sources live. Buffered LXP sources go through
     /// [`SourceRegistry::add_buffer`] instead, so the engine can see their
     /// health and traffic.
     pub fn add_navigator<N>(&mut self, name: impl Into<String>, nav: N) -> &mut Self
     where
         N: Navigator + Send + 'static,
-        N::Handle: Send + Sync + 'static,
+        N::Handle: IntHandle,
     {
         self.sources.insert(name.into(), Registered::plain(nav));
         self

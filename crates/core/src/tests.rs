@@ -4,7 +4,7 @@
 use crate::{eager, Engine, EngineConfig, SourceRegistry, VirtualDocument};
 use mix_algebra::{rewrite, translate, NcCapabilities, Plan};
 use mix_nav::explore::{first_k_children, materialize};
-use mix_nav::{LabelPred, Navigator};
+use mix_nav::{HandleTable, LabelPred, Navigator};
 use mix_xmas::parse_query;
 
 const FIG3: &str = r#"
@@ -372,7 +372,7 @@ fn engines_compose_as_sources() {
     let lower = Engine::new(lower_plan, &example8_registry()).unwrap();
 
     let mut upper_reg = SourceRegistry::new();
-    upper_reg.add_navigator("zipsSrc", lower);
+    upper_reg.add_navigator("zipsSrc", HandleTable::new(lower));
     let upper_plan = plan_for(
         "CONSTRUCT <out> $Z {$Z} </out> {} WHERE zipsSrc zips._ $Z",
     );

@@ -46,7 +46,7 @@ impl<'a> Nav<'a> {
             // The document node's single child is the source's root
             // element; obtaining that handle is the free `get_root`.
             (VData::SrcDoc { src }, _) => Some(self.e.src_root(*src)),
-            (VData::Src { src, h }, _) => self.e.src_down(*src, h),
+            (VData::Src { src, h }, _) => self.e.src_down(*src, *h),
             (VData::Const { doc, node }, _) => {
                 let child = doc.down(*node)?;
                 Some(VNode::new(VData::Const { doc: doc.clone(), node: child }))
@@ -96,7 +96,7 @@ impl<'a> Nav<'a> {
     /// `r(p)` on a value node.
     pub(crate) fn val_right(&mut self, v: &VNode) -> Option<VNode> {
         match (&*v.0, self.value_spec(&v.0)) {
-            (VData::Src { src, h }, _) => self.e.src_right(*src, h),
+            (VData::Src { src, h }, _) => self.e.src_right(*src, *h),
             (VData::Const { doc, node }, _) => {
                 let sib = doc.right(*node)?;
                 Some(VNode::new(VData::Const { doc: doc.clone(), node: sib }))
@@ -171,7 +171,7 @@ impl<'a> Nav<'a> {
     pub(crate) fn val_fetch(&mut self, v: &VNode) -> Label {
         match (&*v.0, self.value_spec(&v.0)) {
             (VData::SrcDoc { .. }, _) => Label::new(DOC_LABEL),
-            (VData::Src { src, h }, _) => self.e.src_fetch(*src, h),
+            (VData::Src { src, h }, _) => self.e.src_fetch(*src, *h),
             (VData::Const { doc, node }, _) => doc.fetch(*node).clone(),
             (
                 VData::Solo { inner }
@@ -211,7 +211,7 @@ impl<'a> Nav<'a> {
     /// from `r`/`f` everywhere else.
     pub(crate) fn val_select(&mut self, v: &VNode, pred: &LabelPred) -> Option<VNode> {
         if let VData::Src { src, h } = &*v.0 {
-            return self.e.src_select(*src, h, pred);
+            return self.e.src_select(*src, *h, pred);
         }
         let mut cur = self.val_right(v)?;
         loop {

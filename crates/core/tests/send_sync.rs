@@ -10,6 +10,7 @@ use mix_buffer::{
     MetricsRegistry, OverlapGauge, SlowWrapper, SourceHealth, TraceSink, TreeWrapper,
 };
 use mix_core::{Engine, SourceRegistry, TraceLog, VirtualDocument, VNode};
+use mix_nav::HandleTable;
 
 fn assert_send<T: Send>() {}
 fn assert_send_sync<T: Send + Sync>() {}
@@ -24,6 +25,8 @@ fn engine_stack_is_send() {
     assert_send::<BufferNavigator<FaultyWrapper<TreeWrapper>>>();
     assert_send::<BufferNavigator<ConcurrentPrefetcher<TreeWrapper>>>();
     assert_send::<VNode>();
+    // An engine registered as another engine's source (Figure 1).
+    assert_send::<HandleTable<Engine>>();
 }
 
 #[test]

@@ -2,124 +2,90 @@
 //!
 //! The mediator integrates sources of different kinds behind one plan
 //! (Figure 1: RDB, Web sites, OODB). Each wrapper has its own handle type,
-//! so the engine talks to sources through the object-safe [`DynNavigator`]
-//! trait whose [`DynHandle`] is a type-erased, reference-counted handle.
-//! [`erase`] adapts any [`Navigator`] with `'static` handles.
+//! but a source node-id "directly encodes the association information"
+//! (§3, App. A), and for a source node that is one integer. So the engine
+//! talks to every source as a [`DynNavigator`], a navigator with plain
+//! `u64` handles, and [`erase`] adapts any [`Navigator`] whose handle is
+//! an [`IntHandle`]. A navigator with richer handles (an `Engine` stacked
+//! as a source) is erased through a [`HandleTable`](crate::HandleTable),
+//! which numbers its handles.
 
 use crate::pred::LabelPred;
 use crate::Navigator;
-use mix_xml::Label;
-use std::any::Any;
-use std::sync::Arc;
+use mix_xml::{Label, NodeId};
 
-/// A type-erased node handle. Cheap to clone (an `Arc` bump), and
-/// `Send + Sync` so handles may cross thread boundaries (prefetch
-/// workers, parallel per-source exchanges).
-#[derive(Clone)]
-pub struct DynHandle(Arc<dyn Any + Send + Sync>);
+/// A handle that is one integer: it converts to a `u64` and back without
+/// a table. Only ids a navigator issued are ever converted back.
+pub trait IntHandle {
+    /// The handle as an integer.
+    fn to_int(&self) -> u64;
+    /// The handle `to_int` produced `raw` from.
+    fn from_int(raw: u64) -> Self;
+}
 
-impl DynHandle {
-    /// Wrap a concrete handle.
-    pub fn new<H: Send + Sync + 'static>(h: H) -> Self {
-        DynHandle(Arc::new(h))
+impl IntHandle for u64 {
+    fn to_int(&self) -> u64 {
+        *self
     }
 
-    /// Downcast to the concrete handle type.
-    ///
-    /// # Panics
-    /// Panics when the handle was produced by a different navigator type;
-    /// that is a plan-construction bug, not a data error.
-    pub fn expect<H: 'static>(&self) -> &H {
-        self.0
-            .downcast_ref::<H>()
-            .expect("DynHandle used with a navigator of a different type")
+    fn from_int(raw: u64) -> Self {
+        raw
     }
 }
 
-impl std::fmt::Debug for DynHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DynHandle")
+impl IntHandle for NodeId {
+    fn to_int(&self) -> u64 {
+        self.index() as u64
+    }
+
+    fn from_int(raw: u64) -> Self {
+        NodeId::from_index(raw as usize)
     }
 }
 
-/// Object-safe variant of [`Navigator`] used for plan leaves.
-///
-/// `Send` is required so erased sources can be owned by a shared
-/// registry and driven from worker threads (behind a lock).
-pub trait DynNavigator: Send {
-    /// `root` — see [`Navigator::root`].
-    fn root(&mut self) -> DynHandle;
-    /// `d(p)` — see [`Navigator::down`].
-    fn down(&mut self, p: &DynHandle) -> Option<DynHandle>;
-    /// `r(p)` — see [`Navigator::right`].
-    fn right(&mut self, p: &DynHandle) -> Option<DynHandle>;
-    /// `f(p)` — see [`Navigator::fetch`].
-    fn fetch(&mut self, p: &DynHandle) -> Label;
-    /// `select_φ(p)` — see [`Navigator::select`].
-    fn select(&mut self, p: &DynHandle, pred: &LabelPred) -> Option<DynHandle>;
-}
+/// An erased source: a navigator with `u64` handles, used for plan
+/// leaves. `Send` so erased sources can be owned by a shared registry and
+/// driven from worker threads (behind a lock).
+pub type DynNavigator = dyn Navigator<Handle = u64> + Send;
 
 struct Erased<N>(N);
 
-impl<N> DynNavigator for Erased<N>
+impl<N: Navigator> Navigator for Erased<N>
 where
-    N: Navigator + Send,
-    N::Handle: Send + Sync + 'static,
+    N::Handle: IntHandle,
 {
-    fn root(&mut self) -> DynHandle {
-        DynHandle::new(self.0.root())
+    type Handle = u64;
+
+    fn root(&mut self) -> u64 {
+        self.0.root().to_int()
     }
 
-    fn down(&mut self, p: &DynHandle) -> Option<DynHandle> {
-        self.0.down(p.expect::<N::Handle>()).map(DynHandle::new)
+    fn down(&mut self, p: &u64) -> Option<u64> {
+        self.0.down(&N::Handle::from_int(*p)).map(|h| h.to_int())
     }
 
-    fn right(&mut self, p: &DynHandle) -> Option<DynHandle> {
-        self.0.right(p.expect::<N::Handle>()).map(DynHandle::new)
+    fn right(&mut self, p: &u64) -> Option<u64> {
+        self.0.right(&N::Handle::from_int(*p)).map(|h| h.to_int())
     }
 
-    fn fetch(&mut self, p: &DynHandle) -> Label {
-        self.0.fetch(p.expect::<N::Handle>())
+    fn fetch(&mut self, p: &u64) -> Label {
+        self.0.fetch(&N::Handle::from_int(*p))
     }
 
-    fn select(&mut self, p: &DynHandle, pred: &LabelPred) -> Option<DynHandle> {
-        self.0.select(p.expect::<N::Handle>(), pred).map(DynHandle::new)
+    fn select(&mut self, p: &u64, pred: &LabelPred) -> Option<u64> {
+        self.0.select(&N::Handle::from_int(*p), pred).map(|h| h.to_int())
     }
 }
 
-/// Erase a concrete navigator into a boxed [`DynNavigator`].
-pub fn erase<N>(nav: N) -> Box<dyn DynNavigator>
+/// Erase a concrete navigator into a boxed [`DynNavigator`]. The box is
+/// itself a [`Navigator`], so all generic utilities (materialize,
+/// explored_part, CountedNavigator) apply.
+pub fn erase<N>(nav: N) -> Box<DynNavigator>
 where
     N: Navigator + Send + 'static,
-    N::Handle: Send + Sync + 'static,
+    N::Handle: IntHandle,
 {
     Box::new(Erased(nav))
-}
-
-// A boxed DynNavigator is itself a Navigator with DynHandle handles, so all
-// generic utilities (materialize, explored_part, CountedNavigator) apply.
-impl Navigator for dyn DynNavigator + '_ {
-    type Handle = DynHandle;
-
-    fn root(&mut self) -> DynHandle {
-        DynNavigator::root(self)
-    }
-
-    fn down(&mut self, p: &DynHandle) -> Option<DynHandle> {
-        DynNavigator::down(self, p)
-    }
-
-    fn right(&mut self, p: &DynHandle) -> Option<DynHandle> {
-        DynNavigator::right(self, p)
-    }
-
-    fn fetch(&mut self, p: &DynHandle) -> Label {
-        DynNavigator::fetch(self, p)
-    }
-
-    fn select(&mut self, p: &DynHandle, pred: &LabelPred) -> Option<DynHandle> {
-        DynNavigator::select(self, p, pred)
-    }
 }
 
 #[cfg(test)]
@@ -154,13 +120,5 @@ mod tests {
         let mut n = erase(DocNavigator::from_term("a[b[d,e],c]"));
         let t = materialize(&mut *n);
         assert_eq!(t.to_string(), "a[b[d,e],c]");
-    }
-
-    #[test]
-    #[should_panic(expected = "different type")]
-    fn foreign_handle_panics() {
-        let mut n = erase(DocNavigator::from_term("a"));
-        let foreign = DynHandle::new(123u8);
-        let _ = n.down(&foreign);
     }
 }

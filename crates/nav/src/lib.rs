@@ -20,9 +20,10 @@
 //!
 //! The crate provides the [`Navigator`] trait, concrete navigators over
 //! materialized [`Document`]s, command counting/recording adapters used by
-//! the navigational-complexity experiments, type erasure for heterogeneous
-//! sources, and utilities to run navigation *sequences* (Def. 1) and to
-//! fully explore a virtual document into an owned tree.
+//! the navigational-complexity experiments, integer source handles for
+//! heterogeneous sources ([`erase`], [`HandleTable`]), and utilities to
+//! run navigation *sequences* (Def. 1) and to fully explore a virtual
+//! document into an owned tree.
 //!
 //! [`Document`]: mix_xml::Document
 
@@ -34,15 +35,17 @@ pub mod explore;
 pub mod pred;
 pub mod recorded;
 pub mod summary;
+pub mod table;
 
 pub use command::{Cmd, NavProgram, Step};
 pub use counted::{CountedNavigator, NavCounters, NavStats};
 pub use doc::DocNavigator;
-pub use erased::{erase, DynHandle, DynNavigator};
+pub use erased::{erase, DynNavigator, IntHandle};
 pub use explore::{explored_part, materialize, materialize_children};
 pub use pred::LabelPred;
 pub use recorded::{Recorded, RecordingNavigator, Trace};
 pub use summary::Summary;
+pub use table::HandleTable;
 
 use mix_xml::Label;
 

@@ -38,7 +38,7 @@ use mix_buffer::{
 };
 use mix_core::{Engine, EngineConfig, SemanticOutcome, TraceKind, TraceLog, TraceSink, VNode};
 use mix_nav::explore::materialize;
-use mix_nav::{LabelPred, Navigator};
+use mix_nav::{HandleTable, LabelPred, Navigator};
 use mix_xmas::parse_query;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
@@ -201,12 +201,10 @@ struct Template {
 }
 
 struct Session {
-    engine: Engine,
-    /// Wire handle → engine node. Private per session: handles are
-    /// meaningless across sessions, exactly like the paper's node ids
-    /// are private to one mediator conversation.
-    handles: HashMap<u64, VNode>,
-    next_handle: u64,
+    /// The session's engine behind its wire handles. Handles are private
+    /// per session: they are meaningless across sessions, exactly like the
+    /// paper's node ids are private to one mediator conversation.
+    nav: HandleTable<Engine>,
     /// `mix_serve_session_commands_total{session="N"}` — unregistered at
     /// close.
     commands: Counter,
@@ -218,15 +216,6 @@ struct Session {
     template: String,
     /// When the session opened (for the session table).
     opened_at: Instant,
-}
-
-impl Session {
-    fn intern(&mut self, node: VNode) -> u64 {
-        let h = self.next_handle;
-        self.next_handle += 1;
-        self.handles.insert(h, node);
-        h
-    }
 }
 
 struct ServerShared {
@@ -621,7 +610,7 @@ impl VxdServer {
         } else {
             sh.pool.registry_for_session()
         };
-        let mut engine = match Engine::with_config(tpl.plan.clone(), &registry, sh.config) {
+        let engine = match Engine::with_config(tpl.plan.clone(), &registry, sh.config) {
             Ok(e) => e,
             Err(e) => {
                 return Reply::Error { code: ErrorCode::Internal, msg: e.to_string() };
@@ -643,18 +632,16 @@ impl VxdServer {
             trace.emit(None, TraceKind::WireSpan { client_span: ctx.span, verb: "open" });
             trace.bind_into(&sh.metrics, &[("session", &id.to_string())]);
         }
-        let root = engine.root();
-        let mut session = Session {
-            engine,
-            handles: HashMap::new(),
-            next_handle: 1,
+        let mut nav = HandleTable::new(engine);
+        let root_handle = nav.root();
+        let session = Session {
+            nav,
             commands,
             panic_on_fetch: tpl.panic_on_fetch,
             trace,
             template: template.to_string(),
             opened_at: Instant::now(),
         };
-        let root_handle = session.intern(root);
         lock_unpoisoned(&sh.sessions).insert(id, Arc::new(Mutex::new(session)));
         sh.sessions_gauge.add(1);
         sh.opened_total.inc();
@@ -676,49 +663,31 @@ impl VxdServer {
         // session's mutex is merely poisoned (and poison is recovered by
         // the teardown path), never held forever.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut s = lock_unpoisoned(&session);
+            let mut guard = lock_unpoisoned(&session);
+            let s = &mut *guard;
             s.commands.inc();
-            let node = |s: &Session, h: u64| s.handles.get(&h).cloned();
             let reply = match verb {
-                Verb::Down { node: h } => match node(&s, *h) {
+                Verb::Down { node: h } => step(&mut s.nav, *h, |e, p| e.down(p)),
+                Verb::Right { node: h } => step(&mut s.nav, *h, |e, p| e.right(p)),
+                Verb::Fetch { node: h } => match s.nav.lookup(*h) {
                     None => unknown_handle(*h),
-                    Some(p) => match s.engine.down(&p) {
-                        Some(n) => Reply::Node { handle: s.intern(n) },
-                        None => Reply::End,
-                    },
-                },
-                Verb::Right { node: h } => match node(&s, *h) {
-                    None => unknown_handle(*h),
-                    Some(p) => match s.engine.right(&p) {
-                        Some(n) => Reply::Node { handle: s.intern(n) },
-                        None => Reply::End,
-                    },
-                },
-                Verb::Fetch { node: h } => match node(&s, *h) {
-                    None => unknown_handle(*h),
-                    Some(p) => {
-                        if s.panic_on_fetch {
-                            panic!("injected session panic (panic template)");
-                        }
-                        // The checked fetch API is the wire contract: a
-                        // degraded answer crosses as DegradedLabel, never
-                        // as a silently-empty Label.
-                        match s.engine.fetch_checked(&p) {
-                            Ok(label) => Reply::Label { label: label.to_string() },
-                            Err(d) => Reply::DegradedLabel {
-                                label: d.label.to_string(),
-                                sources: d.sources,
-                            },
-                        }
+                    Some(_) if s.panic_on_fetch => {
+                        panic!("injected session panic (panic template)")
                     }
-                },
-                Verb::Select { node: h, label } => match node(&s, *h) {
-                    None => unknown_handle(*h),
-                    Some(p) => match s.engine.select(&p, &LabelPred::equals(label.as_str())) {
-                        Some(n) => Reply::Node { handle: s.intern(n) },
-                        None => Reply::End,
+                    // The checked fetch API is the wire contract: a
+                    // degraded answer crosses as DegradedLabel, never
+                    // as a silently-empty Label.
+                    Some((engine, p)) => match engine.fetch_checked(p) {
+                        Ok(label) => Reply::Label { label: label.to_string() },
+                        Err(d) => Reply::DegradedLabel {
+                            label: d.label.to_string(),
+                            sources: d.sources,
+                        },
                     },
                 },
+                Verb::Select { node: h, label } => step(&mut s.nav, *h, |e, p| {
+                    e.select(p, &LabelPred::equals(label.as_str()))
+                }),
                 Verb::Open { .. } | Verb::Close => unreachable!("handled in handle()"),
             };
             // The engine's nav verb began the server-side span; link it
@@ -876,6 +845,22 @@ impl VxdServer {
 
 fn unknown_session(id: u64) -> Reply {
     Reply::Error { code: ErrorCode::UnknownSession, msg: format!("no session {id}") }
+}
+
+/// A `d`/`r`/`select` verb from handle `h`: the node `go` reaches,
+/// numbered in the session's handle table, or the end of the axis.
+fn step(
+    nav: &mut HandleTable<Engine>,
+    h: u64,
+    go: impl FnOnce(&mut Engine, &VNode) -> Option<VNode>,
+) -> Reply {
+    let Some((engine, p)) = nav.lookup(h) else {
+        return unknown_handle(h);
+    };
+    match go(engine, p) {
+        Some(n) => Reply::Node { handle: nav.issue(n) },
+        None => Reply::End,
+    }
 }
 
 fn unknown_handle(h: u64) -> Reply {

@@ -146,12 +146,18 @@ fn interleaved_sessions_on_one_connection_answer_independently() {
     assert_eq!(client.fetch(s1.session, c1b).unwrap(), "b");
     assert_eq!(client.fetch(s2.session, c2).unwrap(), "a");
 
-    // A handle from one session is meaningless in the other.
-    let err = client.fetch(s2.session, c1b).unwrap_err();
-    assert!(matches!(
-        err,
-        mix_serve::ClientError::Server { code: mix_serve::ErrorCode::UnknownHandle, .. }
-    ));
+    // A handle from one session is meaningless in the other, whatever
+    // the verb.
+    let unknown = |r: Result<(), mix_serve::ClientError>| {
+        matches!(
+            r,
+            Err(mix_serve::ClientError::Server { code: mix_serve::ErrorCode::UnknownHandle, .. })
+        )
+    };
+    assert!(unknown(client.fetch(s2.session, c1b).map(drop)));
+    assert!(unknown(client.down(s2.session, c1b).map(drop)));
+    assert!(unknown(client.right(s2.session, c1b).map(drop)));
+    assert!(unknown(client.select(s2.session, c1b, "b").map(drop)));
 
     client.close(s1.session).unwrap();
     client.close(s2.session).unwrap();

@@ -93,8 +93,8 @@ fn main() {
     let bn_engine = Engine::new(plan_bn, &sources2).unwrap();
 
     let mut upper = SourceRegistry::new();
-    upper.add_navigator("amazonView", amazon_engine);
-    upper.add_navigator("bnView", bn_engine);
+    upper.add_navigator("amazonView", HandleTable::new(amazon_engine));
+    upper.add_navigator("bnView", HandleTable::new(bn_engine));
     let union_q = parse_query(
         "CONSTRUCT <all> $O {$O} </all> {} WHERE amazonView allbooks.offer $O",
     )

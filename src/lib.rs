@@ -87,7 +87,7 @@ pub mod prelude {
         eager, Degraded, Engine, EngineConfig, PromText, SemanticOutcome, SourceRegistry,
         TraceKind, TraceLog, TraceSink, ViewCatalog, VirtualDocument, VirtualElement,
     };
-    pub use mix_nav::{explore::materialize, LabelPred, Navigator};
+    pub use mix_nav::{explore::materialize, HandleTable, LabelPred, Navigator};
     pub use mix_serve::{SessionSources, VxdClient, VxdServer};
     pub use mix_xmas::{parse_path, parse_query};
     pub use mix_xml::{term::parse_term, Document, Label, Tree};

@@ -192,7 +192,7 @@ fn mediator_stacking_three_levels() {
     let level1 = Engine::new(zips_view, &base).unwrap();
 
     let mut mid = SourceRegistry::new();
-    mid.add_navigator("zipsView", level1);
+    mid.add_navigator("zipsView", HandleTable::new(level1));
     let distinct_view = translate(
         &parse_query(
             "CONSTRUCT <distinct> <z> $Z </z> {$Z} </distinct> {} \
@@ -204,7 +204,7 @@ fn mediator_stacking_three_levels() {
     let level2 = Engine::new(distinct_view, &mid).unwrap();
 
     let mut top = SourceRegistry::new();
-    top.add_navigator("distinctView", level2);
+    top.add_navigator("distinctView", HandleTable::new(level2));
     let count_view = translate(
         &parse_query(
             "CONSTRUCT <out> $Z {$Z} </out> {} WHERE distinctView distinct.z._ $Z",
@@ -250,7 +250,7 @@ fn composition_equals_stacking() {
     // (a) Stacked: engine over engine.
     let lower = Engine::new(view.clone(), &mk_base()).unwrap();
     let mut upper_reg = SourceRegistry::new();
-    upper_reg.add_navigator("medview", lower);
+    upper_reg.add_navigator("medview", HandleTable::new(lower));
     let mut stacked = Engine::new(query.clone(), &upper_reg).unwrap();
     let stacked_answer = materialize(&mut stacked);
 
