@@ -127,6 +127,29 @@ impl BindPred {
         }
     }
 
+    /// The keyed shape of a join predicate: a single `=` between two
+    /// variables, one bound by each input. Returns `(left var, right var)`,
+    /// whichever way round the predicate names them; such a join can be
+    /// probed by [`eq_key`] instead of testing every pair.
+    pub fn eq_join_keys(
+        &self,
+        in_left: impl Fn(&Var) -> bool,
+        in_right: impl Fn(&Var) -> bool,
+    ) -> Option<(&Var, &Var)> {
+        let BindPred::Cmp { left: PredOperand::Var(a), op: CmpOp::Eq, right: PredOperand::Var(b) } =
+            self
+        else {
+            return None;
+        };
+        if in_left(a) && in_right(b) {
+            Some((a, b))
+        } else if in_left(b) && in_right(a) {
+            Some((b, a))
+        } else {
+            None
+        }
+    }
+
     /// Conjoin two predicates, simplifying `True`.
     pub fn and(self, other: BindPred) -> BindPred {
         match (self, other) {
@@ -189,10 +212,23 @@ pub fn value_cmp(a: &Tree, op: CmpOp, b: &Tree) -> bool {
     }
 }
 
+/// Equality key matching [`value_cmp`]'s `=`: numeric when the content
+/// parses as an integer, textual otherwise (structural equality implies
+/// text equality, so this never splits equal values). Two values share a
+/// key exactly when they are `=`.
+pub fn eq_key(t: &Tree) -> String {
+    let text = t.text();
+    match text.trim().parse::<i64>() {
+        Ok(n) => format!("#i{n}"),
+        Err(_) => format!("#s{text}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mix_xml::term::parse_term;
+    use proptest::prelude::*;
 
     fn t(s: &str) -> Tree {
         parse_term(s).unwrap()
@@ -278,5 +314,78 @@ mod tests {
     fn display() {
         assert_eq!(BindPred::var_eq("V1", "V2").to_string(), "$V1 = $V2");
         assert_eq!(BindPred::True.to_string(), "true");
+    }
+
+    #[test]
+    fn eq_join_keys_needs_one_var_per_side() {
+        let left = |v: &Var| ["A", "V"].contains(&v.name());
+        let right = |v: &Var| ["B", "W"].contains(&v.name());
+        let (v, w) = (Var::new("V"), Var::new("W"));
+        assert_eq!(BindPred::var_eq("V", "W").eq_join_keys(left, right), Some((&v, &w)));
+        assert_eq!(BindPred::var_eq("W", "V").eq_join_keys(left, right), Some((&v, &w)));
+        let lt = BindPred::Cmp {
+            left: PredOperand::Var(v.clone()),
+            op: CmpOp::Lt,
+            right: PredOperand::Var(w.clone()),
+        };
+        assert_eq!(lt.eq_join_keys(left, right), None);
+        let conj = BindPred::var_eq("V", "W").and(BindPred::Cmp {
+            left: PredOperand::Var(Var::new("A")),
+            op: CmpOp::Lt,
+            right: PredOperand::Var(Var::new("B")),
+        });
+        assert_eq!(conj.eq_join_keys(left, right), None);
+        assert_eq!(BindPred::var_eq("V", "A").eq_join_keys(left, right), None);
+        assert_eq!(BindPred::var_eq("B", "W").eq_join_keys(left, right), None);
+    }
+
+    /// Values from a small alphabet, so equal pairs are as likely as
+    /// unequal ones: integers in every spelling `=` sees through (sign,
+    /// zero padding, surrounding whitespace), digit strings past `i64`
+    /// (text, not numbers), plain text, and small subtrees whose content
+    /// is the concatenation of their leaves.
+    fn arb_value() -> impl Strategy<Value = Tree> {
+        let int = (-2i64..3, 0usize..5).prop_map(|(n, spelling)| match spelling {
+            0 => format!("{n}"),
+            1 => format!("{n:+}"),
+            2 => format!("{n:04}"),
+            3 => format!(" {n}\t"),
+            _ => format!("\n{n:+03} "),
+        });
+        let text = prop_oneof![
+            Just("9223372036854775808"),
+            Just("09223372036854775808"),
+            Just(" 9223372036854775808"),
+            Just("a"),
+            Just("a "),
+            Just("b"),
+            Just(""),
+            Just("1x"),
+            Just("- 1"),
+        ]
+        .prop_map(str::to_string);
+        let atom = prop_oneof![int, text].boxed();
+        (atom.clone(), atom, 0usize..4).prop_map(|(a, b, shape)| match shape {
+            0 => Tree::leaf(a),
+            1 => Tree::node("zip", vec![Tree::leaf(a)]),
+            2 => Tree::node("z", vec![Tree::leaf(a), Tree::leaf(b)]),
+            _ => Tree::node("w", vec![Tree::node("zip", vec![Tree::leaf(a)])]),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+        /// The keyed probe is the only implementation of a single-`=`
+        /// join, lazy and eager: two values share a key exactly when `=`
+        /// holds.
+        #[test]
+        fn eq_key_agrees_with_value_equality(a in arb_value(), b in arb_value()) {
+            prop_assert_eq!(
+                eq_key(&a) == eq_key(&b),
+                value_cmp(&a, CmpOp::Eq, &b),
+                "{a} vs {b}"
+            );
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! Allocation- and navigation-count gates for the Fig. 3 walk.
+//! Allocation- and navigation-count gates for the Fig. 3 walk, and an
+//! allocation gate for the eager oracle's Fig. 3 answer.
 //!
 //! groupBy's member `r` used to walk the shared input scan entry by
 //! entry, so the mediator's own work grew quadratically (fixed by
@@ -8,11 +9,12 @@
 //! now computed once per binding that defines it. Counted, not timed: the
 //! allocations and source navigations per home must stay flat as the view
 //! grows and under their budgets, and a checked `f` on a buffered node
-//! must not allocate at all.
+//! must not allocate at all. The eager oracle keys its single-`=` join,
+//! so its allocations per home stay flat too.
 
 use mix_bench::{homes_schools_registry, plan_for, FIG3_QUERY};
 use mix_buffer::{BufferNavigator, FillPolicy, TreeWrapper};
-use mix_core::{Engine, SourceRegistry};
+use mix_core::{eager, Engine, SourceRegistry};
 use mix_nav::explore::materialize;
 use mix_nav::Navigator;
 use mix_wrappers::gen;
@@ -70,6 +72,44 @@ fn fig3_walk_allocates_linearly_in_homes() {
         hi / lo <= 1.15,
         "allocations per home grow with the view: {per_home:?} ({:.2}x)",
         hi / lo
+    );
+}
+
+/// Allocations per home of the eager oracle's Fig. 3 answer over `n`
+/// homes and `n` schools (zip pool `n / 10`). The registry and plan are
+/// built outside the measured closure; pulling each source whole is
+/// inside it.
+fn eager_fig3(n: usize) -> f64 {
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let plan = plan_for(FIG3_QUERY);
+    let reg = homes_schools_registry(2, n, n / 10);
+    let (answer, counts) = countalloc::count_allocations(|| eager::eval(&plan, &reg));
+    answer.expect("the eager oracle answers Fig. 3");
+    counts.allocations as f64 / n as f64
+}
+
+#[test]
+fn eager_fig3_allocates_linearly_in_homes() {
+    // Measured 260.1 / 263.1 / 265.9 / 266.6 allocations per home at
+    // 250 / 500 / 1,000 / 2,000 homes (285.7-292.9 while groupBy copied
+    // every member value into its list; 320.0-328.3 while tupleDestroy
+    // also copied the finished answer; 1,284 / 2,288 / 4,291 / 8,292
+    // while every join copied a binding per candidate pair before testing
+    // it). The budget keeps 27 % headroom over 266.6.
+    const BUDGET_PER_HOME: f64 = 339.0;
+    let per_home: Vec<(usize, f64)> =
+        [250, 500, 1_000, 2_000].into_iter().map(|n| (n, eager_fig3(n))).collect();
+    for &(n, allocs) in &per_home {
+        assert!(
+            allocs < BUDGET_PER_HOME,
+            "{n} homes: {allocs:.0} eager allocations per home, budget {BUDGET_PER_HOME}"
+        );
+    }
+    let (first, last) = (per_home[0].1, per_home[per_home.len() - 1].1);
+    assert!(
+        last <= 1.1 * first,
+        "eager allocations per home grow with the view: {per_home:?} ({:.2}x)",
+        last / first
     );
 }
 

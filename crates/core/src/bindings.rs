@@ -22,7 +22,7 @@ use crate::handle::{BData, BHandle, VData, VNode};
 use crate::matchcur::{Frame, MatchCursor};
 use crate::ops::{DiffSpec, GetDescSpec, GroupSpec, JoinSpec, MatRow, OpSpec};
 use crate::Engine;
-use mix_algebra::pred::value_ord;
+use mix_algebra::pred::{eq_key, value_ord};
 use mix_algebra::{BindPred, PlanId};
 use mix_buffer::TraceKind;
 use mix_xmas::Var;
@@ -33,17 +33,6 @@ use std::sync::Arc;
 /// Separator for composite group/difference keys; labels are
 /// length-prefixed in canonical form, so no ambiguity arises.
 const KEY_SEP: char = '\u{1f}';
-
-/// Equality key matching `value_cmp`'s `=` semantics: numeric when the
-/// content parses as an integer, textual otherwise (structural equality
-/// implies text equality, so this never splits equal values).
-fn eq_key(t: &Tree) -> String {
-    let text = t.text();
-    match text.trim().parse::<i64>() {
-        Ok(n) => format!("#i{n}"),
-        Err(_) => format!("#s{text}"),
-    }
-}
 
 /// The engine during one client command: its operator table, borrowed
 /// apart from the engine so a spec stays in hand while the operator
@@ -941,64 +930,6 @@ impl<'a> Nav<'a> {
                 frames.push(Frame { node: sib, states });
                 return Some(MatchCursor::new(frames));
             }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::eq_key;
-    use mix_algebra::pred::value_cmp;
-    use mix_nav::pred::CmpOp;
-    use mix_xml::Tree;
-    use proptest::prelude::*;
-
-    /// Values from a small alphabet, so equal pairs are as likely as
-    /// unequal ones: integers in every spelling `=` sees through (sign,
-    /// zero padding, surrounding whitespace), digit strings past `i64`
-    /// (text, not numbers), plain text, and small subtrees whose content
-    /// is the concatenation of their leaves.
-    fn arb_value() -> impl Strategy<Value = Tree> {
-        let int = (-2i64..3, 0usize..5).prop_map(|(n, spelling)| match spelling {
-            0 => format!("{n}"),
-            1 => format!("{n:+}"),
-            2 => format!("{n:04}"),
-            3 => format!(" {n}\t"),
-            _ => format!("\n{n:+03} "),
-        });
-        let text = prop_oneof![
-            Just("9223372036854775808"),
-            Just("09223372036854775808"),
-            Just(" 9223372036854775808"),
-            Just("a"),
-            Just("a "),
-            Just("b"),
-            Just(""),
-            Just("1x"),
-            Just("- 1"),
-        ]
-        .prop_map(str::to_string);
-        let atom = prop_oneof![int, text].boxed();
-        (atom.clone(), atom, 0usize..4).prop_map(|(a, b, shape)| match shape {
-            0 => Tree::leaf(a),
-            1 => Tree::node("zip", vec![Tree::leaf(a)]),
-            2 => Tree::node("z", vec![Tree::leaf(a), Tree::leaf(b)]),
-            _ => Tree::node("w", vec![Tree::node("zip", vec![Tree::leaf(a)])]),
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
-
-        /// The keyed probe is the only implementation of a single-`=`
-        /// join: two values share a key exactly when `=` holds.
-        #[test]
-        fn eq_key_agrees_with_value_equality(a in arb_value(), b in arb_value()) {
-            prop_assert_eq!(
-                eq_key(&a) == eq_key(&b),
-                value_cmp(&a, CmpOp::Eq, &b),
-                "{a} vs {b}"
-            );
         }
     }
 }

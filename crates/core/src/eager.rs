@@ -7,10 +7,17 @@
 //! the complete answer tree. It doubles as the differential-testing oracle
 //! for the lazy engine: fully navigating the lazy engine must produce
 //! exactly this tree.
+//!
+//! A join whose predicate is a single `=` between one variable of each
+//! input is keyed, as a materializing mediator would evaluate it: the right
+//! input is bucketed by [`eq_key`] and probed once per left binding. Every
+//! other join tests each pair without copying it. Either way the output is
+//! left-major with the right side in input order, and every source is
+//! still pulled whole.
 
 use crate::registry::SourceRegistry;
 use crate::EngineError;
-use mix_algebra::pred::{value_ord, BindPred};
+use mix_algebra::pred::{eq_key, value_ord, BindPred};
 use mix_algebra::{Plan, PlanId, PlanNode};
 use mix_nav::explore::materialize;
 use mix_xmas::{LabelSpec, Nfa, Var};
@@ -30,11 +37,15 @@ pub fn eval(plan: &Plan, registry: &SourceRegistry) -> Result<Tree, EngineError>
     match plan.node(root) {
         PlanNode::TupleDestroy { input, var } => {
             let bs = ev.bindings(*input)?;
-            let first = bs.first().ok_or_else(|| {
+            let mut first = bs.into_iter().next().ok_or_else(|| {
                 EngineError::new("the query produced no answer document (empty binding list)")
             })?;
-            let val = lookup(first, var);
-            Ok((**val).clone())
+            let at = first.iter().position(|(v, _)| v == var).ok_or_else(|| {
+                EngineError::new(format!("tupleDestroy: variable {var} is not bound"))
+            })?;
+            // Moved out, not copied, when nothing else holds the answer.
+            let (_, val) = first.swap_remove(at);
+            Ok(Arc::unwrap_or_clone(val))
         }
         _ => Err(EngineError::new("the plan root must be tupleDestroy")),
     }
@@ -58,8 +69,20 @@ struct Eager<'a> {
     sources: HashMap<String, Arc<Tree>>,
 }
 
+fn find<'b>(b: &'b EagerBinding, var: &Var) -> Option<&'b Tree> {
+    b.iter().find(|(v, _)| v == var).map(|(_, t)| &**t)
+}
+
 fn lookup<'b>(b: &'b EagerBinding, var: &Var) -> &'b Arc<Tree> {
     &b.iter().find(|(v, _)| v == var).expect("validated plans bind every used variable").1
+}
+
+/// A join or cross product's output binding: `l`'s pairs, then `r`'s.
+fn pair(l: &EagerBinding, r: &EagerBinding) -> EagerBinding {
+    let mut out = Vec::with_capacity(l.len() + r.len());
+    out.extend(l.iter().cloned());
+    out.extend(r.iter().cloned());
+    out
 }
 
 impl Eager<'_> {
@@ -103,13 +126,31 @@ impl Eager<'_> {
             PlanNode::Join { left, right, pred } => {
                 let ls = self.bindings(*left)?;
                 let rs = self.bindings(*right)?;
+                let (in_left, in_right) = (self.plan.schema(*left), self.plan.schema(*right));
                 let mut out = Vec::new();
-                for l in &ls {
-                    for r in &rs {
-                        let mut pair = l.clone();
-                        pair.extend(r.iter().cloned());
-                        if eval_pred(pred, &pair) {
-                            out.push(pair);
+                match pred.eq_join_keys(|v| in_left.contains(v), |v| in_right.contains(v)) {
+                    // Keyed: bucket the right input by key (each bucket in
+                    // input order) and probe it once per left binding.
+                    Some((lk, rk)) => {
+                        let mut buckets: HashMap<String, Vec<&EagerBinding>> = HashMap::new();
+                        for r in &rs {
+                            buckets.entry(eq_key(lookup(r, rk))).or_default().push(r);
+                        }
+                        for l in &ls {
+                            if let Some(hits) = buckets.get(&eq_key(lookup(l, lk))) {
+                                out.extend(hits.iter().map(|r| pair(l, r)));
+                            }
+                        }
+                    }
+                    // Any other predicate sees the pair through a borrowed
+                    // view, left then right; only a match is copied.
+                    None => {
+                        for l in &ls {
+                            for r in &rs {
+                                if pred.eval(&|v: &Var| find(l, v).or_else(|| find(r, v))) {
+                                    out.push(pair(l, r));
+                                }
+                            }
                         }
                     }
                 }
@@ -118,15 +159,7 @@ impl Eager<'_> {
             PlanNode::Cross { left, right } => {
                 let ls = self.bindings(*left)?;
                 let rs = self.bindings(*right)?;
-                let mut out = Vec::new();
-                for l in &ls {
-                    for r in &rs {
-                        let mut pair = l.clone();
-                        pair.extend(r.iter().cloned());
-                        out.push(pair);
-                    }
-                }
-                out
+                ls.iter().flat_map(|l| rs.iter().map(move |r| pair(l, r))).collect()
             }
             PlanNode::Union { left, right } => {
                 let mut ls = self.bindings(*left)?;
@@ -172,15 +205,23 @@ impl Eager<'_> {
                 }
                 let mut out = Vec::new();
                 for key in order {
-                    let members = &groups[&key];
-                    let first = &members[0];
+                    let members = groups.remove(&key).unwrap_or_default();
+                    let Some(first) = members.first() else { continue };
                     let mut nb: EagerBinding =
                         group.iter().map(|g| (g.clone(), lookup(first, g).clone())).collect();
-                    for item in items {
-                        let coll: Vec<Tree> = members
-                            .iter()
-                            .map(|m| (**lookup(m, &item.value)).clone())
-                            .collect();
+                    let mut colls: Vec<Vec<Tree>> =
+                        items.iter().map(|_| Vec::with_capacity(members.len())).collect();
+                    // The members end here: a value no other binding holds
+                    // is moved into its list, not copied.
+                    for m in members {
+                        let vals: Vec<Arc<Tree>> =
+                            items.iter().map(|item| lookup(&m, &item.value).clone()).collect();
+                        drop(m);
+                        for (coll, v) in colls.iter_mut().zip(vals) {
+                            coll.push(Arc::unwrap_or_clone(v));
+                        }
+                    }
+                    for (item, coll) in items.iter().zip(colls) {
                         nb.push((item.out.clone(), Arc::new(Tree::node(Label::list(), coll))));
                     }
                     out.push(nb);
@@ -303,7 +344,7 @@ fn matches_in(nfa: &Nfa, e: &Arc<Tree>) -> Vec<Arc<Tree>> {
 }
 
 fn eval_pred(pred: &BindPred, b: &EagerBinding) -> bool {
-    pred.eval(&|v: &Var| b.iter().find(|(bv, _)| bv == v).map(|(_, t)| &**t))
+    pred.eval(&|v: &Var| find(b, v))
 }
 
 fn binding_key(b: &EagerBinding, vars: &[Var]) -> String {
@@ -335,7 +376,8 @@ fn concat_values(x: &Tree, y: &Tree) -> Tree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mix_algebra::translate;
+    use mix_algebra::{translate, PredOperand};
+    use mix_nav::pred::CmpOp;
     use mix_xmas::parse_query;
 
     fn registry() -> SourceRegistry {
@@ -433,6 +475,121 @@ mod tests {
         let plan = translate(&q).unwrap();
         let answer = eval(&plan, &reg).unwrap();
         assert_eq!(answer.to_string(), "out[g[1,a,c],g[2,b]]");
+    }
+
+    /// Left and right inputs whose `k` contents are `=` under each of
+    /// `value_cmp`'s rules, plus near misses (`0`-padded overflow, a
+    /// trailing space), with `n` numbering the items.
+    /// Binds `$V`/`$A` on the left and `$W`/`$B` on the right.
+    fn keyed_inputs(plan: &mut Plan) -> (PlanId, PlanId) {
+        use mix_xmas::parse_path;
+        let side = |plan: &mut Plan, src: &str, root: &str, [item, k, n]: [&str; 3]| {
+            let doc = plan.add(PlanNode::Source { name: src.into(), out: Var::new(root) });
+            let item_op = plan.add(PlanNode::GetDescendants {
+                input: doc,
+                parent: Var::new(root),
+                path: parse_path(&format!("{src}.i")).unwrap(),
+                out: Var::new(item),
+            });
+            let k_op = plan.add(PlanNode::GetDescendants {
+                input: item_op,
+                parent: Var::new(item),
+                path: parse_path("k._").unwrap(),
+                out: Var::new(k),
+            });
+            plan.add(PlanNode::GetDescendants {
+                input: k_op,
+                parent: Var::new(item),
+                path: parse_path("n._").unwrap(),
+                out: Var::new(n),
+            })
+        };
+        (side(plan, "l", "L", ["I", "V", "A"]), side(plan, "r", "R", ["J", "W", "B"]))
+    }
+
+    fn keyed_registry() -> SourceRegistry {
+        let pq = || Tree::node("p", vec![Tree::node("x", vec![Tree::leaf("a")]), Tree::leaf("b")]);
+        let items = |root: &str, keys: Vec<Tree>| {
+            let items = keys
+                .into_iter()
+                .enumerate()
+                .map(|(n, k)| {
+                    let n = Tree::node("n", vec![Tree::leaf(n.to_string())]);
+                    Tree::node("i", vec![Tree::node("k", vec![k]), n])
+                })
+                .collect();
+            Tree::node(root, items)
+        };
+        let big = "9223372036854775808";
+        let left = vec![
+            Tree::leaf(" 7"),
+            Tree::node("zip", vec![Tree::leaf("91220")]),
+            Tree::leaf("La Jolla"),
+            pq(),
+            Tree::leaf(big),
+            Tree::leaf("7"),
+            // Equal to its own `n`, for the one-sided `$V = $A`.
+            Tree::leaf("6"),
+        ];
+        let right = vec![
+            Tree::leaf("91220"),
+            Tree::leaf("7"),
+            Tree::leaf(format!("0{big}")),
+            pq(),
+            Tree::leaf("La Jolla"),
+            Tree::leaf("+7"),
+            Tree::leaf(big),
+            Tree::leaf("La Jolla "),
+        ];
+        let mut reg = SourceRegistry::new();
+        reg.add_tree("l", &items("l", left)).add_tree("r", &items("r", right));
+        reg
+    }
+
+    /// `Join` against `Select` over `Cross` of the same predicate: the same
+    /// bindings in the same order. Returns the join's binding count.
+    fn join_matches_cross_select(pred: BindPred) -> usize {
+        let reg = keyed_registry();
+        let mut plan = Plan::new();
+        let (l, r) = keyed_inputs(&mut plan);
+        let join = plan.add(PlanNode::Join { left: l, right: r, pred: pred.clone() });
+        let cross = plan.add(PlanNode::Cross { left: l, right: r });
+        let select = plan.add(PlanNode::Select { input: cross, pred: pred.clone() });
+        let joined = eval_bindings(&plan, join, &reg).unwrap();
+        let nested = eval_bindings(&plan, select, &reg).unwrap();
+        assert_eq!(joined, nested, "{pred}");
+        joined.len()
+    }
+
+    fn cmp(a: &str, op: CmpOp, b: &str) -> BindPred {
+        BindPred::Cmp {
+            left: PredOperand::Var(Var::new(a)),
+            op,
+            right: PredOperand::Var(Var::new(b)),
+        }
+    }
+
+    #[test]
+    fn keyed_join_equals_nested_loop() {
+        let mut plan = Plan::new();
+        let (l, r) = keyed_inputs(&mut plan);
+        let (ls, rs) = (plan.schema(l), plan.schema(r));
+        let keyed = |p: &BindPred| p.eq_join_keys(|v| ls.contains(v), |v| rs.contains(v)).is_some();
+        for pred in [BindPred::var_eq("V", "W"), BindPred::var_eq("W", "V")] {
+            assert!(keyed(&pred), "{pred} is keyed");
+            // ` 7` and `7` each meet `7` and `+7`; `zip[91220]` meets
+            // `91220`; text, the tree and the i64 overflow meet their twins.
+            assert_eq!(join_matches_cross_select(pred), 2 * 2 + 1 + 1 + 1 + 1);
+        }
+        let unkeyed = [
+            cmp("V", CmpOp::Lt, "W"),
+            BindPred::var_eq("V", "W").and(cmp("A", CmpOp::Lt, "B")),
+            BindPred::var_eq("V", "A"),
+        ];
+        for pred in unkeyed {
+            assert!(!keyed(&pred), "{pred} is not keyed");
+            assert!(join_matches_cross_select(pred) > 0);
+        }
     }
 
     #[test]

@@ -906,23 +906,9 @@ fn build_op(
             let right_schema: HashSet<_> = plan.schema(*right).into_iter().collect();
             let right_pred_vars: Vec<_> =
                 pred.vars().into_iter().filter(|v| right_schema.contains(v)).collect();
-            // Keyed shape: a single `=` with one variable per side.
-            let eq_keys = match pred {
-                mix_algebra::BindPred::Cmp {
-                    left: mix_algebra::PredOperand::Var(a),
-                    op: mix_nav::pred::CmpOp::Eq,
-                    right: mix_algebra::PredOperand::Var(b),
-                } => {
-                    if left_schema.contains(a) && right_schema.contains(b) {
-                        Some((a.clone(), b.clone()))
-                    } else if left_schema.contains(b) && right_schema.contains(a) {
-                        Some((b.clone(), a.clone()))
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            };
+            let eq_keys = pred
+                .eq_join_keys(|v| left_schema.contains(v), |v| right_schema.contains(v))
+                .map(|(a, b)| (a.clone(), b.clone()));
             OpSpec::Join(JoinSpec {
                 left: *left,
                 right: *right,
