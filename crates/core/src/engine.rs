@@ -556,9 +556,21 @@ impl Engine {
     /// an `Err` carrying the fallback and the sources that degraded —
     /// instead of being indistinguishable from a real empty PCDATA node.
     pub fn fetch_checked(&mut self, p: &VNode) -> Result<Label, Degraded> {
+        self.checked(|e| e.fetch(p))
+    }
+
+    /// [`Engine::fetch_checked`] as part of the client command under way:
+    /// it begins no trace span and counts no `f`, so its cascade is
+    /// attributed to the command that reached `p` — how a server ships
+    /// the label of the node a `d`/`r`/`select` reached in that reply.
+    pub fn fetch_checked_in_span(&mut self, p: &VNode) -> Result<Label, Degraded> {
+        self.checked(|e| e.nav(|n| n.val_fetch(p)))
+    }
+
+    fn checked(&mut self, fetch: impl FnOnce(&mut Self) -> Label) -> Result<Label, Degraded> {
         self.degraded_before.clear();
         self.degraded_before.extend(self.sources.iter().map(SourceConn::degraded_ops));
-        let label = self.fetch(p);
+        let label = fetch(self);
         let mut moved = self
             .sources
             .iter()

@@ -11,6 +11,7 @@ use mix_buffer::{
 };
 use mix_core::{Engine, SourceRegistry, TraceLog, VirtualDocument};
 use mix_nav::explore::materialize;
+use mix_nav::Navigator;
 use mix_xmas::parse_query;
 use mix_xml::term::parse_term;
 
@@ -157,4 +158,24 @@ fn trace_log_exports_json_for_the_bench_harness() {
     assert!(json.starts_with('{') && json.ends_with('}'));
     let log: TraceLog = doc.trace();
     assert_eq!(log.to_json(), json, "snapshotting twice is stable");
+}
+
+#[test]
+fn a_fetch_in_span_is_recorded_under_the_command_that_reached_the_node() {
+    let (doc, sink) = traced_doc(None, RetryPolicy::none());
+    let engine = doc.engine();
+    let mut engine = engine.lock().unwrap();
+    let root = engine.root();
+    let a = engine.down(&root).expect("the view holds `a`");
+    let span = sink.current_span();
+    let before = sink.len();
+    assert_eq!(engine.fetch_checked_in_span(&a).unwrap().as_str(), "a");
+    assert_eq!(sink.current_span(), span, "the fetch began no span");
+    let events = sink.events();
+    let cascade = &events[before..];
+    assert!(cascade.iter().any(|e| matches!(e.kind, TraceKind::SourceNav { cmd: "f" })));
+    assert!(cascade.iter().all(|e| e.span == span), "all of it under the `d`'s span");
+    // The plain checked fetch is a client command of its own.
+    assert_eq!(engine.fetch_checked(&a).unwrap().as_str(), "a");
+    assert_eq!(sink.current_span(), span + 1);
 }

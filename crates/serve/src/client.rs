@@ -4,9 +4,16 @@
 //! and exposes the session verbs as methods. One client (one connection)
 //! can hold any number of sessions open at once — the session id travels
 //! in every request frame.
+//!
+//! The client keeps the labels the server ships with `d`/`r`/`select`
+//! replies ([`Reply::LabelledNode`]), per session, and answers `f` of
+//! those nodes without a frame. The root's label is never shipped (the
+//! server does not resolve it at `Open`), nor is a degraded or over-long
+//! one: `f` of such a node crosses the wire.
 
 use crate::codec::{ErrorCode, FrameError, FrameStream, Reply, Request, TraceContext, Verb};
 use mix_core::{TraceKind, TraceSink};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 
 /// A typed client-side failure: either the transport/codec broke, or the
@@ -80,15 +87,23 @@ impl FetchOutcome {
 /// server-side cascade on it, and [`mix_core::TraceLog::merge_remote`]
 /// stitches the two rings back into one. The frames a traced client
 /// sends differ from an untraced client's only by the trailer: replies,
-/// and therefore answers, are byte-identical either way.
+/// and therefore answers, are byte-identical either way. An `f` answered
+/// from a shipped label sends no frame, so it records nothing.
 pub struct VxdClient<S: Read + Write> {
     frames: FrameStream<S>,
     trace: TraceSink,
+    /// Shipped labels: session → node handle → label. A session's map
+    /// goes at `close`, and when a reply says the session is gone.
+    labels: HashMap<u64, HashMap<u64, String>>,
 }
 
 impl<S: Read + Write> VxdClient<S> {
     pub fn new(stream: S) -> Self {
-        VxdClient { frames: FrameStream::new(stream), trace: TraceSink::default() }
+        VxdClient {
+            frames: FrameStream::new(stream),
+            trace: TraceSink::default(),
+            labels: HashMap::new(),
+        }
     }
 
     /// Record this client's navigations into `sink` and propagate its
@@ -117,6 +132,9 @@ impl<S: Read + Write> VxdClient<S> {
 
     fn exchange(&mut self, session: u64, verb: Verb) -> Result<Reply, ClientError> {
         let mut request = Request::new(session, verb);
+        if !request.fits() {
+            return Err(ClientError::Frame(FrameError::StringTooLong));
+        }
         if self.trace.is_enabled() {
             let name = Self::span_name(&request.verb);
             let span = self.trace.begin_span(name);
@@ -126,6 +144,10 @@ impl<S: Read + Write> VxdClient<S> {
         self.frames.send_request(&request)?;
         let reply = self.frames.recv_reply()?;
         if let Reply::Error { code, msg } = reply {
+            // Both mean the server no longer holds the session.
+            if matches!(code, ErrorCode::UnknownSession | ErrorCode::Internal) {
+                self.labels.remove(&session);
+            }
             return Err(ClientError::Server { code, msg });
         }
         Ok(reply)
@@ -143,6 +165,10 @@ impl<S: Read + Write> VxdClient<S> {
     fn step(&mut self, session: u64, verb: Verb) -> Result<Option<u64>, ClientError> {
         match self.exchange(session, verb)? {
             Reply::Node { handle } => Ok(Some(handle)),
+            Reply::LabelledNode { handle, label } => {
+                self.labels.entry(session).or_default().insert(handle, label);
+                Ok(Some(handle))
+            }
             Reply::End => Ok(None),
             other => Err(ClientError::UnexpectedReply(format!("{other:?}"))),
         }
@@ -169,8 +195,14 @@ impl<S: Read + Write> VxdClient<S> {
     }
 
     /// The label of `node`, with degradation status. Use this when the
-    /// client must distinguish "empty" from "sources failed".
+    /// client must distinguish "empty" from "sources failed". A label the
+    /// server shipped with `node` is answered here, without a frame —
+    /// even after another connection closed the session, until a reply
+    /// to this client says the session is gone.
     pub fn fetch_checked(&mut self, session: u64, node: u64) -> Result<FetchOutcome, ClientError> {
+        if let Some(label) = self.labels.get(&session).and_then(|held| held.get(&node)) {
+            return Ok(FetchOutcome::Complete(label.clone()));
+        }
         match self.exchange(session, Verb::Fetch { node })? {
             Reply::Label { label } => Ok(FetchOutcome::Complete(label)),
             Reply::DegradedLabel { label, sources } => {
@@ -190,6 +222,7 @@ impl<S: Read + Write> VxdClient<S> {
 
     /// Close a session, releasing its server-side state.
     pub fn close(&mut self, session: u64) -> Result<(), ClientError> {
+        self.labels.remove(&session);
         match self.exchange(session, Verb::Close)? {
             Reply::Closed => Ok(()),
             other => Err(ClientError::UnexpectedReply(format!("{other:?}"))),

@@ -38,10 +38,17 @@
 //!     0x84 Label         { label: str }
 //!     0x85 DegradedLabel { label: str, n: u16 LE, sources: n × str }
 //!     0x86 Closed        {}
+//!     0x87 LabelledNode  { handle: u64 LE, label: str }
 //!     0xC0 Error         { code: u8, msg: str }
 //!
-//!   str      := len: u16 LE, len × UTF-8 bytes
+//!   str      := len: u16 LE, len × UTF-8 bytes   (len ≤ MAX_STR)
 //! ```
+//!
+//! `LabelledNode` answers `d`/`r`/`select` with the node *and* its
+//! complete label — PAPER.md §4's fragment of "labels plus holes", one
+//! node wide — so the client's `f` of that node needs no round trip. A
+//! node whose label is degraded or longer than [`MAX_STR`] is answered
+//! with a bare `Node`, and its `f` crosses the wire.
 //!
 //! # Strictness
 //!
@@ -66,6 +73,9 @@ use std::io::{Read, Write};
 /// this is rejected *before* allocating, so a hostile or corrupt peer
 /// cannot make the server balloon on a 4 GiB prefix.
 pub const MAX_FRAME: u32 = 1 << 20;
+
+/// Longest `str` field a frame carries, in bytes (its length is a `u16`).
+pub const MAX_STR: usize = u16::MAX as usize;
 
 /// Everything that can be wrong with bytes claiming to be a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,6 +102,8 @@ pub enum FrameError {
     Closed,
     /// Transport-level I/O failure.
     Io(String),
+    /// A request string longer than [`MAX_STR`] bytes: it was not sent.
+    StringTooLong,
 }
 
 impl std::fmt::Display for FrameError {
@@ -118,6 +130,9 @@ impl std::fmt::Display for FrameError {
             FrameError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             FrameError::Closed => write!(f, "connection closed"),
             FrameError::Io(msg) => write!(f, "frame transport error: {msg}"),
+            FrameError::StringTooLong => {
+                write!(f, "a request string exceeds the {MAX_STR} B field cap")
+            }
         }
     }
 }
@@ -141,6 +156,9 @@ pub enum ErrorCode {
     Internal = 5,
     /// The server is at its concurrent-session limit.
     SessionLimit = 6,
+    /// `Fetch` of a node whose label is longer than [`MAX_STR`] bytes:
+    /// no frame can carry it.
+    LabelTooLong = 7,
 }
 
 impl ErrorCode {
@@ -152,6 +170,7 @@ impl ErrorCode {
             4 => ErrorCode::BadFrame,
             5 => ErrorCode::Internal,
             6 => ErrorCode::SessionLimit,
+            7 => ErrorCode::LabelTooLong,
             other => return Err(FrameError::UnknownErrorCode(other)),
         })
     }
@@ -221,8 +240,10 @@ impl Request {
 pub enum Reply {
     /// A session is live; navigate from `root`.
     Opened { session: u64, root: u64 },
-    /// A navigation produced this node.
+    /// A navigation produced this node; its label stayed behind.
     Node { handle: u64 },
+    /// A navigation produced this node, shipped with its complete label.
+    LabelledNode { handle: u64, label: String },
     /// A navigation returned `None` (no child / no sibling / no match).
     End,
     /// A complete label for `Fetch`.
@@ -242,13 +263,31 @@ pub enum Reply {
 // Payload encoding
 // ---------------------------------------------------------------------
 
+fn fits(s: &str) -> bool {
+    s.len() <= MAX_STR
+}
+
+/// Append a `str` field. A string over [`MAX_STR`] bytes is cut at the
+/// last char boundary that fits, so encoding never panics; a sender that
+/// must not lose bytes checks [`Request::fits`] / [`Reply::fits`] first.
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    let len = u16::try_from(s.len()).expect("protocol strings are short");
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+    let mut len = s.len().min(MAX_STR);
+    while !s.is_char_boundary(len) {
+        len -= 1;
+    }
+    out.extend_from_slice(&(len as u16).to_le_bytes());
+    out.extend_from_slice(&s.as_bytes()[..len]);
 }
 
 impl Request {
+    /// Does [`Request::encode`] carry every byte of this request?
+    pub fn fits(&self) -> bool {
+        match &self.verb {
+            Verb::Open { template: s } | Verb::Select { label: s, .. } => fits(s),
+            _ => true,
+        }
+    }
+
     /// Encode the request payload (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
@@ -324,6 +363,18 @@ impl Request {
 }
 
 impl Reply {
+    /// Does [`Reply::encode`] carry every byte of this reply's strings?
+    pub fn fits(&self) -> bool {
+        match self {
+            Reply::LabelledNode { label, .. } | Reply::Label { label } => fits(label),
+            Reply::DegradedLabel { label, sources } => {
+                fits(label) && sources.iter().all(|s| fits(s))
+            }
+            Reply::Error { msg, .. } => fits(msg),
+            Reply::Opened { .. } | Reply::Node { .. } | Reply::End | Reply::Closed => true,
+        }
+    }
+
     /// Encode the reply payload (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
@@ -345,13 +396,18 @@ impl Reply {
             Reply::DegradedLabel { label, sources } => {
                 out.push(0x85);
                 put_str(&mut out, label);
-                let n = u16::try_from(sources.len()).expect("few sources");
-                out.extend_from_slice(&n.to_le_bytes());
-                for s in sources {
+                let n = sources.len().min(usize::from(u16::MAX));
+                out.extend_from_slice(&(n as u16).to_le_bytes());
+                for s in &sources[..n] {
                     put_str(&mut out, s);
                 }
             }
             Reply::Closed => out.push(0x86),
+            Reply::LabelledNode { handle, label } => {
+                out.push(0x87);
+                out.extend_from_slice(&handle.to_le_bytes());
+                put_str(&mut out, label);
+            }
             Reply::Error { code, msg } => {
                 out.push(0xC0);
                 out.push(*code as u8);
@@ -380,6 +436,7 @@ impl Reply {
                 Reply::DegradedLabel { label, sources }
             }
             0x86 => Reply::Closed,
+            0x87 => Reply::LabelledNode { handle: r.u64()?, label: r.string()? },
             0xC0 => Reply::Error { code: ErrorCode::from_u8(r.u8()?)?, msg: r.string()? },
             other => return Err(FrameError::UnknownTag(other)),
         };
@@ -614,6 +671,8 @@ mod tests {
         for reply in [
             Reply::Opened { session: 12, root: 1 },
             Reply::Node { handle: 42 },
+            Reply::LabelledNode { handle: 43, label: "zip".into() },
+            Reply::LabelledNode { handle: u64::MAX, label: String::new() },
             Reply::End,
             Reply::Label { label: "med_home".into() },
             Reply::DegradedLabel { label: String::new(), sources: vec!["homesSrc".into()] },
@@ -685,5 +744,20 @@ mod tests {
         write_frame(&mut wire, &req.encode()).unwrap();
         let payload = read_frame(&mut wire.as_slice()).unwrap();
         assert_eq!(Request::decode(&payload).unwrap(), req);
+    }
+
+    #[test]
+    fn over_long_strings_do_not_fit_and_encode_cut_without_panicking() {
+        // 65,534 ASCII bytes then a 2-byte char: the cut lands before it.
+        let label = format!("{}é", "x".repeat(MAX_STR - 1));
+        let reply = Reply::LabelledNode { handle: 1, label: label.clone() };
+        assert!(!reply.fits());
+        assert!(!Reply::Label { label: label.clone() }.fits());
+        assert!(!Request::new(1, Verb::Select { node: 2, label: label.clone() }).fits());
+        let decoded = Reply::decode(&reply.encode()).unwrap();
+        assert_eq!(decoded, Reply::LabelledNode { handle: 1, label: "x".repeat(MAX_STR - 1) });
+        let at_cap = Reply::Label { label: "x".repeat(MAX_STR) };
+        assert!(at_cap.fits());
+        assert_eq!(Reply::decode(&at_cap.encode()).unwrap(), at_cap);
     }
 }

@@ -29,16 +29,19 @@
 //!
 //! [`BufferNavigator`]: mix_buffer::BufferNavigator
 
-use crate::codec::{ErrorCode, FrameStream, Reply, Request, TraceContext, Verb};
+use crate::codec::{ErrorCode, FrameStream, Reply, Request, TraceContext, Verb, MAX_STR};
 use crate::pool::SessionSources;
 use mix_algebra::{translate, Plan};
 use mix_buffer::{
     lock_unpoisoned, Counter, FragmentCache, Gauge, Histogram, HealthStatus, MetricsRegistry,
     SourceHealth,
 };
-use mix_core::{Engine, EngineConfig, SemanticOutcome, TraceKind, TraceLog, TraceSink, VNode};
+use mix_core::{
+    Degraded, Engine, EngineConfig, SemanticOutcome, TraceKind, TraceLog, TraceSink, VNode,
+};
 use mix_nav::explore::materialize;
 use mix_nav::{HandleTable, LabelPred, Navigator};
+use mix_xml::Label;
 use mix_xmas::parse_query;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
@@ -362,8 +365,10 @@ impl VxdServer {
         self
     }
 
-    /// Export a query whose sessions panic on `Fetch` — deliberate fault
-    /// injection for proving panic isolation under load.
+    /// Export a query whose sessions panic on a `Fetch` frame — deliberate
+    /// fault injection for proving panic isolation under load. `f` of the
+    /// root always sends one; `f` of a node whose label came with its
+    /// `d`/`r` reply is answered by the client and does not.
     pub fn add_panic_template(
         &mut self,
         name: impl Into<String>,
@@ -674,16 +679,7 @@ impl VxdServer {
                     Some(_) if s.panic_on_fetch => {
                         panic!("injected session panic (panic template)")
                     }
-                    // The checked fetch API is the wire contract: a
-                    // degraded answer crosses as DegradedLabel, never
-                    // as a silently-empty Label.
-                    Some((engine, p)) => match engine.fetch_checked(p) {
-                        Ok(label) => Reply::Label { label: label.to_string() },
-                        Err(d) => Reply::DegradedLabel {
-                            label: d.label.to_string(),
-                            sources: d.sources,
-                        },
-                    },
+                    Some((engine, p)) => label_reply(engine.fetch_checked(p)),
                 },
                 Verb::Select { node: h, label } => step(&mut s.nav, *h, |e, p| {
                     e.select(p, &LabelPred::equals(label.as_str()))
@@ -692,10 +688,12 @@ impl VxdServer {
             };
             // The engine's nav verb began the server-side span; link it
             // to the client span *after* the call so the wire-span event
-            // lands inside the span it describes. Error replies (unknown
-            // handle) began no span, so they carry no link.
+            // lands inside the span it describes. An unknown handle began
+            // no span, so it carries no link.
             if let Some(ctx) = ctx {
-                if s.trace.is_enabled() && !matches!(reply, Reply::Error { .. }) {
+                let began =
+                    !matches!(reply, Reply::Error { code: ErrorCode::UnknownHandle, .. });
+                if s.trace.is_enabled() && began {
                     s.trace.emit(
                         None,
                         TraceKind::WireSpan { client_span: ctx.span, verb: verb_span_name(verb) },
@@ -849,6 +847,12 @@ fn unknown_session(id: u64) -> Reply {
 
 /// A `d`/`r`/`select` verb from handle `h`: the node `go` reaches,
 /// numbered in the session's handle table, or the end of the axis.
+///
+/// The reached node ships with its label when the label is complete and
+/// a frame can carry it, so the client's `f` of it needs no round trip.
+/// The label is fetched within the verb's own server span. A degraded or
+/// over-long label stays behind: the client's `f` then crosses the wire
+/// and gets `DegradedLabel` or `LabelTooLong` from [`label_reply`].
 fn step(
     nav: &mut HandleTable<Engine>,
     h: u64,
@@ -857,9 +861,36 @@ fn step(
     let Some((engine, p)) = nav.lookup(h) else {
         return unknown_handle(h);
     };
-    match go(engine, p) {
-        Some(n) => Reply::Node { handle: nav.issue(n) },
-        None => Reply::End,
+    let Some(n) = go(engine, p) else {
+        return Reply::End;
+    };
+    let label = engine.fetch_checked_in_span(&n);
+    let handle = nav.issue(n);
+    let Ok(label) = label else {
+        return Reply::Node { handle };
+    };
+    let reply = Reply::LabelledNode { handle, label: label.to_string() };
+    if reply.fits() {
+        reply
+    } else {
+        Reply::Node { handle }
+    }
+}
+
+/// The reply to `f`. The checked fetch API is the wire contract: a
+/// degraded answer crosses as `DegradedLabel`, never as a silently-empty
+/// `Label`; a label no frame can carry is a typed `LabelTooLong`.
+fn label_reply(fetched: Result<Label, Degraded>) -> Reply {
+    let reply = match fetched {
+        Ok(label) => Reply::Label { label: label.to_string() },
+        Err(d) => Reply::DegradedLabel { label: d.label.to_string(), sources: d.sources },
+    };
+    if reply.fits() {
+        return reply;
+    }
+    Reply::Error {
+        code: ErrorCode::LabelTooLong,
+        msg: format!("the label exceeds the {MAX_STR}-byte field cap"),
     }
 }
 

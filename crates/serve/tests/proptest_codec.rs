@@ -92,13 +92,19 @@ fn arb_error_code() -> impl Strategy<Value = ErrorCode> {
         Just(ErrorCode::BadFrame),
         Just(ErrorCode::Internal),
         Just(ErrorCode::SessionLimit),
+        Just(ErrorCode::LabelTooLong),
     ]
+}
+
+fn arb_labelled_node() -> impl Strategy<Value = Reply> {
+    ((0u64..=u64::MAX), arb_str()).prop_map(|(handle, label)| Reply::LabelledNode { handle, label })
 }
 
 fn arb_reply() -> impl Strategy<Value = Reply> {
     prop_oneof![
         ((0u64..=u64::MAX), (0u64..=u64::MAX)).prop_map(|(session, root)| Reply::Opened { session, root }),
         (0u64..=u64::MAX).prop_map(|handle| Reply::Node { handle }),
+        arb_labelled_node(),
         Just(Reply::End),
         arb_str().prop_map(|label| Reply::Label { label }),
         (arb_str(), proptest::collection::vec(arb_str(), 0..4))
@@ -119,6 +125,58 @@ proptest! {
     #[test]
     fn replies_round_trip(reply in arb_reply()) {
         prop_assert_eq!(Reply::decode(&reply.encode()).unwrap(), reply);
+    }
+
+    /// A reply has no optional part, so every strict prefix of its
+    /// encoding is `Truncated` — the whole ladder, not one random rung.
+    #[test]
+    fn every_reply_truncation_is_truncated(reply in arb_reply()) {
+        let enc = reply.encode();
+        for cut in 0..enc.len() {
+            prop_assert!(
+                matches!(Reply::decode(&enc[..cut]), Err(FrameError::Truncated { .. })),
+                "cut {} of {:?}", cut, reply
+            );
+        }
+    }
+
+    /// Bytes after a complete reply are counted, never absorbed.
+    #[test]
+    fn reply_trailing_bytes_are_typed(
+        reply in arb_reply(),
+        junk in proptest::collection::vec(0u8..=255, 1..8),
+    ) {
+        let mut enc = reply.encode();
+        enc.extend_from_slice(&junk);
+        prop_assert_eq!(Reply::decode(&enc), Err(FrameError::TrailingBytes { extra: junk.len() }));
+    }
+
+    /// Random bodies behind the labelled-node tag: a typed error, or a
+    /// value that re-encodes to exactly those bytes.
+    #[test]
+    fn random_labelled_node_bodies_never_panic(
+        body in proptest::collection::vec(0u8..=255, 0..48),
+        str_len in prop_oneof![Just(None), (0u16..20).prop_map(Some)],
+    ) {
+        // Some cases get a plausible string length after the handle.
+        let mut bytes = vec![0x87];
+        let handle_end = body.len().min(8);
+        bytes.extend_from_slice(&body[..handle_end]);
+        if let Some(len) = str_len {
+            bytes.extend_from_slice(&len.to_le_bytes());
+        }
+        bytes.extend_from_slice(&body[handle_end..]);
+        match Reply::decode(&bytes) {
+            Ok(reply) => {
+                prop_assert!(matches!(reply, Reply::LabelledNode { .. }));
+                prop_assert_eq!(reply.encode(), bytes, "lossless parse only");
+            }
+            Err(err) => prop_assert!(
+                matches!(err, FrameError::Truncated { .. } | FrameError::BadUtf8
+                    | FrameError::TrailingBytes { .. }),
+                "unexpected error class: {err}"
+            ),
+        }
     }
 
     #[test]

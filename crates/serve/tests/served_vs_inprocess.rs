@@ -1,7 +1,8 @@
 //! The differential acceptance test: a mediated view served over the
 //! DOM-VXD wire is **byte-identical** to the same view navigated
 //! in-process, and costs exactly the same number of LXP wire exchanges —
-//! the serving layer adds framing, not semantics and not traffic.
+//! the serving layer adds framing, not semantics and not traffic. Labels
+//! travel with the nodes `d`/`r` reach, so only the root's `f` is a frame.
 
 use mix_algebra::translate;
 use mix_buffer::{FillPolicy, FragmentCache, MetricsRegistry, SlowWrapper, TreeWrapper};
@@ -18,6 +19,30 @@ use std::time::Duration;
 
 const QUERY: &str = "CONSTRUCT <all> $X {$X} </all> {} WHERE src items._ $X";
 const SOURCE: &str = "items[a[x[1],y[2]],b[3],c[4,5],d,e[f[g[6]]]]";
+
+/// A transport that counts the request frames a client sends through it
+/// (`write_frame` flushes once per frame).
+struct CountedFrames<S> {
+    inner: S,
+    frames: Arc<AtomicU64>,
+}
+
+impl<S: Read> Read for CountedFrames<S> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.inner.read(buf)
+    }
+}
+
+impl<S: Write> Write for CountedFrames<S> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.frames.fetch_add(1, Ordering::Relaxed);
+        self.inner.flush()
+    }
+}
 
 /// A pool over one counted source: the counter sees every LXP exchange
 /// that actually crossed the (simulated) wire.
@@ -74,9 +99,12 @@ fn served_view_is_byte_identical_and_costs_the_same_exchanges() {
     let server2 = server.clone();
     let conn = std::thread::spawn(move || server2.serve_connection(server_end));
 
-    let mut client = VxdClient::new(client_end);
+    let frames = Arc::new(AtomicU64::new(0));
+    let counted = CountedFrames { inner: client_end, frames: Arc::clone(&frames) };
+    let mut client = VxdClient::new(counted);
     let open = client.open("q").unwrap();
-    let served = client_materialize(&mut client, open.session, open.root).to_string();
+    let answer = client_materialize(&mut client, open.session, open.root);
+    let served = answer.to_string();
     let served_exchanges = exchanges.load(Ordering::Relaxed);
     client.close(open.session).unwrap();
     drop(client); // disconnect ends the connection loop
@@ -88,6 +116,16 @@ fn served_view_is_byte_identical_and_costs_the_same_exchanges() {
         "the wire adds framing, not LXP traffic"
     );
     assert!(direct_exchanges > 0, "the differential run exercised the source");
+    // The walk sends one `d` per node and one `r` per non-root node. Every
+    // non-root label came with the `d`/`r` that reached its node, so the
+    // only `f` frame is the root's.
+    let nodes = answer.size() as u64;
+    let (downs, rights) = (nodes, nodes - 1);
+    assert_eq!(
+        frames.load(Ordering::Relaxed),
+        1 + 1 + downs + rights + 1,
+        "open + f(root) + d/r + close: no frame per non-root `f`"
+    );
 }
 
 #[test]

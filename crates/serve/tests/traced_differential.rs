@@ -7,7 +7,9 @@
 //!    produce the **same wire rollup** (requests, batched holes, wasted
 //!    bytes — framing adds no traffic and tracing observes all of it);
 //! 2. the merged client+server trace reconciles with the wire itself:
-//!    `#wire-request == #wire-span == frames sent`;
+//!    `#wire-request == #wire-span == frames sent`, where an `f` the
+//!    client answers from a shipped label sends no frame and records
+//!    nothing;
 //! 3. served answers are **byte-identical** with tracing on and off —
 //!    propagation is pure observation;
 //! 4. under injected faults, every degraded served answer is pinpointed
@@ -18,7 +20,7 @@ use mix_algebra::translate;
 use mix_buffer::{
     FaultConfig, FaultyWrapper, FillPolicy, FragmentCache, MetricsRegistry, TreeWrapper,
 };
-use mix_core::{Engine, EngineConfig, TraceLog, TraceSink};
+use mix_core::{Engine, EngineConfig, TraceKind, TraceLog, TraceSink};
 use mix_nav::explore::materialize;
 use mix_serve::{pipe, FetchOutcome, SessionSources, VxdClient, VxdServer};
 use mix_xmas::parse_query;
@@ -53,9 +55,9 @@ fn client_materialize<S: Read + Write>(
     Tree::node(label, children)
 }
 
-/// Run one traced served walk; return the answer, the merged trace, and
-/// how many frames the client sent.
-fn traced_served_walk() -> (String, TraceLog, u64) {
+/// Run one traced served walk; return the answer, the merged trace, the
+/// client's own trace, and how many request frames the server received.
+fn traced_served_walk() -> (String, TraceLog, TraceLog, u64) {
     let mut server = VxdServer::new(pool());
     server.add_template("q", QUERY).unwrap();
     let (client_end, server_end) = pipe();
@@ -76,9 +78,14 @@ fn traced_served_walk() -> (String, TraceLog, u64) {
     let client_log = TraceLog::from_sink(&client_sink);
     assert_eq!(client_log.dropped(), 0);
     assert_eq!(server_log.dropped(), 0);
-    // Frames sent = client spans begun: open + navs + close, one each.
-    let frames = client_log.spans().len() as u64;
-    (served, TraceLog::merge_remote(&client_log, &server_log), frames)
+    // Frames received = the server's own count of the verbs it served.
+    let served_totals = server.metrics().snapshot();
+    let frames = ["verb_requests", "sessions_opened", "sessions_closed"]
+        .iter()
+        .map(|name| served_totals.total(&format!("mix_serve_{name}_total")))
+        .sum();
+    let merged = TraceLog::merge_remote(&client_log, &server_log);
+    (served, merged, client_log, frames)
 }
 
 #[test]
@@ -99,7 +106,7 @@ fn merged_served_trace_matches_the_inprocess_trace_rollup() {
     let twin_rollup = twin.rollup();
     assert!(twin_rollup.requests > 0, "the walk exercised the wire");
 
-    let (served, merged, _) = traced_served_walk();
+    let (served, merged, _, _) = traced_served_walk();
     assert_eq!(served, direct, "tracing adds observation, not semantics");
 
     // The merged rollup reproduces the in-process twin's wire arithmetic
@@ -116,7 +123,19 @@ fn merged_served_trace_matches_the_inprocess_trace_rollup() {
 
 #[test]
 fn merged_trace_reconciles_with_wire_traffic() {
-    let (_, merged, frames) = traced_served_walk();
+    let (served, merged, client_log, frames) = traced_served_walk();
+    // Open + navs + close, one client span each: a local `f` begins none.
+    assert_eq!(client_log.spans().len() as u64, frames, "one client span per frame");
+    // The walk fetched every node, but only the root's label crossed the
+    // wire: the rest came with the `d`/`r` replies.
+    let f_frames = client_log
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, TraceKind::WireRequest { verb: "f" }))
+        .count();
+    let nodes = mix_xml::term::parse_term(&served).unwrap().size();
+    assert!(nodes > 1);
+    assert_eq!(f_frames, 1, "{nodes} fetches, one `f` frame: the root's");
     let r = merged.rollup();
     // Every frame the client sent was linked server-side, and nothing
     // was linked that wasn't sent: the cross-process oracle.
@@ -127,6 +146,17 @@ fn merged_trace_reconciles_with_wire_traffic() {
     let rows = merged.span_stats();
     let linked = rows.iter().filter(|s| s.serves_client_span == Some(s.span)).count() as u64;
     assert_eq!(linked, frames, "each client span serves itself in the merged view");
+    // Every source cascade — the labels a `d`/`r` ships included — sits
+    // under the client command that caused it.
+    for row in rows.iter().filter(|s| s.source_commands > 0 || s.requests > 0) {
+        assert_eq!(
+            row.serves_client_span,
+            Some(row.span),
+            "span {} ({}) did source work outside a wire-linked span",
+            row.span,
+            row.command
+        );
+    }
 }
 
 #[test]
