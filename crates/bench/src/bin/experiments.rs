@@ -1300,21 +1300,26 @@ fn e19_served_sessions(threads_override: Option<usize>) {
                     std::thread::spawn(move || srv.serve_connection(server_end))
                 };
                 let mut client = VxdClient::new(client_end);
-                // Open phase: this connection's whole share, all live at once.
+                // Open phase: this connection's whole share, all live at
+                // once. It holds every `workers`-th session of the run, and
+                // a session's template and wander follow from its index in
+                // the run, so the run is one set of sessions however many
+                // connections carry it.
                 let mut sessions = Vec::with_capacity(quota);
                 for i in 0..quota {
-                    let tpl = pick_template((w as u64) << 32 | i as u64);
+                    let index = (w + i * workers) as u64;
+                    let tpl = pick_template(index);
                     let open = client.open(templates[tpl].0).unwrap();
-                    sessions.push(open);
+                    sessions.push((index, open));
                 }
                 barrier.wait(); // every session everywhere is open
                 barrier.wait(); // main thread sampled the gauge
                 // Navigation phase: a bounded depth-first wander per
                 // session, checked fetches counting degraded answers.
-                for (i, open) in sessions.iter().enumerate() {
+                for (index, open) in &sessions {
                     let mut cur = open.root;
                     for step in 0..navs_per_session {
-                        let choice = mix64((w as u64) << 40 | (i as u64) << 16 | step as u64) % 3;
+                        let choice = mix64(index << 16 | step as u64) % 3;
                         let next = match choice {
                             0 => client.down(open.session, cur).unwrap(),
                             1 => client.right(open.session, cur).unwrap(),
@@ -1332,7 +1337,7 @@ fn e19_served_sessions(threads_override: Option<usize>) {
                     }
                 }
                 // Close phase: release everything.
-                for open in &sessions {
+                for (_, open) in &sessions {
                     client.close(open.session).unwrap();
                 }
                 drop(client);

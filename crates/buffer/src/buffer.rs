@@ -31,7 +31,7 @@ use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry, RetryMetrics};
 use crate::pool::lock_unpoisoned;
 use crate::retry::{RetryError, RetryPolicy, RetryState};
 use crate::trace::{TraceKind, TraceSink};
-use mix_nav::Navigator;
+use mix_nav::{Axis, Navigator};
 use mix_xml::Label;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -1252,6 +1252,26 @@ impl<W: LxpWrapper> Navigator for BufferNavigator<W> {
         let r = self.try_fetch(p);
         self.degrade("fetch", r, || Label::new(""))
     }
+
+    /// Read off the open tree: a node, or the end of a child list, is
+    /// known; a hole is not, even when a parked batch reply answers it.
+    fn peek(&mut self, p: &BufNodeId, axis: Axis) -> Option<Option<BufNodeId>> {
+        if !self.connected || !self.tree.contains(*p) {
+            return None;
+        }
+        let (parent, i) = match axis {
+            Axis::Down => (*p, 0),
+            Axis::Right => match self.tree.parent(*p) {
+                Some(parent) => (parent, self.tree.idx(*p) + 1),
+                None => return Some(None),
+            },
+        };
+        match self.tree.child(parent, i) {
+            None => Some(None),
+            Some(TreeEntry::Node(id)) => Some(Some(id)),
+            Some(TreeEntry::Hole(_)) => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1420,6 +1440,27 @@ mod tests {
         let b = nav.right(&a).unwrap();
         assert_eq!(nav.right(&b), None);
         assert_eq!(nav.right(&root), None, "root has no siblings");
+    }
+
+    #[test]
+    fn peeks_read_the_open_tree_and_never_a_hole() {
+        let mut nav = buffered("r[a[x],b,c]", FillPolicy::NodeAtATime);
+        let stats = nav.stats();
+        let root = nav.root();
+        assert_eq!(nav.peek(&root, Axis::Down), None, "nothing is known before the root");
+        let a = nav.down(&root).unwrap();
+        let traffic = stats.snapshot();
+        // `a` arrived shallow, with holes for its children and for `b, c`.
+        assert_eq!(nav.peek(&a, Axis::Down), None);
+        assert_eq!(nav.peek(&a, Axis::Right), None);
+        assert_eq!(nav.peek(&root, Axis::Down), Some(Some(a)));
+        assert_eq!(nav.peek(&root, Axis::Right), Some(None), "the root has no siblings");
+        assert_eq!(stats.snapshot(), traffic, "peeks fill nothing");
+        let b = nav.right(&a).unwrap();
+        let c = nav.right(&b).unwrap();
+        assert_eq!(nav.peek(&a, Axis::Right), Some(Some(b)));
+        assert_eq!(nav.peek(&b, Axis::Down), Some(None), "a leaf arrives whole");
+        assert_eq!(nav.peek(&c, Axis::Right), Some(None), "no hole after the last sibling");
     }
 
     /// A scripted wrapper replaying the exact liberal trace of Example 7.

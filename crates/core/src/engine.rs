@@ -19,7 +19,7 @@ use mix_buffer::{
     HealthSnapshot, HealthStatus, MetricsRegistry, MetricsSnapshot, OverlapGauge, SourceHealth,
     TraceKind, TraceSink,
 };
-use mix_nav::{LabelPred, NavCounters, NavStats, Navigator};
+use mix_nav::{Axis, LabelPred, NavCounters, NavStats, Navigator};
 use mix_xml::{Document, Label, Tree};
 use mix_xmas::Var;
 use std::collections::HashSet;
@@ -734,6 +734,13 @@ impl Engine {
         Some(VNode::new(VData::Src { src, h: out }))
     }
 
+    /// What source `src` already knows of `d(h)` or `r(h)`: no count,
+    /// no meter, no trace event.
+    pub(crate) fn src_peek(&self, src: usize, h: u64, axis: Axis) -> Option<Option<VNode>> {
+        let known = lock_unpoisoned(&self.sources[src].nav).peek(&h, axis)?;
+        Some(known.map(|h| VNode::new(VData::Src { src, h })))
+    }
+
     pub(crate) fn src_root(&mut self, src: usize) -> VNode {
         // Obtaining the root handle is free (§1).
         let h = lock_unpoisoned(&self.sources[src].nav).root();
@@ -1039,6 +1046,13 @@ impl Navigator for Engine {
             self.cmd_counters[3].inc();
         }
         self.nav(|n| n.val_select(p, pred))
+    }
+
+    /// Source nodes ask their source; a torn-out or member value peeks
+    /// `d` of its inner value; values whose `r` is always `⊥` say so;
+    /// everything else is unknown. Begins no span and counts nothing.
+    fn peek(&mut self, p: &VNode, axis: Axis) -> Option<Option<VNode>> {
+        self.val_peek(p, axis)
     }
 }
 

@@ -16,14 +16,45 @@
 use crate::bindings::Nav;
 use crate::handle::{BHandle, VData, VNode};
 use crate::ops::{GroupSpec, OpSpec};
+use crate::Engine;
 use mix_algebra::PlanId;
-use mix_nav::LabelPred;
+use mix_nav::{Axis, LabelPred};
 use mix_xmas::{LabelSpec, Var};
 use mix_xml::{Label, Tree};
 
 /// Label of the virtual document node above each source's root element
 /// (re-exported from `mix-xml`, shared with plan composition).
 pub use mix_xml::DOC_LABEL;
+
+impl Engine {
+    /// What `d(v)` or `r(v)` answers when that needs no source command:
+    /// a source node asks its source; a torn-out or member value descends
+    /// like its inner value; a value whose `r` is always `⊥` says so.
+    /// Everything else (operator-synthesized children, the next member of
+    /// a list) is unknown.
+    pub(crate) fn val_peek(&self, v: &VNode, axis: Axis) -> Option<Option<VNode>> {
+        match (&*v.0, axis) {
+            (VData::Src { src, h }, _) => self.src_peek(*src, *h, axis),
+            (
+                VData::Solo { inner }
+                | VData::ConcatMember { inner, .. }
+                | VData::GroupMember { inner, .. },
+                Axis::Down,
+            ) => self.val_peek(inner, Axis::Down),
+            (
+                VData::SrcDoc { .. }
+                | VData::Solo { .. }
+                | VData::WrapList { .. }
+                | VData::ConcatList { .. }
+                | VData::GroupList { .. }
+                | VData::Created { .. }
+                | VData::ClientRoot,
+                Axis::Right,
+            ) => Some(None),
+            _ => None,
+        }
+    }
+}
 
 impl<'a> Nav<'a> {
     /// The spec of the operator that synthesized value node `v`; `None`

@@ -8,7 +8,7 @@
 //! the wrapped navigator.
 
 use crate::pred::LabelPred;
-use crate::Navigator;
+use crate::{Axis, Navigator};
 use mix_xml::Label;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -176,6 +176,11 @@ impl<N: Navigator> Navigator for CountedNavigator<N> {
         NavCounters::bump(&self.counters.inner.selects);
         self.inner.select(p, pred)
     }
+
+    /// Not a command, so not counted.
+    fn peek(&mut self, p: &Self::Handle, axis: Axis) -> Option<Option<Self::Handle>> {
+        self.inner.peek(p, axis)
+    }
 }
 
 #[cfg(test)]
@@ -211,6 +216,21 @@ mod tests {
         let s = counters.snapshot();
         assert_eq!(s.selects, 1);
         assert_eq!(s.rights, 0);
+    }
+
+    #[test]
+    fn peeks_pass_through_uncounted() {
+        let counters = NavCounters::new();
+        let mut n = CountedNavigator::new(DocNavigator::from_term("a[b,c]"), counters.clone());
+        let root = n.root();
+        let b = n.peek(&root, Axis::Down).expect("a document knows its children");
+        assert_eq!(b, n.down(&root));
+        let b = b.unwrap();
+        assert_eq!(n.peek(&b, Axis::Right), Some(n.right(&b)));
+        assert_eq!(n.peek(&b, Axis::Down), Some(None));
+        assert_eq!(n.peek(&root, Axis::Right), Some(None));
+        let s = counters.snapshot();
+        assert_eq!(s, NavStats { downs: 1, rights: 1, fetches: 0, selects: 0 }, "peeks count nothing");
     }
 
     #[test]

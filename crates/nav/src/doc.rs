@@ -6,7 +6,7 @@
 //! materialized answer.
 
 use crate::pred::LabelPred;
-use crate::Navigator;
+use crate::{Axis, Navigator};
 use mix_xml::{Document, Label, NodeId, Tree};
 use std::sync::Arc;
 
@@ -70,6 +70,14 @@ impl Navigator for DocNavigator {
             }
             cur = self.doc.right(cur)?;
         }
+    }
+
+    /// A materialized document knows every answer.
+    fn peek(&mut self, p: &NodeId, axis: Axis) -> Option<Option<NodeId>> {
+        Some(match axis {
+            Axis::Down => self.doc.down(*p),
+            Axis::Right => self.doc.right(*p),
+        })
     }
 }
 

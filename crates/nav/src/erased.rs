@@ -11,7 +11,7 @@
 //! which numbers its handles.
 
 use crate::pred::LabelPred;
-use crate::Navigator;
+use crate::{Axis, Navigator};
 use mix_xml::{Label, NodeId};
 
 /// A handle that is one integer: it converts to a `u64` and back without
@@ -74,6 +74,10 @@ where
 
     fn select(&mut self, p: &u64, pred: &LabelPred) -> Option<u64> {
         self.0.select(&N::Handle::from_int(*p), pred).map(|h| h.to_int())
+    }
+
+    fn peek(&mut self, p: &u64, axis: Axis) -> Option<Option<u64>> {
+        Some(self.0.peek(&N::Handle::from_int(*p), axis)?.map(|h| h.to_int()))
     }
 }
 

@@ -49,6 +49,16 @@ pub use table::HandleTable;
 
 use mix_xml::Label;
 
+/// The axis of a [`Navigator::peek`]: the command whose answer is asked
+/// for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Axis {
+    /// `d`: the first child.
+    Down,
+    /// `r`: the right sibling.
+    Right,
+}
+
 /// The DOM-VXD navigational interface.
 ///
 /// Implementations may be stateful (`&mut self`): lazy mediators cache
@@ -94,6 +104,16 @@ pub trait Navigator {
             cur = self.right(&cur)?;
         }
     }
+
+    /// What `d(p)` or `r(p)` would answer, when the navigator already
+    /// knows it without a source command: `Some(Some(n))` is a node,
+    /// `Some(None)` the end of the axis, and `None` means "unknown". A
+    /// peek is not a command: it counts nothing, records nothing and
+    /// moves no data. The default knows nothing.
+    fn peek(&mut self, p: &Self::Handle, axis: Axis) -> Option<Option<Self::Handle>> {
+        let _ = (p, axis);
+        None
+    }
 }
 
 impl<N: Navigator + ?Sized> Navigator for &mut N {
@@ -118,6 +138,10 @@ impl<N: Navigator + ?Sized> Navigator for &mut N {
     fn select(&mut self, p: &Self::Handle, pred: &LabelPred) -> Option<Self::Handle> {
         (**self).select(p, pred)
     }
+
+    fn peek(&mut self, p: &Self::Handle, axis: Axis) -> Option<Option<Self::Handle>> {
+        (**self).peek(p, axis)
+    }
 }
 
 impl<N: Navigator + ?Sized> Navigator for Box<N> {
@@ -141,5 +165,9 @@ impl<N: Navigator + ?Sized> Navigator for Box<N> {
 
     fn select(&mut self, p: &Self::Handle, pred: &LabelPred) -> Option<Self::Handle> {
         (**self).select(p, pred)
+    }
+
+    fn peek(&mut self, p: &Self::Handle, axis: Axis) -> Option<Option<Self::Handle>> {
+        (**self).peek(p, axis)
     }
 }

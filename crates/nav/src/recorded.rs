@@ -7,7 +7,7 @@
 //! command to a shared log.
 
 use crate::pred::LabelPred;
-use crate::Navigator;
+use crate::{Axis, Navigator};
 use mix_xml::Label;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -124,6 +124,11 @@ impl<N: Navigator> Navigator for RecordingNavigator<N> {
     fn select(&mut self, p: &Self::Handle, pred: &LabelPred) -> Option<Self::Handle> {
         self.trace.push(Recorded::Select);
         self.inner.select(p, pred)
+    }
+
+    /// Not a command, so not recorded.
+    fn peek(&mut self, p: &Self::Handle, axis: Axis) -> Option<Option<Self::Handle>> {
+        self.inner.peek(p, axis)
     }
 }
 

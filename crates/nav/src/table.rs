@@ -9,7 +9,7 @@
 //! involve any previously encountered pointer").
 
 use crate::pred::LabelPred;
-use crate::Navigator;
+use crate::{Axis, Navigator};
 use mix_xml::Label;
 
 /// A navigator with dense `u64` handles over any navigator `N`.
@@ -17,7 +17,7 @@ use mix_xml::Label;
 /// Ids start at 1 and grow by one per node handed out; the root keeps
 /// one id however often [`Navigator::root`] is called. Nothing is ever
 /// released: the table grows by one entry per `d`/`r`/`select` that
-/// returns a node. An id the table never issued navigates to `None` and
+/// returns a node, and per [`Navigator::peek`] that knows one. An id the table never issued navigates to `None` and
 /// fetches the empty label.
 pub struct HandleTable<N: Navigator> {
     nav: N,
@@ -42,6 +42,11 @@ impl<N: Navigator> HandleTable<N> {
     /// Number `h` with the next id.
     pub fn issue(&mut self, h: N::Handle) -> u64 {
         self.handles.push(h);
+        self.handles.len() as u64
+    }
+
+    /// Ids issued so far; the last one issued is this number.
+    pub fn issued(&self) -> u64 {
         self.handles.len() as u64
     }
 }
@@ -86,6 +91,12 @@ impl<N: Navigator> Navigator for HandleTable<N> {
         let out = self.nav.select(slot(&self.handles, *p)?, pred)?;
         Some(self.issue(out))
     }
+
+    /// A known node is numbered like the `d`/`r` that would reach it.
+    fn peek(&mut self, p: &u64, axis: Axis) -> Option<Option<u64>> {
+        let known = self.nav.peek(slot(&self.handles, *p)?, axis)?;
+        Some(known.map(|h| self.issue(h)))
+    }
 }
 
 #[cfg(test)]
@@ -106,6 +117,17 @@ mod tests {
         let b = t.down(&root).unwrap();
         assert_eq!(b, 2, "the root is issued once");
         assert_eq!(t.fetch(&b), "b");
+    }
+
+    #[test]
+    fn a_known_peek_is_numbered_like_the_command() {
+        let mut t = HandleTable::new(DocNavigator::from_term("a[b,c]"));
+        let root = t.root();
+        let b = t.peek(&root, Axis::Down).flatten().expect("a document knows its children");
+        assert_eq!((b, t.fetch(&b).as_str()), (2, "b"));
+        assert_eq!(t.peek(&b, Axis::Down), Some(None), "an end issues nothing");
+        assert_eq!(t.issued(), 2);
+        assert_eq!(t.peek(&99, Axis::Right), None, "an id never issued knows nothing");
     }
 
     #[test]

@@ -5,13 +5,17 @@
 //! can hold any number of sessions open at once — the session id travels
 //! in every request frame.
 //!
-//! The client keeps the labels the server ships with `d`/`r`/`select`
-//! replies ([`Reply::LabelledNode`]), per session, and answers `f` of
-//! those nodes without a frame. The root's label is never shipped (the
-//! server does not resolve it at `Open`), nor is a degraded or over-long
-//! one: `f` of such a node crosses the wire.
+//! The client keeps what the server ships with `d`/`r`/`select` replies
+//! ([`Reply::Nodes`]), per session: each shipped node's label and, where
+//! the server knew them, its `d` and `r` answers. It answers `f` of a
+//! shipped node, and each known `d`/`r`, without a frame. The root's
+//! label is never shipped (the server does not resolve it at `Open`),
+//! nor is a degraded or over-long one: `f` of such a node crosses the
+//! wire, as does every `select`.
 
-use crate::codec::{ErrorCode, FrameError, FrameStream, Reply, Request, TraceContext, Verb};
+use crate::codec::{
+    ErrorCode, FrameError, FrameStream, Link, Reply, Request, ShippedNode, TraceContext, Verb,
+};
 use mix_core::{TraceKind, TraceSink};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -87,14 +91,25 @@ impl FetchOutcome {
 /// server-side cascade on it, and [`mix_core::TraceLog::merge_remote`]
 /// stitches the two rings back into one. The frames a traced client
 /// sends differ from an untraced client's only by the trailer: replies,
-/// and therefore answers, are byte-identical either way. An `f` answered
-/// from a shipped label sends no frame, so it records nothing.
+/// and therefore answers, are byte-identical either way. A command
+/// answered from what the server shipped sends no frame, so it records
+/// nothing.
 pub struct VxdClient<S: Read + Write> {
     frames: FrameStream<S>,
     trace: TraceSink,
-    /// Shipped labels: session → node handle → label. A session's map
-    /// goes at `close`, and when a reply says the session is gone.
-    labels: HashMap<u64, HashMap<u64, String>>,
+    /// What the server shipped: session → node handle → what is known of
+    /// that node. A session's map goes at `close`, and when a reply says
+    /// the session is gone.
+    known: HashMap<u64, HashMap<u64, Known>>,
+}
+
+/// One shipped node: its complete label, and its `d` and `r` answers
+/// where the server knew them (`None` is unknown, `Some(None)` the end
+/// of the axis).
+struct Known {
+    label: String,
+    down: Option<Option<u64>>,
+    right: Option<Option<u64>>,
 }
 
 impl<S: Read + Write> VxdClient<S> {
@@ -102,7 +117,7 @@ impl<S: Read + Write> VxdClient<S> {
         VxdClient {
             frames: FrameStream::new(stream),
             trace: TraceSink::default(),
-            labels: HashMap::new(),
+            known: HashMap::new(),
         }
     }
 
@@ -146,7 +161,7 @@ impl<S: Read + Write> VxdClient<S> {
         if let Reply::Error { code, msg } = reply {
             // Both mean the server no longer holds the session.
             if matches!(code, ErrorCode::UnknownSession | ErrorCode::Internal) {
-                self.labels.remove(&session);
+                self.known.remove(&session);
             }
             return Err(ClientError::Server { code, msg });
         }
@@ -165,22 +180,50 @@ impl<S: Read + Write> VxdClient<S> {
     fn step(&mut self, session: u64, verb: Verb) -> Result<Option<u64>, ClientError> {
         match self.exchange(session, verb)? {
             Reply::Node { handle } => Ok(Some(handle)),
-            Reply::LabelledNode { handle, label } => {
-                self.labels.entry(session).or_default().insert(handle, label);
-                Ok(Some(handle))
+            Reply::Nodes { nodes } if !nodes.is_empty() => {
+                let reached = nodes[0].handle;
+                self.keep(session, nodes);
+                Ok(Some(reached))
             }
             Reply::End => Ok(None),
             other => Err(ClientError::UnexpectedReply(format!("{other:?}"))),
         }
     }
 
-    /// First child of `node`, or `None` at the frontier.
+    /// File a shipped node list under its session.
+    fn keep(&mut self, session: u64, nodes: Vec<ShippedNode>) {
+        let handles: Vec<u64> = nodes.iter().map(|n| n.handle).collect();
+        let resolve = |link: Link| match link {
+            Link::Unknown => None,
+            Link::End => Some(None),
+            Link::To(i) => handles.get(usize::from(i)).map(|&h| Some(h)),
+        };
+        let held = self.known.entry(session).or_default();
+        for n in nodes {
+            let known = Known { label: n.label, down: resolve(n.down), right: resolve(n.right) };
+            held.insert(n.handle, known);
+        }
+    }
+
+    fn shipped(&self, session: u64, node: u64) -> Option<&Known> {
+        self.known.get(&session)?.get(&node)
+    }
+
+    /// First child of `node`, or `None` at the frontier. Answered without
+    /// a frame when the server shipped it.
     pub fn down(&mut self, session: u64, node: u64) -> Result<Option<u64>, ClientError> {
+        if let Some(answer) = self.shipped(session, node).and_then(|k| k.down) {
+            return Ok(answer);
+        }
         self.step(session, Verb::Down { node })
     }
 
-    /// Next sibling of `node`, or `None` past the last.
+    /// Next sibling of `node`, or `None` past the last. Answered without
+    /// a frame when the server shipped it.
     pub fn right(&mut self, session: u64, node: u64) -> Result<Option<u64>, ClientError> {
+        if let Some(answer) = self.shipped(session, node).and_then(|k| k.right) {
+            return Ok(answer);
+        }
         self.step(session, Verb::Right { node })
     }
 
@@ -198,10 +241,11 @@ impl<S: Read + Write> VxdClient<S> {
     /// client must distinguish "empty" from "sources failed". A label the
     /// server shipped with `node` is answered here, without a frame —
     /// even after another connection closed the session, until a reply
-    /// to this client says the session is gone.
+    /// to this client says the session is gone. Shipped `d`/`r` answers
+    /// outlive the session the same way.
     pub fn fetch_checked(&mut self, session: u64, node: u64) -> Result<FetchOutcome, ClientError> {
-        if let Some(label) = self.labels.get(&session).and_then(|held| held.get(&node)) {
-            return Ok(FetchOutcome::Complete(label.clone()));
+        if let Some(known) = self.shipped(session, node) {
+            return Ok(FetchOutcome::Complete(known.label.clone()));
         }
         match self.exchange(session, Verb::Fetch { node })? {
             Reply::Label { label } => Ok(FetchOutcome::Complete(label)),
@@ -222,7 +266,7 @@ impl<S: Read + Write> VxdClient<S> {
 
     /// Close a session, releasing its server-side state.
     pub fn close(&mut self, session: u64) -> Result<(), ClientError> {
-        self.labels.remove(&session);
+        self.known.remove(&session);
         match self.exchange(session, Verb::Close)? {
             Reply::Closed => Ok(()),
             other => Err(ClientError::UnexpectedReply(format!("{other:?}"))),

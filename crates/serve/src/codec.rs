@@ -38,17 +38,25 @@
 //!     0x84 Label         { label: str }
 //!     0x85 DegradedLabel { label: str, n: u16 LE, sources: n × str }
 //!     0x86 Closed        {}
-//!     0x87 LabelledNode  { handle: u64 LE, label: str }
+//!     0x87 Nodes         { n: u16 LE, n × node }      (n ≥ 1)
 //!     0xC0 Error         { code: u8, msg: str }
 //!
+//!   node     := handle: u64 LE, label: str, down: link, right: link
+//!   link     := 0x00                  unknown
+//!             | 0x01                  end of the axis (⊥)
+//!             | 0x02, index: u16 LE   node `index` of this list (< n)
 //!   str      := len: u16 LE, len × UTF-8 bytes   (len ≤ MAX_STR)
 //! ```
 //!
-//! `LabelledNode` answers `d`/`r`/`select` with the node *and* its
-//! complete label — PAPER.md §4's fragment of "labels plus holes", one
-//! node wide — so the client's `f` of that node needs no round trip. A
-//! node whose label is degraded or longer than [`MAX_STR`] is answered
-//! with a bare `Node`, and its `f` crosses the wire.
+//! `Nodes` answers `d`/`r`/`select` with an open tree around the reached
+//! node — PAPER.md §4's fragment of labels plus holes. The reached node
+//! comes first; every other node is reachable from it over the links.
+//! Each node carries its complete label and what its `d` and `r` answer,
+//! where the server knew that without a source command: another node of
+//! the list, the end of the axis, or unknown (a hole). The client answers
+//! `f`, and each known `d`/`r`, of a shipped node without a round trip.
+//! A reached node whose label is degraded or longer than [`MAX_STR`] is
+//! answered with a bare `Node`, and its `f` crosses the wire.
 //!
 //! # Strictness
 //!
@@ -104,6 +112,12 @@ pub enum FrameError {
     Io(String),
     /// A request string longer than [`MAX_STR`] bytes: it was not sent.
     StringTooLong,
+    /// A `Nodes` reply with no node in it.
+    EmptyNodeList,
+    /// A link tag other than unknown, end or index.
+    BadLinkTag(u8),
+    /// A link to an index past the end of its node list.
+    LinkOutOfRange { index: u16, nodes: u16 },
 }
 
 impl std::fmt::Display for FrameError {
@@ -132,6 +146,11 @@ impl std::fmt::Display for FrameError {
             FrameError::Io(msg) => write!(f, "frame transport error: {msg}"),
             FrameError::StringTooLong => {
                 write!(f, "a request string exceeds the {MAX_STR} B field cap")
+            }
+            FrameError::EmptyNodeList => write!(f, "a node list reply holds no node"),
+            FrameError::BadLinkTag(tag) => write!(f, "unknown link tag 0x{tag:02x}"),
+            FrameError::LinkOutOfRange { index, nodes } => {
+                write!(f, "link to node {index} of a {nodes}-node list")
             }
         }
     }
@@ -235,6 +254,37 @@ impl Request {
     }
 }
 
+/// Where a shipped node's `d` or `r` leads, as far as the server knew
+/// without a source command.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Link {
+    /// Not known: the client's command crosses the wire.
+    Unknown,
+    /// The end of the axis: no child, or no right sibling.
+    End,
+    /// The node at this index of the same list.
+    To(u16),
+}
+
+/// One node of a [`Reply::Nodes`] list: its handle, its complete label,
+/// and where its `d` and `r` lead.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShippedNode {
+    pub handle: u64,
+    pub label: String,
+    pub down: Link,
+    pub right: Link,
+}
+
+/// Bytes one shipped node with a `label_len`-byte label takes in a
+/// `Nodes` frame, links at their longest.
+pub(crate) fn shipped_node_len(label_len: usize) -> usize {
+    8 + 2 + label_len + 2 * 3
+}
+
+/// Bytes of a `Nodes` frame before its first node: tag and count.
+pub(crate) const NODES_HEADER_LEN: usize = 1 + 2;
+
 /// One reply frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
@@ -242,8 +292,9 @@ pub enum Reply {
     Opened { session: u64, root: u64 },
     /// A navigation produced this node; its label stayed behind.
     Node { handle: u64 },
-    /// A navigation produced this node, shipped with its complete label.
-    LabelledNode { handle: u64, label: String },
+    /// A navigation produced `nodes[0]`; the rest are the nodes reachable
+    /// from it over known links, each with its complete label.
+    Nodes { nodes: Vec<ShippedNode> },
     /// A navigation returned `None` (no child / no sibling / no match).
     End,
     /// A complete label for `Fetch`.
@@ -277,6 +328,17 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     }
     out.extend_from_slice(&(len as u16).to_le_bytes());
     out.extend_from_slice(&s.as_bytes()[..len]);
+}
+
+fn put_link(out: &mut Vec<u8>, link: Link) {
+    match link {
+        Link::Unknown => out.push(0x00),
+        Link::End => out.push(0x01),
+        Link::To(index) => {
+            out.push(0x02);
+            out.extend_from_slice(&index.to_le_bytes());
+        }
+    }
 }
 
 impl Request {
@@ -363,10 +425,18 @@ impl Request {
 }
 
 impl Reply {
-    /// Does [`Reply::encode`] carry every byte of this reply's strings?
+    /// Does [`Reply::encode`] carry every byte of this reply's strings,
+    /// and, for a node list, every node within [`MAX_FRAME`]?
     pub fn fits(&self) -> bool {
         match self {
-            Reply::LabelledNode { label, .. } | Reply::Label { label } => fits(label),
+            Reply::Nodes { nodes } => {
+                nodes.len() <= usize::from(u16::MAX)
+                    && nodes.iter().all(|n| fits(&n.label))
+                    && nodes.iter().map(|n| shipped_node_len(n.label.len())).sum::<usize>()
+                        + NODES_HEADER_LEN
+                        <= MAX_FRAME as usize
+            }
+            Reply::Label { label } => fits(label),
             Reply::DegradedLabel { label, sources } => {
                 fits(label) && sources.iter().all(|s| fits(s))
             }
@@ -403,10 +473,16 @@ impl Reply {
                 }
             }
             Reply::Closed => out.push(0x86),
-            Reply::LabelledNode { handle, label } => {
+            Reply::Nodes { nodes } => {
                 out.push(0x87);
-                out.extend_from_slice(&handle.to_le_bytes());
-                put_str(&mut out, label);
+                let n = nodes.len().min(usize::from(u16::MAX));
+                out.extend_from_slice(&(n as u16).to_le_bytes());
+                for node in &nodes[..n] {
+                    out.extend_from_slice(&node.handle.to_le_bytes());
+                    put_str(&mut out, &node.label);
+                    put_link(&mut out, node.down);
+                    put_link(&mut out, node.right);
+                }
             }
             Reply::Error { code, msg } => {
                 out.push(0xC0);
@@ -436,7 +512,22 @@ impl Reply {
                 Reply::DegradedLabel { label, sources }
             }
             0x86 => Reply::Closed,
-            0x87 => Reply::LabelledNode { handle: r.u64()?, label: r.string()? },
+            0x87 => {
+                let n = r.u16()?;
+                if n == 0 {
+                    return Err(FrameError::EmptyNodeList);
+                }
+                let mut nodes = Vec::with_capacity(usize::from(n).min(r.remaining() / 12));
+                for _ in 0..n {
+                    nodes.push(ShippedNode {
+                        handle: r.u64()?,
+                        label: r.string()?,
+                        down: r.link(n)?,
+                        right: r.link(n)?,
+                    });
+                }
+                Reply::Nodes { nodes }
+            }
             0xC0 => Reply::Error { code: ErrorCode::from_u8(r.u8()?)?, msg: r.string()? },
             other => return Err(FrameError::UnknownTag(other)),
         };
@@ -488,6 +579,19 @@ impl<'a> Reader<'a> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| FrameError::BadUtf8)
+    }
+
+    /// A link of a node list `nodes` long.
+    fn link(&mut self, nodes: u16) -> Result<Link, FrameError> {
+        match self.u8()? {
+            0x00 => Ok(Link::Unknown),
+            0x01 => Ok(Link::End),
+            0x02 => match self.u16()? {
+                index if index < nodes => Ok(Link::To(index)),
+                index => Err(FrameError::LinkOutOfRange { index, nodes }),
+            },
+            tag => Err(FrameError::BadLinkTag(tag)),
+        }
     }
 
     /// The payload must be fully consumed — trailing bytes are an error,
@@ -671,8 +775,14 @@ mod tests {
         for reply in [
             Reply::Opened { session: 12, root: 1 },
             Reply::Node { handle: 42 },
-            Reply::LabelledNode { handle: 43, label: "zip".into() },
-            Reply::LabelledNode { handle: u64::MAX, label: String::new() },
+            Reply::Nodes { nodes: vec![shipped(43, "zip", Link::Unknown, Link::End)] },
+            Reply::Nodes {
+                nodes: vec![
+                    shipped(u64::MAX, "", Link::To(1), Link::To(2)),
+                    shipped(7, "home", Link::End, Link::Unknown),
+                    shipped(8, "zip", Link::To(1), Link::To(0)),
+                ],
+            },
             Reply::End,
             Reply::Label { label: "med_home".into() },
             Reply::DegradedLabel { label: String::new(), sources: vec!["homesSrc".into()] },
@@ -682,6 +792,26 @@ mod tests {
         ] {
             assert_eq!(Reply::decode(&reply.encode()).unwrap(), reply);
         }
+    }
+
+    fn shipped(handle: u64, label: &str, down: Link, right: Link) -> ShippedNode {
+        ShippedNode { handle, label: label.into(), down, right }
+    }
+
+    #[test]
+    fn malformed_node_lists_are_typed() {
+        assert_eq!(Reply::decode(&[0x87, 0, 0]), Err(FrameError::EmptyNodeList));
+        let one = Reply::Nodes { nodes: vec![shipped(1, "a", Link::Unknown, Link::To(0))] };
+        let mut bad = one.encode();
+        let n = bad.len();
+        bad[n - 3] = 0x03;
+        assert_eq!(Reply::decode(&bad), Err(FrameError::BadLinkTag(0x03)));
+        bad[n - 3] = 0x02;
+        bad[n - 2] = 1;
+        assert_eq!(
+            Reply::decode(&bad),
+            Err(FrameError::LinkOutOfRange { index: 1, nodes: 1 })
+        );
     }
 
     #[test]
@@ -750,14 +880,26 @@ mod tests {
     fn over_long_strings_do_not_fit_and_encode_cut_without_panicking() {
         // 65,534 ASCII bytes then a 2-byte char: the cut lands before it.
         let label = format!("{}é", "x".repeat(MAX_STR - 1));
-        let reply = Reply::LabelledNode { handle: 1, label: label.clone() };
+        let reply = Reply::Nodes { nodes: vec![shipped(1, &label, Link::End, Link::End)] };
         assert!(!reply.fits());
         assert!(!Reply::Label { label: label.clone() }.fits());
         assert!(!Request::new(1, Verb::Select { node: 2, label: label.clone() }).fits());
         let decoded = Reply::decode(&reply.encode()).unwrap();
-        assert_eq!(decoded, Reply::LabelledNode { handle: 1, label: "x".repeat(MAX_STR - 1) });
+        let cut = "x".repeat(MAX_STR - 1);
+        assert_eq!(decoded, Reply::Nodes { nodes: vec![shipped(1, &cut, Link::End, Link::End)] });
         let at_cap = Reply::Label { label: "x".repeat(MAX_STR) };
         assert!(at_cap.fits());
         assert_eq!(Reply::decode(&at_cap.encode()).unwrap(), at_cap);
+    }
+
+    #[test]
+    fn a_node_list_past_the_frame_cap_does_not_fit() {
+        // Sixteen labels at the string cap are over 1 MiB together.
+        let node = shipped(1, &"x".repeat(MAX_STR), Link::Unknown, Link::Unknown);
+        let full = |n: usize| Reply::Nodes { nodes: vec![node.clone(); n] };
+        assert!(full(15).fits());
+        assert!(full(15).encode().len() <= MAX_FRAME as usize);
+        assert!(!full(16).fits());
+        assert!(full(16).encode().len() > MAX_FRAME as usize);
     }
 }

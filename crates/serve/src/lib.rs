@@ -37,13 +37,14 @@ pub mod server;
 
 pub use client::{ClientError, FetchOutcome, OpenSession, VxdClient};
 pub use codec::{
-    ErrorCode, FrameError, FrameStream, Reply, Request, TraceContext, Verb, MAX_FRAME,
-    TRACE_MARKER,
+    ErrorCode, FrameError, FrameStream, Link, Reply, Request, ShippedNode, TraceContext, Verb,
+    MAX_FRAME, TRACE_MARKER,
 };
 pub use pipe::{pipe, PipeEnd};
 pub use pool::{SessionSources, DEFAULT_SESSION_BATCH};
 pub use scrape::HttpResponse;
 pub use server::{
     ServerHandle, SessionInfo, SlowNav, SourceHealthInfo, VxdServer, WhyAnswer,
-    DEFAULT_MAX_SESSIONS, DEFAULT_SLOW_NAV_NS, SEMCACHE_OUTCOME_LABELS, VERB_LABELS,
+    DEFAULT_MAX_SESSIONS, DEFAULT_SLOW_NAV_NS, MAX_SHIPPED_NODES, SEMCACHE_OUTCOME_LABELS,
+    VERB_LABELS,
 };

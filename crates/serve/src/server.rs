@@ -29,7 +29,10 @@
 //!
 //! [`BufferNavigator`]: mix_buffer::BufferNavigator
 
-use crate::codec::{ErrorCode, FrameStream, Reply, Request, TraceContext, Verb, MAX_STR};
+use crate::codec::{
+    shipped_node_len, ErrorCode, FrameStream, Link, Reply, Request, ShippedNode, TraceContext,
+    Verb, MAX_FRAME, MAX_STR, NODES_HEADER_LEN,
+};
 use crate::pool::SessionSources;
 use mix_algebra::{translate, Plan};
 use mix_buffer::{
@@ -40,7 +43,7 @@ use mix_core::{
     Degraded, Engine, EngineConfig, SemanticOutcome, TraceKind, TraceLog, TraceSink, VNode,
 };
 use mix_nav::explore::materialize;
-use mix_nav::{HandleTable, LabelPred, Navigator};
+use mix_nav::{Axis, HandleTable, LabelPred, Navigator};
 use mix_xml::Label;
 use mix_xmas::parse_query;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -58,6 +61,10 @@ pub const DEFAULT_MAX_SESSIONS: usize = 65_536;
 /// Default slow-navigation threshold (10 ms); change it with
 /// [`VxdServer::set_slow_nav_threshold`].
 pub const DEFAULT_SLOW_NAV_NS: u64 = 10_000_000;
+
+/// Most nodes one `d`/`r`/`select` reply ships: the reached node and
+/// its known neighbourhood.
+pub const MAX_SHIPPED_NODES: usize = 32;
 
 /// Entries the slow-navigation ring retains (oldest evicted first).
 pub const SLOW_NAV_CAPACITY: usize = 256;
@@ -211,6 +218,10 @@ struct Session {
     /// `mix_serve_session_commands_total{session="N"}` — unregistered at
     /// close.
     commands: Counter,
+    /// `mix_serve_session_ids_total{session="N"}`: wire handles issued,
+    /// one per node the session ever shipped — the handle table's size.
+    /// Unregistered at close.
+    ids: Counter,
     panic_on_fetch: bool,
     /// The session's flight recorder — enabled when the Open frame
     /// carried a sampled [`TraceContext`], off otherwise.
@@ -367,8 +378,8 @@ impl VxdServer {
 
     /// Export a query whose sessions panic on a `Fetch` frame — deliberate
     /// fault injection for proving panic isolation under load. `f` of the
-    /// root always sends one; `f` of a node whose label came with its
-    /// `d`/`r` reply is answered by the client and does not.
+    /// root always sends one; `f` of a node a `d`/`r` reply shipped is
+    /// answered by the client and does not.
     pub fn add_panic_template(
         &mut self,
         name: impl Into<String>,
@@ -630,6 +641,11 @@ impl VxdServer {
             "navigation verbs served per session",
             &[("session", &id.to_string())],
         );
+        let ids = sh.metrics.counter(
+            "mix_serve_session_ids_total",
+            "wire handles issued per session (its handle table's size)",
+            &[("session", &id.to_string())],
+        );
         if let Some(ctx) = ctx {
             // Engine warm-up above ran at span 0; link it to the client's
             // `open` span and surface this ring's overflow counter under
@@ -639,9 +655,11 @@ impl VxdServer {
         }
         let mut nav = HandleTable::new(engine);
         let root_handle = nav.root();
+        ids.add(root_handle);
         let session = Session {
             nav,
             commands,
+            ids,
             panic_on_fetch: tpl.panic_on_fetch,
             trace,
             template: template.to_string(),
@@ -671,6 +689,7 @@ impl VxdServer {
             let mut guard = lock_unpoisoned(&session);
             let s = &mut *guard;
             s.commands.inc();
+            let issued_before = s.nav.issued();
             let reply = match verb {
                 Verb::Down { node: h } => step(&mut s.nav, *h, |e, p| e.down(p)),
                 Verb::Right { node: h } => step(&mut s.nav, *h, |e, p| e.right(p)),
@@ -686,6 +705,7 @@ impl VxdServer {
                 }),
                 Verb::Open { .. } | Verb::Close => unreachable!("handled in handle()"),
             };
+            s.ids.add(s.nav.issued() - issued_before);
             // The engine's nav verb began the server-side span; link it
             // to the client span *after* the call so the wire-span event
             // lands inside the span it describes. An unknown handle began
@@ -845,14 +865,19 @@ fn unknown_session(id: u64) -> Reply {
     Reply::Error { code: ErrorCode::UnknownSession, msg: format!("no session {id}") }
 }
 
-/// A `d`/`r`/`select` verb from handle `h`: the node `go` reaches,
-/// numbered in the session's handle table, or the end of the axis.
+/// A `d`/`r`/`select` verb from handle `h`: the node `go` reaches and
+/// its known neighbourhood, each node numbered in the session's handle
+/// table, or the end of the axis.
 ///
-/// The reached node ships with its label when the label is complete and
-/// a frame can carry it, so the client's `f` of it needs no round trip.
-/// The label is fetched within the verb's own server span. A degraded or
-/// over-long label stays behind: the client's `f` then crosses the wire
-/// and gets `DegradedLabel` or `LabelTooLong` from [`label_reply`].
+/// The reached node ships first, with its label, when the label is
+/// complete and a frame can carry it. Then, breadth first, every node its
+/// `d`/`r` links lead to where the engine answers them without a source
+/// command ([`Navigator::peek`]), up to [`MAX_SHIPPED_NODES`] and the
+/// frame cap. A neighbour whose label cannot ship is left out, and its
+/// link is unknown. Labels are fetched within the verb's own server span.
+/// A reached node whose label is degraded or over-long ships alone as a
+/// bare `Node`: the client's `f` then crosses the wire and gets
+/// `DegradedLabel` or `LabelTooLong` from [`label_reply`].
 fn step(
     nav: &mut HandleTable<Engine>,
     h: u64,
@@ -861,20 +886,53 @@ fn step(
     let Some((engine, p)) = nav.lookup(h) else {
         return unknown_handle(h);
     };
-    let Some(n) = go(engine, p) else {
+    let Some(reached) = go(engine, p) else {
         return Reply::End;
     };
-    let label = engine.fetch_checked_in_span(&n);
-    let handle = nav.issue(n);
-    let Ok(label) = label else {
-        return Reply::Node { handle };
+    let Some(label) = shippable(engine.fetch_checked_in_span(&reached)) else {
+        return Reply::Node { handle: nav.issue(reached) };
     };
-    let reply = Reply::LabelledNode { handle, label: label.to_string() };
-    if reply.fits() {
-        reply
-    } else {
-        Reply::Node { handle }
+    let mut bytes = NODES_HEADER_LEN + shipped_node_len(label.len());
+    let mut nodes = vec![unlinked(label)];
+    let mut held = vec![reached];
+    let mut at = 0;
+    while at < held.len() {
+        for axis in [Axis::Down, Axis::Right] {
+            let link = match engine.peek(&held[at], axis) {
+                None => Link::Unknown,
+                Some(None) => Link::End,
+                Some(Some(_)) if held.len() == MAX_SHIPPED_NODES => Link::Unknown,
+                Some(Some(next)) => match shippable(engine.fetch_checked_in_span(&next)) {
+                    Some(label) if bytes + shipped_node_len(label.len()) <= MAX_FRAME as usize => {
+                        bytes += shipped_node_len(label.len());
+                        nodes.push(unlinked(label));
+                        held.push(next);
+                        Link::To((held.len() - 1) as u16)
+                    }
+                    _ => Link::Unknown,
+                },
+            };
+            match axis {
+                Axis::Down => nodes[at].down = link,
+                Axis::Right => nodes[at].right = link,
+            }
+        }
+        at += 1;
     }
+    for (node, v) in nodes.iter_mut().zip(held) {
+        node.handle = nav.issue(v);
+    }
+    Reply::Nodes { nodes }
+}
+
+/// A label a frame carries whole: complete, and at most [`MAX_STR`] bytes.
+fn shippable(fetched: Result<Label, Degraded>) -> Option<String> {
+    fetched.ok().filter(|l| l.len() <= MAX_STR).map(|l| l.to_string())
+}
+
+/// A shipped node before its links are known and its handle is issued.
+fn unlinked(label: String) -> ShippedNode {
+    ShippedNode { handle: 0, label, down: Link::Unknown, right: Link::Unknown }
 }
 
 /// The reply to `f`. The checked fetch API is the wire contract: a

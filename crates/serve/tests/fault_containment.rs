@@ -10,9 +10,10 @@ use mix_buffer::{
     FaultConfig, FaultyWrapper, FillPolicy, FragmentCache, MetricsRegistry, SampleValue,
     TreeWrapper,
 };
-use mix_serve::codec::{write_frame, FrameStream, Reply, Request, Verb};
+use mix_serve::codec::{write_frame, FrameStream, Link, Reply, Request, ShippedNode, Verb};
 use mix_serve::{
     pipe, ClientError, ErrorCode, FetchOutcome, SessionSources, VxdClient, VxdServer,
+    MAX_SHIPPED_NODES,
 };
 use mix_core::{TraceKind, TraceSink};
 use mix_xml::term::parse_term;
@@ -233,6 +234,55 @@ fn a_label_no_frame_can_carry_is_a_typed_error_not_a_dead_connection() {
     assert_eq!(sessions(), baseline, "close returns the sessions gauge to baseline");
     drop(client);
     conn.join().expect("the connection thread did not panic");
+}
+
+#[test]
+fn the_server_cuts_a_node_list_to_what_one_frame_carries() {
+    // Under `p`, twenty 60,000-byte labels: more than one frame holds.
+    // Under `q`, one label longer than a `str` field. Under `r`, forty
+    // short ones: more than one reply ships.
+    let wide = "w".repeat(60_000);
+    let big = "x".repeat(70_000);
+    let p = Tree::node("p", (0..20).map(|_| Tree::leaf(wide.as_str())).collect());
+    let q = Tree::node("q", vec![Tree::leaf(big.as_str())]);
+    let r = Tree::node("r", (0..40).map(|i| Tree::leaf(format!("{i}"))).collect());
+    let tree = Tree::node("items", vec![p, q, r]);
+    let mut pool = SessionSources::new(FragmentCache::new(), MetricsRegistry::enabled());
+    pool.add_tree("src", &tree, FillPolicy::WholeSubtree);
+    let mut server = VxdServer::new(pool);
+    server.add_template("q", QUERY).unwrap();
+    let Reply::Opened { session, root } =
+        server.handle(&Request::new(0, Verb::Open { template: "q".into() }))
+    else {
+        panic!("the template opens");
+    };
+    let shipped = |reply: Reply| match reply {
+        Reply::Nodes { nodes } => nodes,
+        other => panic!("a node list, not {other:?}"),
+    };
+    let encodes_whole = |nodes: &Vec<ShippedNode>| {
+        let reply = Reply::Nodes { nodes: nodes.clone() };
+        reply.fits() && Reply::decode(&reply.encode()) == Ok(reply)
+    };
+
+    let at_p = shipped(server.handle(&Request::new(session, Verb::Down { node: root })));
+    assert!(encodes_whole(&at_p));
+    let cut = at_p.len() - 1;
+    assert!((15..20).contains(&cut), "{cut} wide labels fill the frame");
+    assert_eq!(at_p[cut].right, Link::Unknown, "the first label left out is unknown");
+    assert!(at_p[1..].iter().all(|n| n.label == wide));
+
+    let p_node = at_p[0].handle;
+    let at_q = shipped(server.handle(&Request::new(session, Verb::Right { node: p_node })));
+    assert_eq!(at_q.len(), 1, "an over-long label ships with no node");
+    assert_eq!(at_q[0].label, "q");
+    assert_eq!(at_q[0].down, Link::Unknown);
+
+    let q_node = at_q[0].handle;
+    let at_r = shipped(server.handle(&Request::new(session, Verb::Right { node: q_node })));
+    assert!(encodes_whole(&at_r));
+    assert_eq!(at_r.len(), MAX_SHIPPED_NODES, "a reply ships at most {MAX_SHIPPED_NODES}");
+    assert_eq!(at_r[MAX_SHIPPED_NODES - 1].right, Link::Unknown);
 }
 
 #[test]

@@ -5,7 +5,8 @@
 //! the bricks-thrown-at-it tests.
 
 use mix_serve::codec::{
-    read_frame, write_frame, ErrorCode, FrameError, Reply, Request, TraceContext, Verb,
+    read_frame, write_frame, ErrorCode, FrameError, Link, Reply, Request, ShippedNode,
+    TraceContext, Verb,
 };
 use proptest::prelude::*;
 
@@ -96,15 +97,36 @@ fn arb_error_code() -> impl Strategy<Value = ErrorCode> {
     ]
 }
 
-fn arb_labelled_node() -> impl Strategy<Value = Reply> {
-    ((0u64..=u64::MAX), arb_str()).prop_map(|(handle, label)| Reply::LabelledNode { handle, label })
+fn arb_node_list() -> impl Strategy<Value = Reply> {
+    // Links are drawn as (kind, raw index) and bound to the list's length
+    // once it is known.
+    let link = ((0u8..3), (0u16..=u16::MAX));
+    let node = ((0u64..=u64::MAX), arb_str(), link.clone(), link);
+    proptest::collection::vec(node, 1..6).prop_map(|raw| {
+        let n = raw.len() as u16;
+        let bind = |(kind, index): (u8, u16)| match kind {
+            0 => Link::Unknown,
+            1 => Link::End,
+            _ => Link::To(index % n),
+        };
+        let nodes = raw
+            .into_iter()
+            .map(|(handle, label, down, right)| ShippedNode {
+                handle,
+                label,
+                down: bind(down),
+                right: bind(right),
+            })
+            .collect();
+        Reply::Nodes { nodes }
+    })
 }
 
 fn arb_reply() -> impl Strategy<Value = Reply> {
     prop_oneof![
         ((0u64..=u64::MAX), (0u64..=u64::MAX)).prop_map(|(session, root)| Reply::Opened { session, root }),
         (0u64..=u64::MAX).prop_map(|handle| Reply::Node { handle }),
-        arb_labelled_node(),
+        arb_node_list(),
         Just(Reply::End),
         arb_str().prop_map(|label| Reply::Label { label }),
         (arb_str(), proptest::collection::vec(arb_str(), 0..4))
@@ -151,29 +173,59 @@ proptest! {
         prop_assert_eq!(Reply::decode(&enc), Err(FrameError::TrailingBytes { extra: junk.len() }));
     }
 
-    /// Random bodies behind the labelled-node tag: a typed error, or a
-    /// value that re-encodes to exactly those bytes.
+    /// Every strict prefix of a node list is `Truncated`, at every rung.
+    #[test]
+    fn every_node_list_truncation_is_truncated(reply in arb_node_list()) {
+        let enc = reply.encode();
+        for cut in 0..enc.len() {
+            prop_assert!(
+                matches!(Reply::decode(&enc[..cut]), Err(FrameError::Truncated { .. })),
+                "cut {} of {:?}", cut, reply
+            );
+        }
+        let mut padded = enc.clone();
+        padded.push(0);
+        prop_assert_eq!(Reply::decode(&padded), Err(FrameError::TrailingBytes { extra: 1 }));
+    }
+
+    /// Random bodies behind the node-list tag (each shipped node is a
+    /// labelled node): a typed error, or a value that re-encodes to
+    /// exactly those bytes.
     #[test]
     fn random_labelled_node_bodies_never_panic(
-        body in proptest::collection::vec(0u8..=255, 0..48),
-        str_len in prop_oneof![Just(None), (0u16..20).prop_map(Some)],
+        count in 0u16..4,
+        nodes in proptest::collection::vec(
+            (
+                proptest::collection::vec(0u8..=255, 0..12),
+                prop_oneof![Just(None), (0u16..8).prop_map(Some)],
+                proptest::collection::vec(prop_oneof![0u8..=3, 0u8..=255], 0..6),
+            ),
+            0..4,
+        ),
     ) {
-        // Some cases get a plausible string length after the handle.
+        // A count, then per node: bytes for its handle and maybe a
+        // plausible string length, then bytes for its label and links,
+        // mostly valid link tags.
         let mut bytes = vec![0x87];
-        let handle_end = body.len().min(8);
-        bytes.extend_from_slice(&body[..handle_end]);
-        if let Some(len) = str_len {
-            bytes.extend_from_slice(&len.to_le_bytes());
+        bytes.extend_from_slice(&count.to_le_bytes());
+        for (head, str_len, tail) in &nodes {
+            let handle_end = head.len().min(8);
+            bytes.extend_from_slice(&head[..handle_end]);
+            if let Some(len) = str_len {
+                bytes.extend_from_slice(&len.to_le_bytes());
+            }
+            bytes.extend_from_slice(&head[handle_end..]);
+            bytes.extend_from_slice(tail);
         }
-        bytes.extend_from_slice(&body[handle_end..]);
         match Reply::decode(&bytes) {
             Ok(reply) => {
-                prop_assert!(matches!(reply, Reply::LabelledNode { .. }));
+                prop_assert!(matches!(&reply, Reply::Nodes { nodes } if !nodes.is_empty()));
                 prop_assert_eq!(reply.encode(), bytes, "lossless parse only");
             }
             Err(err) => prop_assert!(
                 matches!(err, FrameError::Truncated { .. } | FrameError::BadUtf8
-                    | FrameError::TrailingBytes { .. }),
+                    | FrameError::TrailingBytes { .. } | FrameError::EmptyNodeList
+                    | FrameError::BadLinkTag(_) | FrameError::LinkOutOfRange { .. }),
                 "unexpected error class: {err}"
             ),
         }

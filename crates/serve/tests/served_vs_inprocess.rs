@@ -1,8 +1,10 @@
 //! The differential acceptance test: a mediated view served over the
 //! DOM-VXD wire is **byte-identical** to the same view navigated
 //! in-process, and costs exactly the same number of LXP wire exchanges —
-//! the serving layer adds framing, not semantics and not traffic. Labels
-//! travel with the nodes `d`/`r` reach, so only the root's `f` is a frame.
+//! the serving layer adds framing, not semantics and not traffic. A `d`/`r`
+//! reply ships the reached node and the nodes the server's buffers
+//! already hold around it, so only the root's `f` is a frame, and a
+//! `d`/`r` is one only where the server's open tree has a hole.
 
 use mix_algebra::translate;
 use mix_buffer::{FillPolicy, FragmentCache, MetricsRegistry, SlowWrapper, TreeWrapper};
@@ -116,16 +118,31 @@ fn served_view_is_byte_identical_and_costs_the_same_exchanges() {
         "the wire adds framing, not LXP traffic"
     );
     assert!(direct_exchanges > 0, "the differential run exercised the source");
-    // The walk sends one `d` per node and one `r` per non-root node. Every
-    // non-root label came with the `d`/`r` that reached its node, so the
-    // only `f` frame is the root's.
-    let nodes = answer.size() as u64;
-    let (downs, rights) = (nodes, nodes - 1);
+    // Every non-root label came with a reply, so the only `f` frame is the
+    // root's. `d(root)` crosses, and so does `r` of each answer member:
+    // the next member of the answer's list is the operator's to find.
+    // Below a member every node is a source node, which `NodeAtATime`
+    // ships shallow: its children and its right siblings are holes until
+    // filled, so `d` of an inner node and `r` of a non-last sibling cross
+    // (10 here), and a leaf's `d` and a last sibling's `r` do not.
+    let members = answer.children();
+    let holes: u64 = members.iter().map(hole_commands).sum();
+    assert_eq!(holes, 10);
     assert_eq!(
         frames.load(Ordering::Relaxed),
-        1 + 1 + downs + rights + 1,
-        "open + f(root) + d/r + close: no frame per non-root `f`"
+        1 + 1 + 1 + members.len() as u64 + holes + 1,
+        "open + f(root) + d(root) + r per member + a d/r per hole + close"
     );
+    assert_eq!(frames.load(Ordering::Relaxed), 19);
+}
+
+/// The walk's `d`/`r` commands below `t`, a source subtree shipped one
+/// shallow node per fill, that meet a hole: `d` of every inner node and
+/// `r` of every child but the last.
+fn hole_commands(t: &Tree) -> u64 {
+    let kids = t.children();
+    let own = u64::from(!kids.is_empty()) + kids.len().saturating_sub(1) as u64;
+    own + kids.iter().map(hole_commands).sum::<u64>()
 }
 
 #[test]
@@ -202,4 +219,83 @@ fn interleaved_sessions_on_one_connection_answer_independently() {
     assert_eq!(server.session_count(), 0);
     drop(client);
     conn.join().unwrap();
+}
+
+/// The paper's Figure 3 view: homes with the schools of their zip code.
+const FIG3: &str = "\
+CONSTRUCT <answer> <med_home> $H $S {$S} </med_home> {$H} </answer> {}
+WHERE homesSrc homes.home $H AND $H zip._ $V1
+  AND schoolsSrc schools.school $S AND $S zip._ $V2 AND $V1 = $V2";
+
+/// `d(root)`, `f` of the first answer, then a depth-first walk from it
+/// of `budget` commands, fetching every node it reaches.
+fn fig3_walk<S: Read + Write>(client: &mut VxdClient<S>, session: u64, root: u64, budget: usize) {
+    let first = client.down(session, root).unwrap().expect("fig3 has an answer");
+    client.fetch(session, first).unwrap();
+    let (mut path, mut budget) = (vec![first], budget);
+    while budget > 0 {
+        budget -= 1;
+        match client.down(session, *path.last().unwrap()).unwrap() {
+            Some(child) => path.push(child),
+            None => loop {
+                if budget == 0 {
+                    return;
+                }
+                budget -= 1;
+                match client.right(session, *path.last().unwrap()).unwrap() {
+                    Some(sibling) => {
+                        *path.last_mut().unwrap() = sibling;
+                        break;
+                    }
+                    None => {
+                        path.pop();
+                        if path.is_empty() {
+                            return;
+                        }
+                    }
+                }
+            },
+        }
+        if budget > 0 {
+            budget -= 1;
+            client.fetch(session, *path.last().unwrap()).unwrap();
+        }
+    }
+}
+
+#[test]
+fn a_fig3_walk_crosses_the_wire_five_times_and_numbers_what_it_was_shipped() {
+    let mut pool = SessionSources::new(FragmentCache::new(), MetricsRegistry::enabled());
+    pool.add_tree("homesSrc", &mix_wrappers::gen::homes_doc(7, 60, 8), FillPolicy::NodeAtATime);
+    pool.add_tree("schoolsSrc", &mix_wrappers::gen::schools_doc(8, 40, 8), FillPolicy::NodeAtATime);
+    let mut server = VxdServer::new(pool);
+    server.add_template("fig3", FIG3).unwrap();
+    let (client_end, server_end) = pipe();
+    let server2 = server.clone();
+    let conn = std::thread::spawn(move || server2.serve_connection(server_end));
+    let frames = Arc::new(AtomicU64::new(0));
+    let mut client = VxdClient::new(CountedFrames { inner: client_end, frames: Arc::clone(&frames) });
+
+    let open = client.open("fig3").unwrap();
+    fig3_walk(&mut client, open.session, open.root, 24);
+    let ids = server
+        .metrics()
+        .snapshot()
+        .total("mix_serve_session_ids_total");
+    client.close(open.session).unwrap();
+    drop(client);
+    conn.join().unwrap();
+    // Open, `d(root)`, `d(med_home)`, `r(home)`, close: `d(root)` ships
+    // `med_home` alone (what a created element holds is the operator's
+    // to find), `d(med_home)` ships the home whole (the engine's join
+    // read it: seven nodes), and `r(home)` its first school with what
+    // the buffer holds of it (four nodes). The 24 commands after the
+    // first answer end inside that school.
+    assert_eq!(frames.load(Ordering::Relaxed), 5, "open, three verbs, close");
+    assert_eq!(ids, 1 + 1 + 7 + 4, "one id per shipped node, and the root's");
+    assert_eq!(
+        server.metrics().snapshot().total("mix_serve_session_ids_total"),
+        0,
+        "the series goes with its session"
+    );
 }

@@ -7,9 +7,9 @@
 //!    produce the **same wire rollup** (requests, batched holes, wasted
 //!    bytes — framing adds no traffic and tracing observes all of it);
 //! 2. the merged client+server trace reconciles with the wire itself:
-//!    `#wire-request == #wire-span == frames sent`, where an `f` the
-//!    client answers from a shipped label sends no frame and records
-//!    nothing;
+//!    `#wire-request == #wire-span == frames sent`, where a command the
+//!    client answers from what the server shipped sends no frame and
+//!    records nothing;
 //! 3. served answers are **byte-identical** with tracing on and off —
 //!    propagation is pure observation;
 //! 4. under injected faults, every degraded served answer is pinpointed
@@ -124,7 +124,8 @@ fn merged_served_trace_matches_the_inprocess_trace_rollup() {
 #[test]
 fn merged_trace_reconciles_with_wire_traffic() {
     let (served, merged, client_log, frames) = traced_served_walk();
-    // Open + navs + close, one client span each: a local `f` begins none.
+    // Open + navs + close, one client span each: a local command begins
+    // none.
     assert_eq!(client_log.spans().len() as u64, frames, "one client span per frame");
     // The walk fetched every node, but only the root's label crossed the
     // wire: the rest came with the `d`/`r` replies.

@@ -4,9 +4,13 @@
 //! cache configuration and buffer fill policy.
 
 use mix::algebra::rewrite::insert_eager_steps;
+use mix::nav::explore::materialize_at;
+use mix::nav::Axis;
 use mix::prelude::*;
 use mix::wrappers::gen::random_tree;
 use proptest::prelude::*;
+use std::sync::atomic::Ordering;
+use std::time::Duration;
 
 const LABELS: &[&str] = &["a", "b", "c", "x"];
 
@@ -52,6 +56,148 @@ fn query_pool() -> Vec<&'static str> {
         // Cross product: two branches with no comparison between them.
         "CONSTRUCT <out> <p> $V $W {$W} </p> {$V} </out> {} WHERE src _.a $V AND src _.b $W",
     ]
+}
+
+/// SplitMix64's finaliser: the peek oracle's walk is a pure function of
+/// its case.
+fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The peek oracle: a random-order walk over the lazy answer of pool
+/// query `qidx` in which every `d`/`r` is peeked first. Wherever the
+/// engine says it knows the answer, the command must return the same
+/// node (same label, same materialised subtree) or the same end, and the
+/// peek itself must move no wrapper exchange, no source-nav counter and
+/// no trace event. `config` picks the source: a plain tree (`config % 4
+/// == 0`), else a buffer over a wrapper shipping node-at-a-time or in
+/// chunks of 1–3, with batch 1–8, pending cap 1–2 and the fragment cache
+/// on or off. Returns how many peeks knew their answer.
+fn peek_oracle(seed: u64, nodes: usize, qidx: usize, config: u64) -> Result<u64, String> {
+    let tree = random_tree(seed, nodes, LABELS);
+    let plan = translate(&parse_query(query_pool()[qidx]).unwrap()).unwrap();
+    let sink = TraceSink::enabled(1 << 16);
+    let mut reg = SourceRegistry::new();
+    let exchanges = if config.is_multiple_of(4) {
+        reg.add_tree("src", &tree);
+        None
+    } else {
+        // A chunk ships whole subtrees, so its holes sit only between
+        // siblings; node-at-a-time also leaves one below every inner node.
+        let policy = match (config >> 2) % 4 {
+            0 => FillPolicy::NodeAtATime,
+            chunk => FillPolicy::Chunked { n: chunk as usize },
+        };
+        let wrapper = SlowWrapper::new(TreeWrapper::single(&tree, policy), Duration::ZERO);
+        let exchanges = wrapper.exchange_counter();
+        let mut nav = BufferNavigator::new(wrapper, "doc")
+            .batched(1 + (config >> 4) as usize % 8)
+            .pending_cap(1 + (config >> 7) as usize % 2)
+            .with_trace(sink.clone());
+        if config >> 8 & 1 == 1 {
+            nav = nav.with_fragment_cache(FragmentCache::new());
+        }
+        reg.add_buffer("src", nav);
+        Some(exchanges)
+    };
+    let mut engine = Engine::new(plan, &reg).map_err(|e| e.to_string())?;
+    engine.set_trace_sink(sink.clone());
+    let work = |engine: &Engine| {
+        let log = TraceLog::from_sink(&sink);
+        let wire = exchanges.as_ref().map(|e| e.load(Ordering::Relaxed));
+        (engine.stats().total(), wire, log.len() as u64 + log.dropped())
+    };
+    let mut reached = vec![engine.root()];
+    let (mut rng, mut known) = (mix64(seed ^ config << 20 ^ qidx as u64), 0);
+    for step in 0..60 {
+        rng = mix64(rng);
+        // Half the time the node reached last: the frontier, where the
+        // holes are.
+        let pick = match rng >> 48 & 1 {
+            0 => reached.len() - 1,
+            _ => (rng % reached.len() as u64) as usize,
+        };
+        let at = reached[pick].clone();
+        // Both axes of the node, in a random order: a node just reached
+        // sits next to the holes a misread would answer wrongly.
+        let mut axes = [Axis::Down, Axis::Right];
+        if rng >> 32 & 1 == 1 {
+            axes.reverse();
+        }
+        for axis in axes {
+            let before = work(&engine);
+            let peeked = engine.peek(&at, axis);
+            let after = work(&engine);
+            if after != before {
+                return Err(format!("step {step}: the peek did work: {before:?} -> {after:?}"));
+            }
+            let got = match axis {
+                Axis::Down => engine.down(&at),
+                Axis::Right => engine.right(&at),
+            };
+            if let Some(expected) = peeked {
+                known += 1;
+                let same = match (&expected, &got) {
+                    (None, None) => true,
+                    (Some(x), Some(y)) => {
+                        // Materialising fills every hole below, which
+                        // leaves little for later peeks not to know: one
+                        // case in three.
+                        engine.fetch(x) == engine.fetch(y)
+                            && ((rng >> 40) % 3 != 0
+                                || materialize_at(&mut engine, x) == materialize_at(&mut engine, y))
+                    }
+                    _ => false,
+                };
+                if !same {
+                    return Err(format!(
+                        "step {step}: {axis:?} peeked {:?}, answered {:?}",
+                        expected.map(|x| engine.fetch(&x)),
+                        got.as_ref().map(|y| engine.fetch(y)),
+                    ));
+                }
+            }
+            reached.extend(got);
+        }
+    }
+    Ok(known)
+}
+
+#[test]
+fn peek_oracle_holds_and_knows_answers() {
+    // Fixed cases, so the oracle is known to check something on both
+    // kinds of source.
+    let (mut tree_known, mut buffer_known) = (0, 0);
+    for case in 0..128u64 {
+        let config = mix64(case) % 1024;
+        let known = peek_oracle(case, 1 + case as usize % 39, case as usize % 19, config)
+            .unwrap_or_else(|e| panic!("case {case}: {e}"));
+        if config.is_multiple_of(4) {
+            tree_known += known;
+        } else {
+            buffer_known += known;
+        }
+    }
+    assert!(tree_known >= 500, "a plain tree knows every answer: {tree_known}");
+    assert!(buffer_known >= 500, "buffers know what they hold: {buffer_known}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    #[test]
+    fn a_known_peek_is_what_the_command_answers(
+        seed in 0u64..10_000,
+        nodes in 1usize..40,
+        qidx in 0usize..19,
+        config in 0u64..1024,
+    ) {
+        let outcome = peek_oracle(seed, nodes, qidx, config);
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+    }
 }
 
 proptest! {
