@@ -123,11 +123,8 @@ pub fn classify_op(node: &PlanNode, nc: NcCapabilities) -> Browsability {
 
         // Reordering and difference need the complete input before the
         // first answer: "the mediator cannot respond to the user until it
-        // has seen the complete list" (Example 1). An intermediate eager
-        // step (materialize) by definition reads its whole input first.
-        PlanNode::OrderBy { .. }
-        | PlanNode::Difference { .. }
-        | PlanNode::Materialize { .. } => Browsability::Unbrowsable,
+        // has seen the complete list" (Example 1).
+        PlanNode::OrderBy { .. } | PlanNode::Difference { .. } => Browsability::Unbrowsable,
     }
 }
 

@@ -155,7 +155,6 @@ fn remap_inputs(node: PlanNode, map: &HashMap<PlanId, PlanId>) -> PlanNode {
         PlanNode::TupleDestroy { input, var } => {
             PlanNode::TupleDestroy { input: m(input), var }
         }
-        PlanNode::Materialize { input } => PlanNode::Materialize { input: m(input) },
     }
 }
 
@@ -211,7 +210,6 @@ fn rename_node(node: PlanNode, f: &impl Fn(&Var) -> Var) -> PlanNode {
         PlanNode::TupleDestroy { input, var } => {
             PlanNode::TupleDestroy { input, var: fv(var) }
         }
-        PlanNode::Materialize { .. } => node,
     }
 }
 

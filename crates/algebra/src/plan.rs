@@ -116,11 +116,6 @@ pub enum PlanNode {
     OrderBy { input: PlanId, keys: Vec<Var> },
     /// Return the element `e` from the singleton list `bs[b[v[e]]]`.
     TupleDestroy { input: PlanId, var: Var },
-    /// An *intermediate eager step* (the lazy/eager combination the
-    /// paper's §6 proposes as future work): identity on bindings, but the
-    /// engine materializes the complete input binding list on first access
-    /// and serves all navigation from memory afterwards.
-    Materialize { input: PlanId },
 }
 
 impl PlanNode {
@@ -137,8 +132,7 @@ impl PlanNode {
             | PlanNode::Constant { input, .. }
             | PlanNode::Wrap { input, .. }
             | PlanNode::OrderBy { input, .. }
-            | PlanNode::TupleDestroy { input, .. }
-            | PlanNode::Materialize { input } => vec![*input],
+            | PlanNode::TupleDestroy { input, .. } => vec![*input],
             PlanNode::Join { left, right, .. }
             | PlanNode::Cross { left, right }
             | PlanNode::Union { left, right }
@@ -164,7 +158,6 @@ impl PlanNode {
             PlanNode::Wrap { .. } => "wrap",
             PlanNode::OrderBy { .. } => "orderBy",
             PlanNode::TupleDestroy { .. } => "tupleDestroy",
-            PlanNode::Materialize { .. } => "materialize",
         }
     }
 }
@@ -244,7 +237,6 @@ impl Plan {
                 format!("orderBy {}", names.join(","))
             }
             PlanNode::TupleDestroy { var, .. } => format!("tupleDestroy {var}"),
-            PlanNode::Materialize { .. } => "materialize".into(),
         }
     }
 
@@ -294,9 +286,9 @@ impl Plan {
                 s.push(out.clone());
                 s
             }
-            PlanNode::Select { input, .. }
-            | PlanNode::OrderBy { input, .. }
-            | PlanNode::Materialize { input } => self.schema(*input),
+            PlanNode::Select { input, .. } | PlanNode::OrderBy { input, .. } => {
+                self.schema(*input)
+            }
             PlanNode::Join { left, right, .. } | PlanNode::Cross { left, right } => {
                 let mut s = self.schema(*left);
                 s.extend(self.schema(*right));
@@ -434,7 +426,6 @@ impl Plan {
                         ));
                     }
                 }
-                PlanNode::Materialize { .. } => {}
             }
         }
         Ok(())
@@ -456,7 +447,7 @@ impl Plan {
     /// The variables an operator itself consumes from its input(s).
     pub fn vars_used_by(&self, id: PlanId) -> Vec<Var> {
         match self.node(id) {
-            PlanNode::Source { .. } | PlanNode::Materialize { .. } => vec![],
+            PlanNode::Source { .. } => vec![],
             PlanNode::GetDescendants { parent, .. } => vec![parent.clone()],
             PlanNode::Select { pred, .. } => pred.vars(),
             PlanNode::Join { pred, .. } => pred.vars(),
@@ -482,39 +473,6 @@ impl Plan {
             PlanNode::OrderBy { keys, .. } => keys.clone(),
             PlanNode::TupleDestroy { var, .. } => vec![var.clone()],
         }
-    }
-
-    /// Variables of `id`'s output schema that any operator above `id`
-    /// (on some path from the root) still consumes. Used to project
-    /// before intermediate eager steps.
-    pub fn needed_above(&self, id: PlanId) -> Vec<Var> {
-        let schema = self.schema(id);
-        let mut needed: Vec<Var> = Vec::new();
-        for anc in self.reachable() {
-            if anc == id {
-                continue;
-            }
-            // Is `id` reachable from `anc`? (anc is an ancestor)
-            let mut stack = vec![anc];
-            let mut is_anc = false;
-            while let Some(x) = stack.pop() {
-                if x == id {
-                    is_anc = true;
-                    break;
-                }
-                stack.extend(self.node(x).inputs());
-            }
-            if !is_anc {
-                continue;
-            }
-            for v in self.vars_used_by(anc) {
-                if schema.contains(&v) && !needed.contains(&v) {
-                    needed.push(v);
-                }
-            }
-        }
-        // Preserve schema order for deterministic plans.
-        schema.into_iter().filter(|v| needed.contains(v)).collect()
     }
 
     /// Nodes reachable from the root (rewrites can strand operators).

@@ -251,46 +251,6 @@ fn apply_gd_pushdown(plan: &mut Plan, stats: &mut RewriteStats) -> bool {
     changed
 }
 
-/// Insert *intermediate eager steps* (the paper's §6 lazy/eager
-/// combination): below every `orderBy` and below the right (inner) input
-/// of every `difference`, materialize the binding list — those operators
-/// read their input completely anyway, and serving the repeat scans from
-/// memory removes all further source navigation. A `project` to the
-/// variables still needed above is inserted first, so materialization
-/// never copies whole source documents that nothing reads.
-///
-/// Returns the number of eager steps inserted. Not part of [`rewrite`]'s
-/// default pipeline (it trades memory for navigation); callers opt in.
-pub fn insert_eager_steps(plan: &mut Plan) -> usize {
-    let mut inserted = 0;
-    for id in plan.reachable() {
-        match plan.node(id).clone() {
-            PlanNode::OrderBy { input, keys } => {
-                if matches!(plan.node(input), PlanNode::Materialize { .. }) {
-                    continue; // already eager
-                }
-                let keep = plan.needed_above(input);
-                let proj = plan.add(PlanNode::Project { input, keep });
-                let mat = plan.add(PlanNode::Materialize { input: proj });
-                *plan.node_mut(id) = PlanNode::OrderBy { input: mat, keys };
-                inserted += 1;
-            }
-            PlanNode::Difference { left, right } => {
-                if matches!(plan.node(right), PlanNode::Materialize { .. }) {
-                    continue;
-                }
-                // Difference compares full schemas: no projection here.
-                let mat = plan.add(PlanNode::Materialize { input: right });
-                *plan.node_mut(id) = PlanNode::Difference { left, right: mat };
-                inserted += 1;
-            }
-            _ => {}
-        }
-    }
-    debug_assert!(plan.validate().is_ok(), "eager steps broke the plan");
-    inserted
-}
-
 /// Worst browsability over a subtree.
 fn subtree_class(plan: &Plan, id: PlanId, nc: NcCapabilities) -> Browsability {
     let mut worst = classify_op(plan.node(id), nc);

@@ -855,8 +855,7 @@ fn remap_inputs(node: &mut PlanNode, map: &HashMap<usize, PlanId>) {
         | PlanNode::Constant { input, .. }
         | PlanNode::Wrap { input, .. }
         | PlanNode::OrderBy { input, .. }
-        | PlanNode::TupleDestroy { input, .. }
-        | PlanNode::Materialize { input } => fix(input),
+        | PlanNode::TupleDestroy { input, .. } => fix(input),
         PlanNode::Join { left, right, .. }
         | PlanNode::Cross { left, right }
         | PlanNode::Union { left, right }

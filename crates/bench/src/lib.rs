@@ -1,7 +1,7 @@
 //! # mix-bench — shared scenario builders for the experiment harness
 //!
 //! Every experiment in EXPERIMENTS.md pulls its workloads from here, so
-//! the Criterion benches and the `experiments` table binary measure
+//! the `experiments` table binary and the count-gate tests measure
 //! exactly the same setups.
 
 use mix_algebra::{translate, Plan};

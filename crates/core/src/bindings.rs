@@ -20,7 +20,7 @@
 
 use crate::handle::{BData, BHandle, VData, VNode};
 use crate::matchcur::{Frame, MatchCursor};
-use crate::ops::{DiffSpec, GetDescSpec, GroupSpec, JoinSpec, MatRow, OpSpec};
+use crate::ops::{DiffSpec, GetDescSpec, GroupSpec, JoinSpec, OpSpec};
 use crate::Engine;
 use mix_algebra::pred::{eq_key, value_ord};
 use mix_algebra::{BindPred, PlanId};
@@ -153,10 +153,6 @@ impl<'a> Nav<'a> {
                 let sorted = self.ensure_sorted(*input, keys, *slot);
                 (!sorted.is_empty()).then(|| BHandle::new(BData::Ordered { index: 0 }))
             }
-            OpSpec::Materialize { input, schema, slot } => {
-                let rows = self.ensure_materialized(*input, schema, *slot);
-                (!rows.is_empty()).then(|| BHandle::new(BData::Ordered { index: 0 }))
-            }
             // The root exports a document, not bindings.
             OpSpec::Root => None,
         }
@@ -243,10 +239,6 @@ impl<'a> Nav<'a> {
             }
             (OpSpec::OrderBy { slot, .. }, BData::Ordered { index }) => {
                 let len = self.e.state.sorted[*slot].as_ref().map_or(0, Vec::len);
-                (index + 1 < len).then(|| BHandle::new(BData::Ordered { index: index + 1 }))
-            }
-            (OpSpec::Materialize { slot, .. }, BData::Ordered { index }) => {
-                let len = self.e.state.rows[*slot].as_ref().map_or(0, Vec::len);
                 (index + 1 < len).then(|| BHandle::new(BData::Ordered { index: index + 1 }))
             }
             _ => unreachable!("binding handle of another operator"),
@@ -356,18 +348,6 @@ impl<'a> Nav<'a> {
                     .clone();
                 self.attr(*input, &inner, var)
             }
-            (OpSpec::Materialize { slot, .. }, BData::Ordered { index }) => {
-                let row = &self.e.state.rows[*slot]
-                    .as_ref()
-                    .expect("materialized before handles exist")[*index];
-                let doc = row
-                    .iter()
-                    .find(|(v, _)| v == var)
-                    .map(|(_, d)| d.clone())
-                    .expect("validated plans bind every used variable");
-                let root = doc.root();
-                VNode::new(VData::Const { doc, node: root })
-            }
             _ => unreachable!("binding handle of another operator"),
         }
     }
@@ -404,28 +384,6 @@ impl<'a> Nav<'a> {
                 _ => return None,
             };
         }
-    }
-
-    /// Pull the complete input of an intermediate eager step into memory
-    /// (one arena document per value), so everything above navigates
-    /// without further source access.
-    fn ensure_materialized(&mut self, input: PlanId, schema: &[Var], slot: usize) -> &[MatRow] {
-        if self.e.state.rows[slot].is_none() {
-            let mut out: Vec<MatRow> = Vec::new();
-            let mut cur = self.first_binding(input);
-            while let Some(ib) = cur {
-                let mut row = Vec::with_capacity(schema.len());
-                for v in schema {
-                    let node = self.attr(input, &ib, v);
-                    let t = self.materialize_value(&node);
-                    row.push((v.clone(), Arc::new(mix_xml::Document::from_tree(&t))));
-                }
-                out.push(row);
-                cur = self.next_binding(input, &ib);
-            }
-            self.e.state.rows[slot] = Some(out);
-        }
-        self.e.state.rows[slot].as_deref().unwrap_or_default()
     }
 
     // ---- select ---------------------------------------------------------

@@ -306,7 +306,6 @@ impl Eager<'_> {
                 });
                 input
             }
-            PlanNode::Materialize { input } => self.bindings(*input)?,
             PlanNode::TupleDestroy { .. } => {
                 return Err(EngineError::new(
                     "tupleDestroy exports a document, not bindings",

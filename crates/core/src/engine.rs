@@ -985,11 +985,6 @@ fn build_op(
             slot: new_slot(&mut state.sorted),
         },
         PlanNode::TupleDestroy { .. } => OpSpec::Root,
-        PlanNode::Materialize { input } => OpSpec::Materialize {
-            input: *input,
-            schema: plan.schema(*input),
-            slot: new_slot(&mut state.rows),
-        },
     })
 }
 

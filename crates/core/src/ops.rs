@@ -23,9 +23,6 @@ use mix_xml::{Document, Tree};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// One materialized binding: `(variable, its value as an arena document)`.
-pub(crate) type MatRow = Vec<(Var, Arc<Document>)>;
-
 /// The navigation-time description of one plan operator.
 pub(crate) enum OpSpec {
     Source {
@@ -80,13 +77,6 @@ pub(crate) enum OpSpec {
         input: PlanId,
         keys: Vec<Var>,
         /// Index into [`OpState::sorted`].
-        slot: usize,
-    },
-    Materialize {
-        input: PlanId,
-        /// The input schema, in order.
-        schema: Vec<Var>,
-        /// Index into [`OpState::rows`].
         slot: usize,
     },
     /// The plan root, `tupleDestroy`: it exports a document, not bindings,
@@ -145,9 +135,6 @@ pub(crate) struct OpState {
     /// OrderBy: sorted input bindings, materialized on first access (the
     /// operator is unbrowsable by design).
     pub sorted: Vec<Option<Vec<BHandle>>>,
-    /// Materialize: the fully materialized binding list (one document per
-    /// value), filled on first access — the intermediate eager step.
-    pub rows: Vec<Option<Vec<MatRow>>>,
     /// The client root below `tupleDestroy`, resolved on the first real
     /// navigation.
     pub client_root: Option<VNode>,

@@ -303,7 +303,7 @@ fn ops_table_is_consulted_not_the_plan() {
     assert_eq!((e.root_input, &e.root_var), (gb, &v("LVs")));
     let OpSpec::GroupBy(g) = &e.ops[gb.index()] else { panic!("groupBy spec") };
     assert_eq!((g.slot, e.state.groups.len()), (0, 1));
-    assert!(e.state.joins.is_empty() && e.state.sorted.is_empty() && e.state.rows.is_empty());
+    assert!(e.state.joins.is_empty() && e.state.sorted.is_empty());
 }
 
 #[test]

@@ -1,10 +1,9 @@
 //! Hand-built-plan tests for operators the XMAS surface syntax does not
-//! emit directly: union, difference, project, orderBy, materialize —
-//! lazy vs eager on each, plus laziness/eagerness properties.
+//! emit directly: union, difference, project, orderBy — lazy vs eager on
+//! each, plus laziness/eagerness properties.
 
 use crate::ops::{GroupCache, OpSpec};
 use crate::{eager, Engine, SourceRegistry};
-use mix_algebra::rewrite::insert_eager_steps;
 use mix_algebra::{BindPred, GroupItem, Plan, PlanId, PlanNode};
 use mix_nav::explore::materialize;
 use mix_xmas::{parse_path, LabelSpec, Var};
@@ -224,37 +223,9 @@ fn project_restricts_attribute_access() {
 }
 
 #[test]
-fn materialize_is_transparent_and_stops_source_traffic() {
-    // A materialize over the body: same answer, and repeated navigation
-    // after the eager step costs zero further source commands.
-    let mut p = Plan::new();
-    let a = branch(&mut p, "s1", "r._", "X");
-    let m = p.add(PlanNode::Materialize { input: a });
-    finish(&mut p, m, "X");
-    let mk = || {
-        let mut reg = SourceRegistry::new();
-        reg.add_term("s1", "r[a[1],b[2],c[3]]");
-        reg
-    };
-    let t = check_lazy_eq_eager(&p, mk);
-    assert_eq!(t.to_string(), "out[a[1],b[2],c[3]]");
-
-    let mut engine = Engine::new(p.clone(), &mk()).unwrap();
-    let _ = materialize(&mut engine);
-    let after_first = engine.stats().total().total();
-    // Navigate everything again: all answered from the materialized rows.
-    let _ = materialize(&mut engine);
-    assert_eq!(
-        engine.stats().total().total(),
-        after_first,
-        "second pass costs no source navigation"
-    );
-}
-
-#[test]
-fn insert_eager_steps_under_order_by() {
-    // Build orderBy over a join; insert_eager_steps should add
-    // project+materialize below the orderBy and keep results identical.
+fn order_by_over_a_join_is_lazy_eq_eager() {
+    // orderBy reads its whole input inside its own slot; over a join that
+    // input is pairs, sorted by the outer side's value.
     let mut p = Plan::new();
     let a = branch(&mut p, "s1", "r._._", "X");
     let b = branch(&mut p, "s2", "r._._", "Y");
@@ -267,49 +238,7 @@ fn insert_eager_steps_under_order_by() {
         reg.add_term("s2", "r[i[2],i[3],i[9]]");
         reg
     };
-    let before = check_lazy_eq_eager(&p, mk);
-
-    let mut eagerized = p.clone();
-    let inserted = insert_eager_steps(&mut eagerized);
-    assert_eq!(inserted, 1);
-    eagerized.validate().unwrap();
-    let ops: Vec<&str> = eagerized
-        .reachable()
-        .iter()
-        .map(|&id| eagerized.node(id).op_name())
-        .collect();
-    assert!(ops.contains(&"materialize"));
-    assert!(ops.contains(&"project"));
-
-    let mut engine = Engine::new(eagerized, &mk()).unwrap();
-    assert_eq!(materialize(&mut engine), before);
-}
-
-#[test]
-fn insert_eager_steps_under_difference_right() {
-    let mut p = Plan::new();
-    let a = branch(&mut p, "s1", "r._", "X");
-    let pa = p.add(PlanNode::Project { input: a, keep: vec![v("X")] });
-    let b = branch(&mut p, "s2", "r._", "X");
-    let pb = p.add(PlanNode::Project { input: b, keep: vec![v("X")] });
-    let d = p.add(PlanNode::Difference { left: pa, right: pb });
-    finish(&mut p, d, "X");
-
-    let mut eagerized = p.clone();
-    assert_eq!(insert_eager_steps(&mut eagerized), 1);
-    // Idempotent.
-    assert_eq!(insert_eager_steps(&mut eagerized), 0);
-
-    let mk = || {
-        let mut reg = SourceRegistry::new();
-        reg.add_term("s1", "r[a,b,c]");
-        reg.add_term("s2", "r[c,a]");
-        reg
-    };
-    let expected = check_lazy_eq_eager(&p, mk);
-    let mut engine = Engine::new(eagerized, &mk()).unwrap();
-    assert_eq!(materialize(&mut engine), expected);
-    assert_eq!(expected.to_string(), "out[b]");
+    assert_eq!(check_lazy_eq_eager(&p, mk).to_string(), "out[2,3]");
 }
 
 #[test]

@@ -17,8 +17,8 @@ use mix_xml::Label;
 /// Ids start at 1 and grow by one per node handed out; the root keeps
 /// one id however often [`Navigator::root`] is called. Nothing is ever
 /// released: the table grows by one entry per `d`/`r`/`select` that
-/// returns a node, and per [`Navigator::peek`] that knows one. An id the table never issued navigates to `None` and
-/// fetches the empty label.
+/// returns a node, and per [`Navigator::peek`] that knows one. An id the
+/// table never issued navigates to `None` and fetches the empty label.
 pub struct HandleTable<N: Navigator> {
     nav: N,
     /// The handle of id `i` sits at `handles[i - 1]`.

@@ -7,7 +7,7 @@
 //! templates; a [`VxdClient`] opens *sessions* over them and navigates
 //! with DOM-VXD verbs carried in length-prefixed frames ([`codec`]).
 //!
-//! Three properties carry the design:
+//! Four properties carry the design:
 //!
 //! - **Session multiplexing.** Every request frame names its session, so
 //!   one connection interleaves thousands of sessions — connections are
@@ -20,13 +20,12 @@
 //!   answered with a typed error; malformed frames get typed errors
 //!   without dropping the connection; degraded answers cross the wire as
 //!   [`Reply::DegradedLabel`], never as silently-empty labels.
-//!
-//! PR 9 adds the **observability plane**: request frames optionally carry
-//! a [`TraceContext`] so server-side spans parent on client spans (one
-//! merged cascade via [`mix_core::TraceLog::merge_remote`]), and the
-//! server exposes a live scrape surface ([`scrape`]): `/metrics`,
-//! `/healthz`, `/sessions`, `/slow`, per-verb RED series, and a
-//! slow-navigation log whose entries carry span ids.
+//! - **Observability plane.** Request frames optionally carry a
+//!   [`TraceContext`] so server-side spans parent on client spans (one
+//!   merged cascade via [`mix_core::TraceLog::merge_remote`]), and the
+//!   server exposes a live scrape surface ([`scrape`]): `/metrics`,
+//!   `/healthz`, `/sessions`, `/slow`, per-verb RED series, and a
+//!   slow-navigation log whose entries carry span ids.
 
 pub mod client;
 pub mod codec;

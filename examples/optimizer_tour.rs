@@ -1,10 +1,10 @@
 //! A tour of the plan-level machinery: translation, rewriting,
-//! composition, intermediate eager steps, and the browsability classifier
+//! composition, an unbrowsable orderBy, and the browsability classifier
 //! — the §3 *preprocessing/rewriting* phases end to end.
 //!
 //! Run with: `cargo run --example optimizer_tour`
 
-use mix::algebra::rewrite::{insert_eager_steps, rewrite};
+use mix::algebra::rewrite::rewrite;
 use mix::algebra::{compose, PlanNode};
 use mix::prelude::*;
 use mix::wrappers::gen;
@@ -59,7 +59,6 @@ fn main() {
     let composed = compose(&query, "medview", &view).expect("composition");
     println!("== composed q' ∘ q: {} operators, sources {:?} ==",
         composed.reachable().len(), composed.source_names());
-    let optimized = composed.clone();
 
     // ---- 4. browsability + execution ------------------------------------
     let report = classify(&composed, NcCapabilities::minimal());
@@ -79,10 +78,10 @@ fn main() {
     let (navs_composed, _answer) = measure(&composed);
     println!("composed plan, full navigation: {navs_composed} source commands");
 
-    // ---- 5. intermediate eager steps (§6) --------------------------------
-    // Sort the answer zips: the orderBy makes the plan unbrowsable; an
-    // eager step confines the damage to one materialization.
-    let mut sorted = optimized.clone();
+    // ---- 5. an unbrowsable step ------------------------------------------
+    // Sort the answer zips: the orderBy makes the plan unbrowsable, since
+    // it reads its whole input before the first answer.
+    let mut sorted = composed.clone();
     let target = sorted
         .reachable()
         .into_iter()
@@ -94,8 +93,7 @@ fn main() {
     let ob = sorted.add(PlanNode::OrderBy { input, keys: vec![Var::new("Z")] });
     *sorted.node_mut(target) = PlanNode::GroupBy { input: ob, group, items };
     sorted.validate().unwrap();
-    let inserted = insert_eager_steps(&mut sorted);
-    println!("\nadded orderBy $Z; inserted {inserted} intermediate eager step(s)");
+    println!("\nadded orderBy $Z: {}", classify(&sorted, NcCapabilities::minimal()).overall);
     let (navs_sorted, answer_sorted) = measure(&sorted);
     println!(
         "sorted answer: {} zips, first three: {:?} (cost {navs_sorted} navs)",

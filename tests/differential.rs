@@ -1,13 +1,13 @@
 //! Property-based differential testing: on randomly generated documents
 //! and a family of generated queries, fully navigating the lazy engine
 //! must equal the eager evaluator's answer — and must be insensitive to
-//! cache configuration and buffer fill policy.
+//! cache configuration and buffer fill policy. The random-order lanes
+//! send commands to earlier handles in any order, as a client may.
 
-use mix::algebra::rewrite::insert_eager_steps;
 use mix::nav::explore::materialize_at;
-use mix::nav::Axis;
+use mix::nav::{Axis, DocNavigator};
 use mix::prelude::*;
-use mix::wrappers::gen::random_tree;
+use mix::wrappers::gen::{self, random_tree};
 use proptest::prelude::*;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -285,26 +285,6 @@ proptest! {
     }
 
     #[test]
-    fn eager_steps_preserve_results(
-        seed in 0u64..5_000,
-        nodes in 1usize..30,
-        qidx in 0usize..19,
-    ) {
-        let tree = random_tree(seed, nodes, LABELS);
-        let query = query_pool()[qidx];
-        let mut plan = translate(&parse_query(query).unwrap()).unwrap();
-        let mut reg = SourceRegistry::new();
-        reg.add_tree("src", &tree);
-        let expected = eager::eval(&plan, &reg).unwrap();
-
-        let _ = insert_eager_steps(&mut plan);
-        let mut reg2 = SourceRegistry::new();
-        reg2.add_tree("src", &tree);
-        let mut engine = Engine::new(plan, &reg2).unwrap();
-        prop_assert_eq!(materialize(&mut engine), expected);
-    }
-
-    #[test]
     fn buffered_sources_are_transparent(
         seed in 0u64..5_000,
         nodes in 1usize..30,
@@ -333,5 +313,205 @@ proptest! {
         let mut e2 = Engine::new(plan, &buffered).unwrap();
         let via_buffer = materialize(&mut e2);
         prop_assert_eq!(direct, via_buffer);
+    }
+}
+
+/// E19's six served templates over `homesSrc`, `schoolsSrc` and a filter
+/// list in `src`.
+const TEMPLATES: [&str; 6] = [
+    "CONSTRUCT <hs> $H {$H} </hs> {} WHERE homesSrc homes.home $H",
+    "CONSTRUCT <picked> $X {$X} </picked> {} WHERE src items.wanted $X",
+    "CONSTRUCT <sc> $S {$S} </sc> {} WHERE schoolsSrc schools.school $S",
+    "CONSTRUCT <zips> $Z {$Z} </zips> {} WHERE homesSrc homes.home.zip._ $Z",
+    "CONSTRUCT <all> $X {$X} </all> {} WHERE src items._ $X",
+    "CONSTRUCT <answer> <med_home> $H $S {$S} </med_home> {$H} </answer> {} \
+     WHERE homesSrc homes.home $H AND $H zip._ $V1 \
+     AND schoolsSrc schools.school $S AND $S zip._ $V2 AND $V1 = $V2",
+];
+
+/// One command: `d`, `r`, `f` or `select`, the earlier handle it goes
+/// to, and (for `select`) which label it asks for — both picks are taken
+/// modulo what exists when the command runs.
+#[derive(Debug, Clone, Copy)]
+struct Cmd {
+    verb: u8,
+    handle: usize,
+    label: usize,
+}
+
+fn arb_program() -> impl Strategy<Value = Vec<Cmd>> {
+    proptest::collection::vec(
+        (0u8..4, 0usize..1 << 16, 0usize..1 << 16)
+            .prop_map(|(verb, handle, label)| Cmd { verb, handle, label }),
+        1..60,
+    )
+}
+
+/// Run `program` on `nav`, each command to a random handle reached
+/// earlier (the root included), and the same step on the eager `answer`
+/// through `DocNavigator`: every `d`/`r`/`select` must reach a node where
+/// the answer has one, and every `f` read the same label. Then every
+/// handle reached, last first, must still read its label, and a walk
+/// from the root the whole answer.
+fn random_order_matches<N: Navigator>(
+    nav: &mut N,
+    answer: &Tree,
+    program: &[Cmd],
+) -> Result<(), String> {
+    let mut labels: Vec<Label> = answer.iter_dfs().map(|t| t.label().clone()).collect();
+    labels.push(Label::from("no-such-label"));
+    let mut oracle = DocNavigator::from_tree(answer);
+    let (mut got, mut want) = (vec![nav.root()], vec![oracle.root()]);
+    for (step, cmd) in program.iter().enumerate() {
+        let i = cmd.handle % got.len();
+        let (g, w) = (got[i].clone(), want[i]);
+        let (g, w) = match cmd.verb {
+            0 => (nav.down(&g), oracle.down(&w)),
+            1 => (nav.right(&g), oracle.right(&w)),
+            2 => {
+                let (g, w) = (nav.fetch(&g), oracle.fetch(&w));
+                if g != w {
+                    return Err(format!("step {step}: f of handle {i} read {g}, not {w}"));
+                }
+                continue;
+            }
+            _ => {
+                let pred = LabelPred::equals(labels[cmd.label % labels.len()].clone());
+                (nav.select(&g, &pred), oracle.select(&w, &pred))
+            }
+        };
+        match (g, w) {
+            (Some(g), Some(w)) => {
+                got.push(g);
+                want.push(w);
+            }
+            (None, None) => {}
+            (g, _) => {
+                let reached = if g.is_some() { "a node" } else { "no node" };
+                return Err(format!("step {step}: verb {} from handle {i} reached {reached}", cmd.verb));
+            }
+        }
+    }
+    for (i, (g, w)) in got.iter().zip(&want).enumerate().rev() {
+        let (g, w) = (nav.fetch(g), oracle.fetch(w));
+        if g != w {
+            return Err(format!("handle {i} reads {g}, not {w}, after the program"));
+        }
+    }
+    let walked = materialize(nav);
+    if walked != *answer {
+        return Err(format!("after the program the answer reads {walked}, not {answer}"));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    #[test]
+    fn random_order_matches_eager_under_every_engine_config(
+        seed in 0u64..10_000,
+        nodes in 1usize..40,
+        qidx in 0usize..19,
+        config in 0usize..3,
+        program in arb_program(),
+    ) {
+        let tree = random_tree(seed, nodes, LABELS);
+        let plan = translate(&parse_query(query_pool()[qidx]).unwrap()).unwrap();
+        let mut reg = SourceRegistry::new();
+        reg.add_tree("src", &tree);
+        let answer = eager::eval(&plan, &reg).unwrap();
+        let config = [
+            EngineConfig::default(),
+            EngineConfig { join_cache: false, group_cache: false, ..EngineConfig::default() },
+            EngineConfig::with_select(),
+        ][config];
+        let mut engine = Engine::with_config(plan, &reg, config).unwrap();
+        let outcome = random_order_matches(&mut engine, &answer, &program);
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+    }
+
+    #[test]
+    fn random_order_matches_eager_over_buffers(
+        seed in 0u64..10_000,
+        nodes in 1usize..40,
+        qidx in 0usize..19,
+        chunk in 0usize..4,
+        batch in 1usize..9,
+        cap in 1usize..3,
+        select in prop_oneof![Just(false), Just(true)],
+        program in arb_program(),
+    ) {
+        let tree = random_tree(seed, nodes, LABELS);
+        let plan = translate(&parse_query(query_pool()[qidx]).unwrap()).unwrap();
+        let mut plain = SourceRegistry::new();
+        plain.add_tree("src", &tree);
+        let answer = eager::eval(&plan, &plain).unwrap();
+        let policy = match chunk {
+            0 => FillPolicy::NodeAtATime,
+            n => FillPolicy::Chunked { n },
+        };
+        let nav = BufferNavigator::new(TreeWrapper::single(&tree, policy), "doc")
+            .batched(batch)
+            .pending_cap(cap);
+        let mut reg = SourceRegistry::new();
+        reg.add_buffer("src", nav);
+        let config = if select { EngineConfig::with_select() } else { EngineConfig::default() };
+        let mut engine = Engine::with_config(plan, &reg, config).unwrap();
+        let outcome = random_order_matches(&mut engine, &answer, &program);
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+    }
+
+    #[test]
+    fn random_order_matches_eager_over_a_stacked_engine(
+        seed in 0u64..10_000,
+        nodes in 1usize..40,
+        lower in 0usize..19,
+        upper in 0usize..19,
+        program in arb_program(),
+    ) {
+        // The upper query is a pool query over the lower engine's answer.
+        let tree = random_tree(seed, nodes, LABELS);
+        let lower_plan = translate(&parse_query(query_pool()[lower]).unwrap()).unwrap();
+        let upper_query = query_pool()[upper].replace("src", "lower");
+        let upper_plan = translate(&parse_query(&upper_query).unwrap()).unwrap();
+        let mut src = SourceRegistry::new();
+        src.add_tree("src", &tree);
+        let mut eager_lower = SourceRegistry::new();
+        eager_lower.add_tree("lower", &eager::eval(&lower_plan, &src).unwrap());
+        let answer = eager::eval(&upper_plan, &eager_lower).unwrap();
+
+        let mut reg = SourceRegistry::new();
+        reg.add_navigator("lower", HandleTable::new(Engine::new(lower_plan, &src).unwrap()));
+        let mut engine = Engine::new(upper_plan, &reg).unwrap();
+        let outcome = random_order_matches(&mut engine, &answer, &program);
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+    }
+
+    #[test]
+    fn random_order_matches_eager_in_parallel(
+        seed in 0u64..1_000,
+        q in 0usize..TEMPLATES.len(),
+        chunked in prop_oneof![Just(false), Just(true)],
+        program in arb_program(),
+    ) {
+        let plan = translate(&parse_query(TEMPLATES[q]).unwrap()).unwrap();
+        let policy = if chunked { FillPolicy::Chunked { n: 2 } } else { FillPolicy::NodeAtATime };
+        let trees = [
+            ("homesSrc", gen::homes_doc(seed, 12, 4)),
+            ("schoolsSrc", gen::schools_doc(seed.wrapping_add(1), 10, 4)),
+            ("src", gen::filter_doc(12, 3)),
+        ];
+        let (mut plain, mut reg) = (SourceRegistry::new(), SourceRegistry::new());
+        for (name, tree) in &trees {
+            plain.add_tree(*name, tree);
+            let prefetcher = ConcurrentPrefetcher::new(TreeWrapper::single(tree, policy), 1);
+            reg.add_buffer(*name, BufferNavigator::new(prefetcher, "doc"));
+        }
+        let answer = eager::eval(&plan, &plain).unwrap();
+        let config = EngineConfig { threads: 4, ..EngineConfig::default() };
+        let mut engine = Engine::with_config(plan, &reg, config).unwrap();
+        let outcome = random_order_matches(&mut engine, &answer, &program);
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     }
 }
