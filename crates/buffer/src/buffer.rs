@@ -1272,6 +1272,11 @@ impl<W: LxpWrapper> Navigator for BufferNavigator<W> {
             Some(TreeEntry::Hole(_)) => None,
         }
     }
+
+    /// Every node of the open tree carries its label.
+    fn peek_label(&mut self, p: &BufNodeId) -> Option<Label> {
+        (self.connected && self.tree.contains(*p)).then(|| self.tree.label(*p).clone())
+    }
 }
 
 #[cfg(test)]
@@ -1448,11 +1453,14 @@ mod tests {
         let stats = nav.stats();
         let root = nav.root();
         assert_eq!(nav.peek(&root, Axis::Down), None, "nothing is known before the root");
+        assert_eq!(nav.peek_label(&root), None);
         let a = nav.down(&root).unwrap();
         let traffic = stats.snapshot();
         // `a` arrived shallow, with holes for its children and for `b, c`.
         assert_eq!(nav.peek(&a, Axis::Down), None);
         assert_eq!(nav.peek(&a, Axis::Right), None);
+        assert_eq!(nav.peek_label(&a), Some(Label::new("a")), "a node arrives with its label");
+        assert_eq!(nav.peek_label(&root), Some(Label::new("r")));
         assert_eq!(nav.peek(&root, Axis::Down), Some(Some(a)));
         assert_eq!(nav.peek(&root, Axis::Right), Some(None), "the root has no siblings");
         assert_eq!(stats.snapshot(), traffic, "peeks fill nothing");

@@ -43,6 +43,108 @@ pub(crate) struct Nav<'a> {
     pub e: &'a mut Engine,
 }
 
+/// One step of the attribute jump `b.var` from binding `b` of an
+/// operator: on into an input's binding, or to the value the operator
+/// binds `var` to itself. This is the one copy of the handle chain:
+/// `attr` follows it navigating where a value needs it,
+/// `defining_binding` follows it to the binding that defines `var`, and
+/// the peek follows it without navigating at all.
+pub(crate) enum Hop<'s, 'h> {
+    /// `var` is read from binding `.1` of input operator `.0`.
+    Input(PlanId, &'h BHandle),
+    /// `var` is read from the `index`-th binding of orderBy `slot`'s
+    /// sorted input.
+    Sorted { input: PlanId, slot: usize, index: usize },
+    /// Bound here: source `.0`'s document node.
+    Doc(usize),
+    /// Bound here: a node the operator makes for `b` without navigating
+    /// (a list, a created element, a constant).
+    Made(VData),
+    /// Bound here: getDescendants' match, the cursor's node below the
+    /// `parent` value of input binding `ib`.
+    Match { input: PlanId, ib: &'h BHandle, parent: &'s Var, cursor: &'h MatchCursor },
+    /// Bound here: `wrap`'s output, the `wrapped` value itself when it is
+    /// a list, else `b`'s [`VData::WrapList`].
+    Wrap { input: PlanId, inner: &'h BHandle, wrapped: &'s Var },
+}
+
+/// The step [`Hop`] takes from binding `b` of operator `op` (spec
+/// `spec`) towards the value of `var`.
+pub(crate) fn hop<'s, 'h>(spec: &'s OpSpec, op: PlanId, b: &'h BHandle, var: &Var) -> Hop<'s, 'h> {
+    match (spec, &*b.0) {
+        (OpSpec::Source { src, out }, _) => {
+            debug_assert_eq!(var, out, "source binds exactly one variable");
+            Hop::Doc(*src)
+        }
+        (OpSpec::GetDesc(gd), BData::GetDesc { input: ib, cursor }) => {
+            if *var == gd.out {
+                Hop::Match { input: gd.input, ib, parent: &gd.parent, cursor }
+            } else {
+                Hop::Input(gd.input, ib)
+            }
+        }
+        (OpSpec::Select { input, .. }, BData::Filtered { input: inner })
+        | (OpSpec::Difference(DiffSpec { left: input, .. }), BData::Through { inner }) => {
+            Hop::Input(*input, inner)
+        }
+        (
+            OpSpec::Join(JoinSpec { left, right, left_schema, .. })
+            | OpSpec::Cross { left, right, left_schema },
+            BData::Pair { left: l, right: r, .. },
+        ) => {
+            if left_schema.contains(var) {
+                Hop::Input(*left, l)
+            } else {
+                Hop::Input(*right, r)
+            }
+        }
+        (OpSpec::Union { left, right }, BData::Tagged { side, inner }) => {
+            Hop::Input(if *side == 0 { *left } else { *right }, inner)
+        }
+        (OpSpec::Project { input, keep }, BData::Through { inner }) => {
+            assert!(keep.contains(var), "projected-away variable {var}");
+            Hop::Input(*input, inner)
+        }
+        (OpSpec::GroupBy(g), BData::Group { first, first_idx }) => {
+            if let Some(item) = g.items.iter().position(|it| it.out == *var) {
+                return Hop::Made(VData::GroupList {
+                    op,
+                    first: first.clone(),
+                    first_idx: *first_idx,
+                    item,
+                });
+            }
+            let first = first
+                .as_ref()
+                .expect("group variables exist only when groups are non-synthetic");
+            Hop::Input(g.input, first)
+        }
+        (OpSpec::Concat { out, .. }, _) if var == out => {
+            Hop::Made(VData::ConcatList { op, b: b.clone() })
+        }
+        (OpSpec::Create { out, .. }, _) if var == out => {
+            Hop::Made(VData::Created { op, b: b.clone() })
+        }
+        (OpSpec::Constant { doc, out, .. }, _) if var == out => {
+            Hop::Made(VData::Const { doc: doc.clone(), node: doc.root() })
+        }
+        (OpSpec::Wrap { input, var: wrapped, out }, BData::Through { inner }) if var == out => {
+            Hop::Wrap { input: *input, inner, wrapped }
+        }
+        (
+            OpSpec::Concat { input, .. }
+            | OpSpec::Create { input, .. }
+            | OpSpec::Constant { input, .. }
+            | OpSpec::Wrap { input, .. },
+            BData::Through { inner },
+        ) => Hop::Input(*input, inner),
+        (OpSpec::OrderBy { input, slot, .. }, BData::Ordered { index }) => {
+            Hop::Sorted { input: *input, slot: *slot, index: *index }
+        }
+        _ => unreachable!("binding handle of another operator"),
+    }
+}
+
 impl Engine {
     /// Run `f` over this engine with its operator table borrowed for the
     /// whole call — one reference-count increment per client command.
@@ -259,129 +361,57 @@ impl<'a> Nav<'a> {
             let name = self.e.plan().node(op).op_name();
             self.e.trace.emit(None, TraceKind::AttrJump { op: name, var: var.to_string() });
         }
-        let out = self.attr_inner(op, b, var);
+        let out = match hop(self.spec(op), op, b, var) {
+            Hop::Input(input, inner) => self.attr(input, inner, var),
+            Hop::Sorted { input, slot, index } => {
+                let inner = self.e.state.sorted[slot]
+                    .as_ref()
+                    .expect("orderBy materialized before binding handles exist")[index]
+                    .clone();
+                self.attr(input, &inner, var)
+            }
+            Hop::Doc(src) => self.e.sources[src].doc.clone(),
+            Hop::Made(data) => VNode::new(data),
+            Hop::Match { input, ib, parent, cursor } => {
+                let root = self.attr(input, ib, parent);
+                cursor.current(&root)
+            }
+            Hop::Wrap { input, inner, wrapped } => {
+                // `wrap` yields the value itself when it is already a
+                // list, else the synthesized singleton list.
+                let value = self.attr(input, inner, wrapped);
+                if self.val_fetch(&value) == Label::list() {
+                    value
+                } else {
+                    VNode::new(VData::WrapList { op, b: b.clone() })
+                }
+            }
+        };
         if metered {
             self.e.op_stack.pop();
         }
         out
     }
 
-    fn attr_inner(&mut self, op: PlanId, b: &BHandle, var: &Var) -> VNode {
-        match (self.spec(op), &*b.0) {
-            (OpSpec::Source { src, out }, _) => {
-                debug_assert_eq!(var, out, "source binds exactly one variable");
-                self.e.sources[*src].doc.clone()
-            }
-            (OpSpec::GetDesc(gd), BData::GetDesc { input: ib, cursor }) => {
-                if *var == gd.out {
-                    let root = self.gd_parent_value(gd, ib);
-                    cursor.current(&root)
-                } else {
-                    self.attr(gd.input, ib, var)
-                }
-            }
-            (OpSpec::Select { input, .. }, BData::Filtered { input: inner })
-            | (OpSpec::Difference(DiffSpec { left: input, .. }), BData::Through { inner }) => {
-                self.attr(*input, inner, var)
-            }
-            (
-                OpSpec::Join(JoinSpec { left, right, left_schema, .. })
-                | OpSpec::Cross { left, right, left_schema },
-                BData::Pair { left: l, right: r, .. },
-            ) => {
-                if left_schema.contains(var) {
-                    self.attr(*left, l, var)
-                } else {
-                    self.attr(*right, r, var)
-                }
-            }
-            (OpSpec::Union { left, right }, BData::Tagged { side, inner }) => {
-                self.attr(if *side == 0 { *left } else { *right }, inner, var)
-            }
-            (OpSpec::Project { input, keep }, BData::Through { inner }) => {
-                assert!(keep.contains(var), "projected-away variable {var}");
-                self.attr(*input, inner, var)
-            }
-            (OpSpec::GroupBy(g), BData::Group { first, first_idx }) => {
-                if let Some(item) = g.items.iter().position(|it| it.out == *var) {
-                    return VNode::new(VData::GroupList {
-                        op,
-                        first: first.clone(),
-                        first_idx: *first_idx,
-                        item,
-                    });
-                }
-                let first = first
-                    .as_ref()
-                    .expect("group variables exist only when groups are non-synthetic");
-                self.attr(g.input, first, var)
-            }
-            (OpSpec::Concat { out, .. }, _) if var == out => {
-                VNode::new(VData::ConcatList { op, b: b.clone() })
-            }
-            (OpSpec::Create { out, .. }, _) if var == out => {
-                VNode::new(VData::Created { op, b: b.clone() })
-            }
-            (OpSpec::Constant { doc, out, .. }, _) if var == out => {
-                VNode::new(VData::Const { doc: doc.clone(), node: doc.root() })
-            }
-            (OpSpec::Wrap { input, var: wrapped, out }, BData::Through { inner }) if var == out => {
-                // `wrap` yields the value itself when it is already a
-                // list, else the synthesized singleton list.
-                let value = self.attr(*input, inner, wrapped);
-                if self.val_fetch(&value) == Label::list() {
-                    return value;
-                }
-                VNode::new(VData::WrapList { op, b: b.clone() })
-            }
-            (
-                OpSpec::Concat { input, .. }
-                | OpSpec::Create { input, .. }
-                | OpSpec::Constant { input, .. }
-                | OpSpec::Wrap { input, .. },
-                BData::Through { inner },
-            ) => self.attr(*input, inner, var),
-            (OpSpec::OrderBy { input, slot, .. }, BData::Ordered { index }) => {
-                let inner = self.e.state.sorted[*slot]
-                    .as_ref()
-                    .expect("orderBy materialized before binding handles exist")[*index]
-                    .clone();
-                self.attr(*input, &inner, var)
-            }
-            _ => unreachable!("binding handle of another operator"),
-        }
-    }
-
     /// The binding, issued by the operator that binds `var`, which `attr`
     /// reaches from binding `b` of `op` — found by following the same
     /// handle chain without navigating. §3 handles are persistent and a
     /// binding's values are a function of its handle, so two bindings with
-    /// the same defining binding hold the same `var` value. `None` where
-    /// the chain is not seen through.
+    /// the same defining binding hold the same `var` value.
     fn defining_binding<'h>(
-        &self,
+        &'h self,
         mut op: PlanId,
         mut b: &'h BHandle,
         var: &Var,
-    ) -> Option<&'h BHandle> {
+    ) -> &'h BHandle {
         loop {
-            (op, b) = match (self.spec(op), &*b.0) {
-                (OpSpec::Source { .. }, _) => return Some(b),
-                (OpSpec::GetDesc(gd), _) if gd.out == *var => return Some(b),
-                (OpSpec::GetDesc(GetDescSpec { input, .. }), BData::GetDesc { input: ib, .. })
-                | (OpSpec::Select { input, .. }, BData::Filtered { input: ib }) => (*input, ib),
-                (
-                    OpSpec::Join(JoinSpec { left, right, left_schema, .. })
-                    | OpSpec::Cross { left, right, left_schema },
-                    BData::Pair { left: l, right: r, .. },
-                ) => {
-                    if left_schema.contains(var) {
-                        (*left, l)
-                    } else {
-                        (*right, r)
-                    }
-                }
-                _ => return None,
+            (op, b) = match hop(self.spec(op), op, b, var) {
+                Hop::Input(input, inner) => (input, inner),
+                Hop::Sorted { input, slot, index } => match &self.e.state.sorted[slot] {
+                    Some(sorted) => (input, &sorted[index]),
+                    None => return b,
+                },
+                _ => return b,
             };
         }
     }
@@ -522,10 +552,10 @@ impl<'a> Nav<'a> {
 
     /// Point the keyed join's memo at outer binding `l`'s key. The outer
     /// value is materialized only when the binding that defines the key
-    /// variable `lk` (`l` itself when that one is hidden) is not the one
-    /// the memo holds — once per outer binding, not once per pair.
+    /// variable `lk` is not the one the memo holds — once per outer
+    /// binding, not once per pair.
     fn join_outer_key(&mut self, j: &JoinSpec, l: &BHandle, lk: &Var) {
-        let def = self.defining_binding(j.left, l, lk).unwrap_or(l);
+        let def = self.defining_binding(j.left, l, lk);
         let memo = &self.e.state.joins[j.slot].outer_key;
         if memo.as_ref().is_some_and(|(d, _)| d.same(def)) {
             return;
@@ -617,16 +647,15 @@ impl<'a> Nav<'a> {
     /// The group of input binding `ib` when the memo knows it: every group
     /// variable is defined by the same binding as in the last scanned
     /// entry, so the key would come out equal. Otherwise the defining
-    /// bindings to remember with the computed key (`None` if one is
-    /// hidden).
-    fn group_memo(&self, g: &GroupSpec, ib: &BHandle) -> Result<usize, Option<Vec<BHandle>>> {
+    /// bindings to remember with the computed key.
+    fn group_memo(&self, g: &GroupSpec, ib: &BHandle) -> Result<usize, Vec<BHandle>> {
         let defs = g.group.iter().map(|v| self.defining_binding(g.input, ib, v));
         if let Some((last, gid)) = &self.e.state.groups[g.slot].last_def {
-            if defs.clone().zip(last).all(|(d, l)| d.is_some_and(|d| d.same(l))) {
+            if defs.clone().zip(last).all(|(d, l)| d.same(l)) {
                 return Ok(*gid);
             }
         }
-        Err(defs.map(|d| d.cloned()).collect())
+        Err(defs.cloned().collect())
     }
 
     /// Extend the groupBy's shared input scan by exactly one binding —
@@ -656,7 +685,7 @@ impl<'a> Nav<'a> {
                 if gid == fresh {
                     cache.members.push(Vec::new());
                 }
-                cache.last_def = defs.map(|d| (d, gid));
+                cache.last_def = Some((defs, gid));
                 gid
             }
         };

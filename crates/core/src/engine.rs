@@ -741,6 +741,11 @@ impl Engine {
         Some(known.map(|h| VNode::new(VData::Src { src, h })))
     }
 
+    /// What source `src` already knows of `f(h)`, as [`Engine::src_peek`].
+    pub(crate) fn src_peek_label(&self, src: usize, h: u64) -> Option<Label> {
+        lock_unpoisoned(&self.sources[src].nav).peek_label(&h)
+    }
+
     pub(crate) fn src_root(&mut self, src: usize) -> VNode {
         // Obtaining the root handle is free (§1).
         let h = lock_unpoisoned(&self.sources[src].nav).root();
@@ -1043,11 +1048,16 @@ impl Navigator for Engine {
         self.nav(|n| n.val_select(p, pred))
     }
 
-    /// Source nodes ask their source; a torn-out or member value peeks
-    /// `d` of its inner value; values whose `r` is always `⊥` say so;
-    /// everything else is unknown. Begins no span and counts nothing.
+    /// Source nodes ask their source; every operator-synthesized node is
+    /// answered from the operators' own state wherever its `d`/`r` needs
+    /// no source command, and only with a node whose label is known the
+    /// same way. Begins no span and counts nothing.
     fn peek(&mut self, p: &VNode, axis: Axis) -> Option<Option<VNode>> {
         self.val_peek(p, axis)
+    }
+
+    fn peek_label(&mut self, p: &VNode) -> Option<Label> {
+        self.val_peek_label(p)
     }
 }
 

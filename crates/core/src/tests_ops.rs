@@ -598,3 +598,86 @@ fn keyed_join_materializes_the_outer_value_once_per_outer_binding() {
     }
     assert_eq!(steps, [vec![20, 30, 40, 46], vec![26, 36, 46, 52]]);
 }
+
+/// The answer read by peeks alone: `None` where one is unknown. Once a
+/// full walk has scanned every cache, the operators' own state knows it
+/// all.
+fn peeked(e: &mut Engine, n: &crate::VNode) -> Option<mix_xml::Tree> {
+    use mix_nav::{Axis, Navigator};
+    let label = e.peek_label(n)?;
+    let mut children = Vec::new();
+    let mut cur = e.peek(n, Axis::Down)?;
+    while let Some(c) = cur {
+        children.push(peeked(e, &c)?);
+        cur = e.peek(&c, Axis::Right)?;
+    }
+    Some(mix_xml::Tree::node(label, children))
+}
+
+#[test]
+fn group_memo_compares_every_group_variable() {
+    // Grouped by home and school: consecutive join pairs share the home
+    // binding, so only the second group variable's defining binding
+    // changes, and each pair opens a group of its own.
+    let mk = two_sources("r[h[z[1]],h[z[2]]]", "r[s[z[1],n[a]],s[z[2],n[b]],s[z[1],n[c]]]");
+    let (plan, gb) = keyed_plan(
+        "CONSTRUCT <out> <g> $H $S </g> {$H,$S} </out> {}
+         WHERE s1 r.h $H AND $H z._ $V1 AND s2 r.s $S AND $S z._ $V2 AND $V1 = $V2",
+    );
+    let t = check_lazy_eq_eager(&plan, &mk);
+    assert_eq!(
+        t.to_string(),
+        "out[g[h[z[1]],s[z[1],n[a]]],g[h[z[1]],s[z[1],n[c]]],g[h[z[2]],s[z[2],n[b]]]]"
+    );
+    let mut e = Engine::new(plan, &mk()).unwrap();
+    assert_eq!(materialize(&mut e), t);
+    assert_eq!(group_scan(&e, gb.unwrap()).members, [vec![0], vec![1], vec![2]]);
+    let root = mix_nav::Navigator::root(&mut e);
+    assert_eq!(peeked(&mut e, &root), Some(t), "the scanned groups answer every peek");
+}
+
+#[test]
+fn a_join_read_from_two_places_resumes_on_its_own_outer_key() {
+    // One keyed join J (homes ⋈ schools on zip) under two groupBys: g1
+    // groups J's schools by home, g2 collects them all. A crossing of the
+    // two feeds `<p> LS2 LS1 </p>`, so g2's scan runs J to its end (the
+    // memo's outer key is then the last home's) before g1's scan resumes
+    // J inside the first home.
+    let mut p = Plan::new();
+    let h = branch(&mut p, "s1", "r.h", "H");
+    let hz = p.add(PlanNode::GetDescendants {
+        input: h,
+        parent: v("H"),
+        path: parse_path("z._").unwrap(),
+        out: v("V1"),
+    });
+    let s = branch(&mut p, "s2", "r.s", "S");
+    let sz = p.add(PlanNode::GetDescendants {
+        input: s,
+        parent: v("S"),
+        path: parse_path("z._").unwrap(),
+        out: v("V2"),
+    });
+    let j = p.add(PlanNode::Join { left: hz, right: sz, pred: BindPred::var_eq("V1", "V2") });
+    let item = |out: &str| vec![GroupItem { value: v("S"), out: v(out) }];
+    let g1 = p.add(PlanNode::GroupBy { input: j, group: vec![v("H")], items: item("LS1") });
+    let g2 = p.add(PlanNode::GroupBy { input: j, group: vec![], items: item("LS2") });
+    let x = p.add(PlanNode::Cross { left: g1, right: g2 });
+    let c = p.add(PlanNode::Concatenate { input: x, x: v("LS2"), y: v("LS1"), out: v("LC") });
+    let ce = p.add(PlanNode::CreateElement {
+        input: c,
+        label: LabelSpec::Const("p".into()),
+        ch: v("LC"),
+        out: v("P"),
+    });
+    finish(&mut p, ce, "P");
+
+    let mk = two_sources("r[h[z[1]],h[z[2]]]", "r[s[z[1],n[a]],s[z[2],n[b]],s[z[1],n[c]]]");
+    let t = check_lazy_eq_eager(&p, &mk);
+    let (a, b, c) = ("s[z[1],n[a]]", "s[z[2],n[b]]", "s[z[1],n[c]]");
+    assert_eq!(t.to_string(), format!("out[p[{a},{c},{b},{a},{c}],p[{a},{c},{b},{b}]]"));
+    let mut e = Engine::new(p, &mk()).unwrap();
+    materialize(&mut e);
+    let root = mix_nav::Navigator::root(&mut e);
+    assert_eq!(peeked(&mut e, &root), Some(t), "the scanned groups answer every peek");
+}

@@ -13,7 +13,7 @@
 //!   group list is the next input binding with the same group-by list
 //!   (with the group cache on, a lookup in the group's member list).
 
-use crate::bindings::Nav;
+use crate::bindings::{hop, Hop, Nav};
 use crate::handle::{BHandle, VData, VNode};
 use crate::ops::{GroupSpec, OpSpec};
 use crate::Engine;
@@ -26,21 +26,133 @@ use mix_xml::{Label, Tree};
 /// (re-exported from `mix-xml`, shared with plan composition).
 pub use mix_xml::DOC_LABEL;
 
+/// The operator that synthesized value node `v`; `None` for source,
+/// constant and torn-out values.
+fn value_op(v: &VData) -> Option<PlanId> {
+    match v {
+        VData::WrapList { op, .. }
+        | VData::ConcatList { op, .. }
+        | VData::ConcatMember { op, .. }
+        | VData::GroupList { op, .. }
+        | VData::GroupMember { op, .. }
+        | VData::Created { op, .. } => Some(*op),
+        _ => None,
+    }
+}
+
 impl Engine {
-    /// What `d(v)` or `r(v)` answers when that needs no source command:
-    /// a source node asks its source; a torn-out or member value descends
-    /// like its inner value; a value whose `r` is always `⊥` says so.
-    /// Everything else (operator-synthesized children, the next member of
-    /// a list) is unknown.
+    /// What `d(v)` or `r(v)` answers when that needs no source command,
+    /// read off the operators' own state: a source node asks its source,
+    /// and every other arm mirrors its `val_down`/`val_right` arm over
+    /// [`Engine::peek_attr`] (a created element's children, a list's
+    /// first member, the next member of a concatenation or of a cached
+    /// group). A node is answered only when its label is known the same
+    /// way ([`Engine::val_peek_label`]), so fetching it costs no source
+    /// command either: an element built as `<$L>` stays unknown.
     pub(crate) fn val_peek(&self, v: &VNode, axis: Axis) -> Option<Option<VNode>> {
-        match (&*v.0, axis) {
-            (VData::Src { src, h }, _) => self.src_peek(*src, *h, axis),
+        match self.peek_step(v, axis)? {
+            Some(n) if self.val_peek_label(&n).is_none() => None,
+            known => Some(known),
+        }
+    }
+
+    /// `val_peek` before its label test.
+    fn peek_step(&self, v: &VNode, axis: Axis) -> Option<Option<VNode>> {
+        let spec = value_op(&v.0).map(|op| &self.ops[op.index()]);
+        match (&*v.0, spec, axis) {
+            (VData::Src { src, h }, _, _) => self.src_peek(*src, *h, axis),
             (
                 VData::Solo { inner }
                 | VData::ConcatMember { inner, .. }
                 | VData::GroupMember { inner, .. },
+                _,
                 Axis::Down,
-            ) => self.val_peek(inner, Axis::Down),
+            ) => self.peek_step(inner, Axis::Down),
+            (VData::WrapList { op, b }, Some(OpSpec::Wrap { var, .. }), Axis::Down) => {
+                let inner = self.peek_attr(*op, b, var)?;
+                Some(Some(VNode::new(VData::Solo { inner })))
+            }
+            (VData::ConcatList { op, b }, Some(OpSpec::Concat { x, y, .. }), Axis::Down) => {
+                self.peek_concat_first(*op, b, [x, y], 0)
+            }
+            (
+                VData::GroupList { op, first, first_idx, item },
+                Some(OpSpec::GroupBy(g)),
+                Axis::Down,
+            ) => {
+                let Some(first) = first else { return Some(None) };
+                let inner = self.peek_attr(g.input, first, &g.items[*item].value)?;
+                Some(Some(VNode::new(VData::GroupMember {
+                    op: *op,
+                    item: *item,
+                    first: first.clone(),
+                    first_idx: *first_idx,
+                    ib: first.clone(),
+                    ib_idx: *first_idx,
+                    inner,
+                })))
+            }
+            (VData::Created { op, b }, Some(OpSpec::Create { ch, .. }), Axis::Down) => {
+                let ch_val = self.peek_attr(*op, b, ch)?;
+                self.peek_step(&ch_val, Axis::Down)
+            }
+            (VData::ClientRoot, _, Axis::Down) => {
+                self.peek_step(self.state.client_root.as_ref()?, Axis::Down)
+            }
+            (
+                VData::ConcatMember { op, b, side, from_list, inner },
+                Some(OpSpec::Concat { x, y, .. }),
+                Axis::Right,
+            ) => {
+                if *from_list {
+                    if let Some(next) = self.peek_step(inner, Axis::Right)? {
+                        return Some(Some(VNode::new(VData::ConcatMember {
+                            op: *op,
+                            b: b.clone(),
+                            side: *side,
+                            from_list: true,
+                            inner: next,
+                        })));
+                    }
+                }
+                if *side == 0 {
+                    self.peek_concat_first(*op, b, [x, y], 1)
+                } else {
+                    Some(None)
+                }
+            }
+            // Fig. 10, 8th mapping, read off the group's member list: known
+            // when the shared scan has passed the next member, or passed
+            // them all.
+            (
+                VData::GroupMember {
+                    op,
+                    item,
+                    first,
+                    first_idx: Some(fi),
+                    ib_idx: Some(i),
+                    ..
+                },
+                Some(OpSpec::GroupBy(g)),
+                Axis::Right,
+            ) => {
+                let cache = &self.state.groups[g.slot];
+                let members = &cache.members[cache.scanned[*fi].0];
+                let Some(&next_idx) = members.get(members.partition_point(|&m| m <= *i)) else {
+                    return cache.exhausted.then_some(None);
+                };
+                let next = &cache.scanned[next_idx].1;
+                let inner = self.peek_attr(g.input, next, &g.items[*item].value)?;
+                Some(Some(VNode::new(VData::GroupMember {
+                    op: *op,
+                    item: *item,
+                    first: first.clone(),
+                    first_idx: Some(*fi),
+                    ib: next.clone(),
+                    ib_idx: Some(next_idx),
+                    inner,
+                })))
+            }
             (
                 VData::SrcDoc { .. }
                 | VData::Solo { .. }
@@ -49,26 +161,92 @@ impl Engine {
                 | VData::GroupList { .. }
                 | VData::Created { .. }
                 | VData::ClientRoot,
+                _,
                 Axis::Right,
             ) => Some(None),
             _ => None,
         }
     }
+
+    /// What `f(v)` answers when that needs no source command.
+    pub(crate) fn val_peek_label(&self, v: &VNode) -> Option<Label> {
+        match (&*v.0, value_op(&v.0).map(|op| &self.ops[op.index()])) {
+            (VData::SrcDoc { .. }, _) => Some(Label::new(DOC_LABEL)),
+            (VData::Src { src, h }, _) => self.src_peek_label(*src, *h),
+            (VData::Const { doc, node }, _) => Some(doc.fetch(*node).clone()),
+            (
+                VData::Solo { inner }
+                | VData::ConcatMember { inner, .. }
+                | VData::GroupMember { inner, .. },
+                _,
+            ) => self.val_peek_label(inner),
+            (VData::WrapList { .. } | VData::ConcatList { .. } | VData::GroupList { .. }, _) => {
+                Some(Label::list())
+            }
+            (VData::Created { .. }, Some(OpSpec::Create { label: LabelSpec::Const(s), .. })) => {
+                Some(Label::intern(s))
+            }
+            (VData::ClientRoot, _) => self.val_peek_label(self.state.client_root.as_ref()?),
+            _ => None,
+        }
+    }
+
+    /// `attr` without navigating, metering or tracing: the value of `var`
+    /// in binding `b` of `op`, when reaching it needs no source command.
+    fn peek_attr<'h>(&'h self, mut op: PlanId, mut b: &'h BHandle, var: &Var) -> Option<VNode> {
+        loop {
+            (op, b) = match hop(&self.ops[op.index()], op, b, var) {
+                Hop::Input(input, inner) => (input, inner),
+                Hop::Sorted { input, slot, index } => {
+                    (input, self.state.sorted[slot].as_ref()?.get(index)?)
+                }
+                Hop::Doc(src) => return Some(self.sources[src].doc.clone()),
+                Hop::Made(data) => return Some(VNode::new(data)),
+                Hop::Match { input, ib, parent, cursor } => {
+                    return match cursor.frames.last() {
+                        Some(frame) => Some(frame.node.clone()),
+                        None => self.peek_attr(input, ib, parent),
+                    };
+                }
+                Hop::Wrap { input, inner, wrapped } => {
+                    let value = self.peek_attr(input, inner, wrapped)?;
+                    if self.val_peek_label(&value)? == Label::list() {
+                        return Some(value);
+                    }
+                    return Some(VNode::new(VData::WrapList { op, b: b.clone() }));
+                }
+            };
+        }
+    }
+
+    /// `concat_first` without navigating: side `side`'s first member, or
+    /// the other side's, when both the value and its label are known.
+    fn peek_concat_first(
+        &self,
+        op: PlanId,
+        b: &BHandle,
+        xy: [&Var; 2],
+        side: u8,
+    ) -> Option<Option<VNode>> {
+        let value = self.peek_attr(op, b, xy[side as usize])?;
+        let member = |from_list, inner| {
+            VNode::new(VData::ConcatMember { op, b: b.clone(), side, from_list, inner })
+        };
+        if self.val_peek_label(&value)? != Label::list() {
+            return Some(Some(member(false, value)));
+        }
+        match self.peek_step(&value, Axis::Down)? {
+            Some(first) => Some(Some(member(true, first))),
+            None if side == 0 => self.peek_concat_first(op, b, xy, 1),
+            None => Some(None),
+        }
+    }
 }
 
 impl<'a> Nav<'a> {
-    /// The spec of the operator that synthesized value node `v`; `None`
-    /// for source, constant and torn-out values.
+    /// The spec of the operator that synthesized value node `v`.
     fn value_spec(&self, v: &VData) -> Option<&'a OpSpec> {
-        match v {
-            VData::WrapList { op, .. }
-            | VData::ConcatList { op, .. }
-            | VData::ConcatMember { op, .. }
-            | VData::GroupList { op, .. }
-            | VData::GroupMember { op, .. }
-            | VData::Created { op, .. } => Some(self.spec(*op)),
-            _ => None,
-        }
+        value_op(v).map(|op| self.spec(op))
     }
 
     /// `d(p)` on a value node.

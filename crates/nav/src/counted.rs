@@ -181,6 +181,10 @@ impl<N: Navigator> Navigator for CountedNavigator<N> {
     fn peek(&mut self, p: &Self::Handle, axis: Axis) -> Option<Option<Self::Handle>> {
         self.inner.peek(p, axis)
     }
+
+    fn peek_label(&mut self, p: &Self::Handle) -> Option<Label> {
+        self.inner.peek_label(p)
+    }
 }
 
 #[cfg(test)]
@@ -229,6 +233,7 @@ mod tests {
         assert_eq!(n.peek(&b, Axis::Right), Some(n.right(&b)));
         assert_eq!(n.peek(&b, Axis::Down), Some(None));
         assert_eq!(n.peek(&root, Axis::Right), Some(None));
+        assert_eq!(n.peek_label(&b), Some(Label::new("b")));
         let s = counters.snapshot();
         assert_eq!(s, NavStats { downs: 1, rights: 1, fetches: 0, selects: 0 }, "peeks count nothing");
     }

@@ -79,6 +79,10 @@ impl Navigator for DocNavigator {
             Axis::Right => self.doc.right(*p),
         })
     }
+
+    fn peek_label(&mut self, p: &NodeId) -> Option<Label> {
+        Some(self.doc.fetch(*p).clone())
+    }
 }
 
 #[cfg(test)]

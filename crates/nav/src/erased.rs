@@ -79,6 +79,10 @@ where
     fn peek(&mut self, p: &u64, axis: Axis) -> Option<Option<u64>> {
         Some(self.0.peek(&N::Handle::from_int(*p), axis)?.map(|h| h.to_int()))
     }
+
+    fn peek_label(&mut self, p: &u64) -> Option<Label> {
+        self.0.peek_label(&N::Handle::from_int(*p))
+    }
 }
 
 /// Erase a concrete navigator into a boxed [`DynNavigator`]. The box is

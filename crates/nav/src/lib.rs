@@ -109,9 +109,22 @@ pub trait Navigator {
     /// knows it without a source command: `Some(Some(n))` is a node,
     /// `Some(None)` the end of the axis, and `None` means "unknown". A
     /// peek is not a command: it counts nothing, records nothing and
-    /// moves no data. The default knows nothing.
+    /// moves no data. A buffer knows its open tree, a lazy mediator what
+    /// its operators' state holds, and both answer a node only when
+    /// [`peek_label`](Navigator::peek_label) knows its label too, so
+    /// reading a peeked node's label does no source work either. The
+    /// default knows nothing.
     fn peek(&mut self, p: &Self::Handle, axis: Axis) -> Option<Option<Self::Handle>> {
         let _ = (p, axis);
+        None
+    }
+
+    /// What `f(p)` would answer, when the navigator already knows it
+    /// without a source command; `None` means "unknown". Like
+    /// [`peek`](Navigator::peek), not a command. The default knows
+    /// nothing.
+    fn peek_label(&mut self, p: &Self::Handle) -> Option<Label> {
+        let _ = p;
         None
     }
 }
@@ -142,6 +155,10 @@ impl<N: Navigator + ?Sized> Navigator for &mut N {
     fn peek(&mut self, p: &Self::Handle, axis: Axis) -> Option<Option<Self::Handle>> {
         (**self).peek(p, axis)
     }
+
+    fn peek_label(&mut self, p: &Self::Handle) -> Option<Label> {
+        (**self).peek_label(p)
+    }
 }
 
 impl<N: Navigator + ?Sized> Navigator for Box<N> {
@@ -169,5 +186,9 @@ impl<N: Navigator + ?Sized> Navigator for Box<N> {
 
     fn peek(&mut self, p: &Self::Handle, axis: Axis) -> Option<Option<Self::Handle>> {
         (**self).peek(p, axis)
+    }
+
+    fn peek_label(&mut self, p: &Self::Handle) -> Option<Label> {
+        (**self).peek_label(p)
     }
 }

@@ -130,6 +130,10 @@ impl<N: Navigator> Navigator for RecordingNavigator<N> {
     fn peek(&mut self, p: &Self::Handle, axis: Axis) -> Option<Option<Self::Handle>> {
         self.inner.peek(p, axis)
     }
+
+    fn peek_label(&mut self, p: &Self::Handle) -> Option<Label> {
+        self.inner.peek_label(p)
+    }
 }
 
 #[cfg(test)]

@@ -97,6 +97,10 @@ impl<N: Navigator> Navigator for HandleTable<N> {
         let known = self.nav.peek(slot(&self.handles, *p)?, axis)?;
         Some(known.map(|h| self.issue(h)))
     }
+
+    fn peek_label(&mut self, p: &u64) -> Option<Label> {
+        self.nav.peek_label(slot(&self.handles, *p)?)
+    }
 }
 
 #[cfg(test)]
@@ -128,6 +132,8 @@ mod tests {
         assert_eq!(t.peek(&b, Axis::Down), Some(None), "an end issues nothing");
         assert_eq!(t.issued(), 2);
         assert_eq!(t.peek(&99, Axis::Right), None, "an id never issued knows nothing");
+        assert_eq!(t.peek_label(&b), Some(Label::new("b")));
+        assert_eq!(t.peek_label(&99), None);
     }
 
     #[test]

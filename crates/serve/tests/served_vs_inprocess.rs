@@ -2,9 +2,10 @@
 //! DOM-VXD wire is **byte-identical** to the same view navigated
 //! in-process, and costs exactly the same number of LXP wire exchanges —
 //! the serving layer adds framing, not semantics and not traffic. A `d`/`r`
-//! reply ships the reached node and the nodes the server's buffers
-//! already hold around it, so only the root's `f` is a frame, and a
-//! `d`/`r` is one only where the server's open tree has a hole.
+//! reply ships the reached node and the nodes the server already knows
+//! around it (its buffers' open tree, its operators' state), so only the
+//! root's `f` is a frame, and a `d`/`r` is one only where neither knows
+//! the answer.
 
 use mix_algebra::translate;
 use mix_buffer::{FillPolicy, FragmentCache, MetricsRegistry, SlowWrapper, TreeWrapper};
@@ -264,7 +265,7 @@ fn fig3_walk<S: Read + Write>(client: &mut VxdClient<S>, session: u64, root: u64
 }
 
 #[test]
-fn a_fig3_walk_crosses_the_wire_five_times_and_numbers_what_it_was_shipped() {
+fn a_fig3_walk_crosses_the_wire_three_times_and_numbers_what_it_shipped() {
     let mut pool = SessionSources::new(FragmentCache::new(), MetricsRegistry::enabled());
     pool.add_tree("homesSrc", &mix_wrappers::gen::homes_doc(7, 60, 8), FillPolicy::NodeAtATime);
     pool.add_tree("schoolsSrc", &mix_wrappers::gen::schools_doc(8, 40, 8), FillPolicy::NodeAtATime);
@@ -285,14 +286,16 @@ fn a_fig3_walk_crosses_the_wire_five_times_and_numbers_what_it_was_shipped() {
     client.close(open.session).unwrap();
     drop(client);
     conn.join().unwrap();
-    // Open, `d(root)`, `d(med_home)`, `r(home)`, close: `d(root)` ships
-    // `med_home` alone (what a created element holds is the operator's
-    // to find), `d(med_home)` ships the home whole (the engine's join
-    // read it: seven nodes), and `r(home)` its first school with what
-    // the buffer holds of it (four nodes). The 24 commands after the
-    // first answer end inside that school.
-    assert_eq!(frames.load(Ordering::Relaxed), 5, "open, three verbs, close");
-    assert_eq!(ids, 1 + 1 + 7 + 4, "one id per shipped node, and the root's");
+    // Open, `d(root)`, close. `d(root)` ships every node the walk
+    // reaches, since the engine peeks its operators' own state:
+    // `med_home`; its first child, the home, whole (the created
+    // element's children are its concatenation, whose first member is
+    // the home; the engine's join read it: seven nodes); and the home's
+    // right sibling, the group list's first school, with what the buffer
+    // holds of it (four nodes). The 24 commands after the first answer
+    // end inside that school, so no other verb crosses.
+    assert_eq!(frames.load(Ordering::Relaxed), 3, "open, d(root), close");
+    assert_eq!(ids, 1 + (1 + 7 + 4), "the root's id, and one per node d(root) shipped");
     assert_eq!(
         server.metrics().snapshot().total("mix_serve_session_ids_total"),
         0,

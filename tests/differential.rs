@@ -4,6 +4,7 @@
 //! cache configuration and buffer fill policy. The random-order lanes
 //! send commands to earlier handles in any order, as a client may.
 
+use mix::core::VNode;
 use mix::nav::explore::materialize_at;
 use mix::nav::{Axis, DocNavigator};
 use mix::prelude::*;
@@ -75,8 +76,9 @@ fn mix64(mut z: u64) -> u64 {
 /// no trace event. `config` picks the source: a plain tree (`config % 4
 /// == 0`), else a buffer over a wrapper shipping node-at-a-time or in
 /// chunks of 1–3, with batch 1–8, pending cap 1–2 and the fragment cache
-/// on or off. Returns how many peeks knew their answer.
-fn peek_oracle(seed: u64, nodes: usize, qidx: usize, config: u64) -> Result<u64, String> {
+/// on or off. Returns how many peeks knew their answer, and how many of
+/// those an operator arm answered.
+fn peek_oracle(seed: u64, nodes: usize, qidx: usize, config: u64) -> Result<(u64, u64), String> {
     let tree = random_tree(seed, nodes, LABELS);
     let plan = translate(&parse_query(query_pool()[qidx]).unwrap()).unwrap();
     let sink = TraceSink::enabled(1 << 16);
@@ -111,7 +113,7 @@ fn peek_oracle(seed: u64, nodes: usize, qidx: usize, config: u64) -> Result<u64,
         (engine.stats().total(), wire, log.len() as u64 + log.dropped())
     };
     let mut reached = vec![engine.root()];
-    let (mut rng, mut known) = (mix64(seed ^ config << 20 ^ qidx as u64), 0);
+    let (mut rng, mut known, mut by_operator) = (mix64(seed ^ config << 20 ^ qidx as u64), 0, 0);
     for step in 0..60 {
         rng = mix64(rng);
         // Half the time the node reached last: the frontier, where the
@@ -140,6 +142,7 @@ fn peek_oracle(seed: u64, nodes: usize, qidx: usize, config: u64) -> Result<u64,
             };
             if let Some(expected) = peeked {
                 known += 1;
+                by_operator += u64::from(by_an_operator(&expected));
                 let same = match (&expected, &got) {
                     (None, None) => true,
                     (Some(x), Some(y)) => {
@@ -163,26 +166,65 @@ fn peek_oracle(seed: u64, nodes: usize, qidx: usize, config: u64) -> Result<u64,
             reached.extend(got);
         }
     }
-    Ok(known)
+    Ok((known, by_operator))
+}
+
+/// Whether a known peek is an operator arm's answer: a node the engine
+/// synthesizes (a list member, a created element), never a source node.
+/// Read off the node-id's shape, which is the association information
+/// the arm builds (§3).
+fn by_an_operator(answer: &Option<VNode>) -> bool {
+    answer.as_ref().is_some_and(|n| !format!("{n:?}").starts_with("VNode(Src {"))
 }
 
 #[test]
 fn peek_oracle_holds_and_knows_answers() {
     // Fixed cases, so the oracle is known to check something on both
     // kinds of source.
-    let (mut tree_known, mut buffer_known) = (0, 0);
+    let (mut tree, mut buffer) = ((0, 0), (0, 0));
     for case in 0..128u64 {
         let config = mix64(case) % 1024;
-        let known = peek_oracle(case, 1 + case as usize % 39, case as usize % 19, config)
-            .unwrap_or_else(|e| panic!("case {case}: {e}"));
-        if config.is_multiple_of(4) {
-            tree_known += known;
-        } else {
-            buffer_known += known;
-        }
+        let (known, by_operator) =
+            peek_oracle(case, 1 + case as usize % 39, case as usize % 19, config)
+                .unwrap_or_else(|e| panic!("case {case}: {e}"));
+        let side = if config.is_multiple_of(4) { &mut tree } else { &mut buffer };
+        side.0 += known;
+        side.1 += by_operator;
     }
-    assert!(tree_known >= 500, "a plain tree knows every answer: {tree_known}");
-    assert!(buffer_known >= 500, "buffers know what they hold: {buffer_known}");
+    assert!(tree.0 >= 500, "a plain tree knows every answer: {}", tree.0);
+    assert!(buffer.0 >= 500, "buffers know what they hold: {}", buffer.0);
+    // The operators answer from their own state over either source (78
+    // and 353 nodes): a created element's first child, a list's first
+    // member, the next member of a concatenation or a cached group. The
+    // cases are fixed, so the floors are near what they read: taking
+    // any one of those arms back to "unknown" fails the tree's floor (no
+    // pool query wraps a value, so `wrap`'s list is not among them).
+    assert!(tree.1 >= 70, "operator arms over a tree: {}", tree.1);
+    assert!(buffer.1 >= 320, "operator arms over buffers: {}", buffer.1);
+}
+
+#[test]
+fn a_peek_leaves_an_element_labelled_by_a_variable_unknown() {
+    // `<$W>` elements grouped by `$W`: out[x[a[x]],y[b[y]]]. Fetching a
+    // `<$W>` element's label materializes `$W`, which is source work, so
+    // no peek answers one; the `$V` inside one is a source node and known.
+    let plan = translate(&parse_query(query_pool()[15]).unwrap()).unwrap();
+    let mut reg = SourceRegistry::new();
+    reg.add_term("src", "r[a[x],b[y]]");
+    let mut engine = Engine::new(plan, &reg).unwrap();
+    let root = engine.root();
+    assert_eq!(engine.fetch(&root), "out");
+    assert!(engine.peek(&root, Axis::Down).is_none(), "the first child is `<$W>`");
+    let x = engine.down(&root).unwrap();
+    assert_eq!(engine.peek_label(&x), None);
+    assert_eq!(engine.fetch(&x), "x");
+    let a = engine.peek(&x, Axis::Down).flatten().expect("a source node inside is known");
+    assert_eq!(engine.fetch(&a), "a");
+    assert!(engine.peek(&x, Axis::Right).is_none(), "the next member is `<$W>` too");
+    let y = engine.right(&x).unwrap();
+    assert_eq!(engine.fetch(&y), "y");
+    assert!(engine.right(&y).is_none());
+    assert!(matches!(engine.peek(&y, Axis::Right), Some(None)), "the scan has passed every member");
 }
 
 proptest! {
