@@ -1597,7 +1597,12 @@ fn e20_observability() {
                     continue;
                 }
             };
+            // The open answered `d(root)`: a source that degraded there
+            // is named in its reply, and its span is the open's.
             let mut degraded_spans: Vec<u64> = Vec::new();
+            if !open.degraded.is_empty() {
+                degraded_spans.push(sink.current_span());
+            }
             let mut cur = open.root;
             for step in 0..navs_per_session {
                 let choice = mix64((ri as u64) << 48 | (s as u64) << 16 | step as u64) % 3;

@@ -568,19 +568,43 @@ impl Engine {
     }
 
     fn checked(&mut self, fetch: impl FnOnce(&mut Self) -> Label) -> Result<Label, Degraded> {
+        match self.degraded_during(fetch) {
+            (label, sources) if sources.is_empty() => Ok(label),
+            (label, sources) => Err(Degraded { label, sources }),
+        }
+    }
+
+    /// Run `op` over this engine and name the sources that degraded while
+    /// it ran (none: an empty list) — the comparison behind
+    /// [`Engine::fetch_checked`], for any command.
+    pub fn degraded_during<T>(&mut self, op: impl FnOnce(&mut Self) -> T) -> (T, Vec<String>) {
         self.degraded_before.clear();
         self.degraded_before.extend(self.sources.iter().map(SourceConn::degraded_ops));
-        let label = fetch(self);
-        let mut moved = self
+        let out = op(self);
+        let sources = self
             .sources
             .iter()
             .zip(&self.degraded_before)
             .filter(|(s, &before)| s.degraded_ops() > before)
-            .peekable();
-        if moved.peek().is_none() {
-            return Ok(label);
+            .map(|(s, _)| s.name.clone())
+            .collect();
+        (out, sources)
+    }
+
+    /// [`Navigator::down`] as part of the client command under way: it
+    /// begins no trace span, so its cascade is attributed to that command
+    /// — how a server answers `d(root)` within the `open` that made the
+    /// root.
+    pub fn down_in_span(&mut self, p: &VNode) -> Option<VNode> {
+        // First descent into the answer: prime the sources concurrently
+        // before the sequential walk starts pulling on them one by one.
+        if !self.warmed && self.config.threads > 1 {
+            self.warm_sources();
         }
-        Err(Degraded { label, sources: moved.map(|(s, _)| s.name.clone()).collect() })
+        if self.metrics_on() {
+            self.cmd_counters[0].inc();
+        }
+        self.nav(|n| n.val_down(p))
     }
 
     /// Fault/retry health per source, for buffered sources
@@ -1004,18 +1028,14 @@ impl Navigator for Engine {
     }
 
     fn down(&mut self, p: &VNode) -> Option<VNode> {
-        // First descent into the answer: prime the sources concurrently
-        // before the sequential walk starts pulling on them one by one.
+        // The sources warm up before this command's span begins.
         if !self.warmed && self.config.threads > 1 {
             self.warm_sources();
         }
         if self.trace.is_enabled() {
             self.trace.begin_span("d");
         }
-        if self.metrics_on() {
-            self.cmd_counters[0].inc();
-        }
-        self.nav(|n| n.val_down(p))
+        self.down_in_span(p)
     }
 
     fn right(&mut self, p: &VNode) -> Option<VNode> {

@@ -5,16 +5,24 @@
 //! can hold any number of sessions open at once — the session id travels
 //! in every request frame.
 //!
-//! The client keeps what the server ships with `d`/`r`/`select` replies
-//! ([`Reply::Nodes`]), per session: each shipped node's label and, where
-//! the server knew them, its `d` and `r` answers. It answers `f` of a
-//! shipped node, and each known `d`/`r`, without a frame. The root's
-//! label is never shipped (the server does not resolve it at `Open`),
-//! nor is a degraded or over-long one: `f` of such a node crosses the
-//! wire, as does every `select`.
+//! The client keeps what the server ships with `Opened` and with
+//! `d`/`r`/`select` replies ([`Reply::Nodes`]), per session: each shipped
+//! node's label and, where the server knew them, its `d` and `r` answers.
+//! It answers `f` of a shipped node, and each known `d`/`r`, without a
+//! frame. `Opened` carries `d(root)`'s answer, and a root has no right
+//! sibling, so a session's `d(root)` and `r(root)` send no frame, unless
+//! a source degraded while the server answered `d(root)` or the node it
+//! reached has a label no frame carries. The root's label is never
+//! shipped, nor is a degraded or over-long one: `f` of such a node
+//! crosses the wire, as does every `select`.
+//!
+//! `close` sends its frame and returns without waiting for the reply,
+//! which says only that the session is gone. The stream is ordered, so
+//! the client reads that reply just before the reply to its next frame.
 
 use crate::codec::{
-    ErrorCode, FrameError, FrameStream, Link, Reply, Request, ShippedNode, TraceContext, Verb,
+    ErrorCode, FirstAnswer, FrameError, FrameStream, Link, Reply, Request, ShippedNode,
+    TraceContext, Verb,
 };
 use mix_core::{TraceKind, TraceSink};
 use std::collections::HashMap;
@@ -50,11 +58,14 @@ impl From<FrameError> for ClientError {
     }
 }
 
-/// An open session: its id and its root node handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// An open session: its id, its root node handle, and the sources that
+/// degraded while the server answered `d(root)` at open (empty when none
+/// did; otherwise the client's `d(root)` crosses the wire).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpenSession {
     pub session: u64,
     pub root: u64,
+    pub degraded: Vec<String>,
 }
 
 /// A fetched label, tagged with whether any source degraded while
@@ -93,7 +104,7 @@ impl FetchOutcome {
 /// sends differ from an untraced client's only by the trailer: replies,
 /// and therefore answers, are byte-identical either way. A command
 /// answered from what the server shipped sends no frame, so it records
-/// nothing.
+/// nothing. A `close` sends a frame and records a span like any verb.
 pub struct VxdClient<S: Read + Write> {
     frames: FrameStream<S>,
     trace: TraceSink,
@@ -101,13 +112,16 @@ pub struct VxdClient<S: Read + Write> {
     /// that node. A session's map goes at `close`, and when a reply says
     /// the session is gone.
     known: HashMap<u64, HashMap<u64, Known>>,
+    /// A `close` was sent and its reply is not read yet. At most one
+    /// reply is ever left unread.
+    close_unread: bool,
 }
 
-/// One shipped node: its complete label, and its `d` and `r` answers
-/// where the server knew them (`None` is unknown, `Some(None)` the end
-/// of the axis).
+/// One node the server told of: its complete label (unknown for the
+/// root), and its `d` and `r` answers where the server knew them (`None`
+/// is unknown, `Some(None)` the end of the axis).
 struct Known {
-    label: String,
+    label: Option<String>,
     down: Option<Option<u64>>,
     right: Option<Option<u64>>,
 }
@@ -118,6 +132,7 @@ impl<S: Read + Write> VxdClient<S> {
             frames: FrameStream::new(stream),
             trace: TraceSink::default(),
             known: HashMap::new(),
+            close_unread: false,
         }
     }
 
@@ -145,7 +160,7 @@ impl<S: Read + Write> VxdClient<S> {
         }
     }
 
-    fn exchange(&mut self, session: u64, verb: Verb) -> Result<Reply, ClientError> {
+    fn send(&mut self, session: u64, verb: Verb) -> Result<(), ClientError> {
         let mut request = Request::new(session, verb);
         if !request.fits() {
             return Err(ClientError::Frame(FrameError::StringTooLong));
@@ -156,7 +171,25 @@ impl<S: Read + Write> VxdClient<S> {
             self.trace.emit(None, TraceKind::WireRequest { verb: name });
             request = request.with_trace(TraceContext { span, sampled: true });
         }
-        self.frames.send_request(&request)?;
+        Ok(self.frames.send_request(&request)?)
+    }
+
+    /// Read the reply to an earlier `close`, if it is still unread.
+    /// `Closed` and `UnknownSession` both say the session is gone, so
+    /// either is dropped; anything else is an error.
+    fn read_close_reply(&mut self) -> Result<(), ClientError> {
+        if !std::mem::take(&mut self.close_unread) {
+            return Ok(());
+        }
+        match self.frames.recv_reply()? {
+            Reply::Closed | Reply::Error { code: ErrorCode::UnknownSession, .. } => Ok(()),
+            other => Err(ClientError::UnexpectedReply(format!("{other:?}"))),
+        }
+    }
+
+    fn exchange(&mut self, session: u64, verb: Verb) -> Result<Reply, ClientError> {
+        self.send(session, verb)?;
+        self.read_close_reply()?;
         let reply = self.frames.recv_reply()?;
         if let Reply::Error { code, msg } = reply {
             // Both mean the server no longer holds the session.
@@ -168,13 +201,27 @@ impl<S: Read + Write> VxdClient<S> {
         Ok(reply)
     }
 
-    /// Open a session over a server template. Returns the session id and
-    /// the root node handle.
+    /// Open a session over a server template. Returns the session id,
+    /// the root node handle, and the sources that degraded while the
+    /// server answered `d(root)`.
     pub fn open(&mut self, template: &str) -> Result<OpenSession, ClientError> {
-        match self.exchange(0, Verb::Open { template: template.to_string() })? {
-            Reply::Opened { session, root } => Ok(OpenSession { session, root }),
-            other => Err(ClientError::UnexpectedReply(format!("{other:?}"))),
-        }
+        let (session, root, first) =
+            match self.exchange(0, Verb::Open { template: template.to_string() })? {
+                Reply::Opened { session, root, first } => (session, root, first),
+                other => return Err(ClientError::UnexpectedReply(format!("{other:?}"))),
+            };
+        let (down, degraded) = match first {
+            FirstAnswer::Unknown { degraded } => (None, degraded),
+            FirstAnswer::End => (Some(None), Vec::new()),
+            FirstAnswer::Nodes(nodes) => {
+                let reached = nodes.first().map(|n| n.handle);
+                self.keep(session, nodes);
+                (reached.map(Some), Vec::new())
+            }
+        };
+        let known = Known { label: None, down, right: Some(None) };
+        self.known.entry(session).or_default().insert(root, known);
+        Ok(OpenSession { session, root, degraded })
     }
 
     fn step(&mut self, session: u64, verb: Verb) -> Result<Option<u64>, ClientError> {
@@ -200,7 +247,8 @@ impl<S: Read + Write> VxdClient<S> {
         };
         let held = self.known.entry(session).or_default();
         for n in nodes {
-            let known = Known { label: n.label, down: resolve(n.down), right: resolve(n.right) };
+            let known =
+                Known { label: Some(n.label), down: resolve(n.down), right: resolve(n.right) };
             held.insert(n.handle, known);
         }
     }
@@ -244,8 +292,8 @@ impl<S: Read + Write> VxdClient<S> {
     /// to this client says the session is gone. Shipped `d`/`r` answers
     /// outlive the session the same way.
     pub fn fetch_checked(&mut self, session: u64, node: u64) -> Result<FetchOutcome, ClientError> {
-        if let Some(known) = self.shipped(session, node) {
-            return Ok(FetchOutcome::Complete(known.label.clone()));
+        if let Some(label) = self.shipped(session, node).and_then(|k| k.label.clone()) {
+            return Ok(FetchOutcome::Complete(label));
         }
         match self.exchange(session, Verb::Fetch { node })? {
             Reply::Label { label } => Ok(FetchOutcome::Complete(label)),
@@ -264,12 +312,17 @@ impl<S: Read + Write> VxdClient<S> {
         })
     }
 
-    /// Close a session, releasing its server-side state.
+    /// Close a session, releasing its server-side state. Sends the frame
+    /// and returns without waiting for the reply: the next call reads it
+    /// first, and drops it when it says the session is gone. An error
+    /// here or in that next call is a transport failure or a reply no
+    /// `close` can get.
     pub fn close(&mut self, session: u64) -> Result<(), ClientError> {
         self.known.remove(&session);
-        match self.exchange(session, Verb::Close)? {
-            Reply::Closed => Ok(()),
-            other => Err(ClientError::UnexpectedReply(format!("{other:?}"))),
-        }
+        self.send(session, Verb::Close)?;
+        // The reply to an earlier `close`, so at most one is left unread.
+        let earlier = self.read_close_reply();
+        self.close_unread = true;
+        earlier
     }
 }

@@ -32,7 +32,7 @@
 //!     error, so the trailer stays a lossless round-trip).
 //!
 //!   reply    := tag: u8, args
-//!     0x81 Opened        { session: u64 LE, root: u64 LE }
+//!     0x81 Opened        { session: u64 LE, root: u64 LE, first }
 //!     0x82 Node          { handle: u64 LE }
 //!     0x83 End           {}                 (navigation returned None)
 //!     0x84 Label         { label: str }
@@ -41,6 +41,10 @@
 //!     0x87 Nodes         { n: u16 LE, n × node }      (n ≥ 1)
 //!     0xC0 Error         { code: u8, msg: str }
 //!
+//!   first    := 0x00, n: u16 LE, n × str   d(root) unknown; the sources
+//!                                           that degraded answering it
+//!             | 0x01                       d(root) is the end (empty view)
+//!             | 0x87, n: u16 LE, n × node  d(root)'s node list (n ≥ 1)
 //!   node     := handle: u64 LE, label: str, down: link, right: link
 //!   link     := 0x00                  unknown
 //!             | 0x01                  end of the axis (⊥)
@@ -57,6 +61,12 @@
 //! `f`, and each known `d`/`r`, of a shipped node without a round trip.
 //! A reached node whose label is degraded or longer than [`MAX_STR`] is
 //! answered with a bare `Node`, and its `f` crosses the wire.
+//!
+//! `Opened` carries what `d(root)` answers ([`FirstAnswer`]), since every
+//! client's first command is `d(root)`: the same node list, the end of
+//! the axis, or unknown. It is unknown when the reached node's label
+//! cannot ship, and when a source degraded while the server answered it;
+//! the reply then names those sources, as `DegradedLabel` does.
 //!
 //! # Strictness
 //!
@@ -112,9 +122,10 @@ pub enum FrameError {
     Io(String),
     /// A request string longer than [`MAX_STR`] bytes: it was not sent.
     StringTooLong,
-    /// A `Nodes` reply with no node in it.
+    /// A node list (in `Nodes` or `Opened`) with no node in it.
     EmptyNodeList,
-    /// A link tag other than unknown, end or index.
+    /// A link tag other than unknown, end or index; in `Opened`, a
+    /// first-answer tag other than unknown, end or node list.
     BadLinkTag(u8),
     /// A link to an index past the end of its node list.
     LinkOutOfRange { index: u16, nodes: u16 },
@@ -277,19 +288,35 @@ pub struct ShippedNode {
 }
 
 /// Bytes one shipped node with a `label_len`-byte label takes in a
-/// `Nodes` frame, links at their longest.
+/// node list, links at their longest.
 pub(crate) fn shipped_node_len(label_len: usize) -> usize {
     8 + 2 + label_len + 2 * 3
 }
 
-/// Bytes of a `Nodes` frame before its first node: tag and count.
-pub(crate) const NODES_HEADER_LEN: usize = 1 + 2;
+/// Bytes before the first node of a node list in the longer of the two
+/// replies that carry one: `Opened`'s tag, session, root, answer tag and
+/// count (a `Nodes` reply needs 3 of them).
+pub(crate) const NODES_HEADER_LEN: usize = 1 + 8 + 8 + 1 + 2;
+
+/// What `d(root)` answers, as [`Reply::Opened`] carries it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FirstAnswer {
+    /// Not answered at open: the client's `d(root)` crosses the wire.
+    /// `degraded` names the sources that degraded while the server
+    /// answered it (empty when none did).
+    Unknown { degraded: Vec<String> },
+    /// The view is empty: `d(root)` is the end of the axis.
+    End,
+    /// `d(root)`'s reached node and its known neighbourhood, as
+    /// [`Reply::Nodes`] carries them.
+    Nodes(Vec<ShippedNode>),
+}
 
 /// One reply frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
-    /// A session is live; navigate from `root`.
-    Opened { session: u64, root: u64 },
+    /// A session is live; navigate from `root`, whose `d` is `first`.
+    Opened { session: u64, root: u64, first: FirstAnswer },
     /// A navigation produced this node; its label stayed behind.
     Node { handle: u64 },
     /// A navigation produced `nodes[0]`; the rest are the nodes reachable
@@ -339,6 +366,35 @@ fn put_link(out: &mut Vec<u8>, link: Link) {
             out.extend_from_slice(&index.to_le_bytes());
         }
     }
+}
+
+/// Append a count and that many `str` fields (at most `u16::MAX`).
+fn put_strs(out: &mut Vec<u8>, strs: &[String]) {
+    let n = strs.len().min(usize::from(u16::MAX));
+    out.extend_from_slice(&(n as u16).to_le_bytes());
+    for s in &strs[..n] {
+        put_str(out, s);
+    }
+}
+
+/// Append a node list's body: its count, then each node.
+fn put_nodes(out: &mut Vec<u8>, nodes: &[ShippedNode]) {
+    let n = nodes.len().min(usize::from(u16::MAX));
+    out.extend_from_slice(&(n as u16).to_le_bytes());
+    for node in &nodes[..n] {
+        out.extend_from_slice(&node.handle.to_le_bytes());
+        put_str(out, &node.label);
+        put_link(out, node.down);
+        put_link(out, node.right);
+    }
+}
+
+/// Does a node list encode whole, its reply within [`MAX_FRAME`]?
+fn nodes_fit(nodes: &[ShippedNode]) -> bool {
+    nodes.len() <= usize::from(u16::MAX)
+        && nodes.iter().all(|n| fits(&n.label))
+        && nodes.iter().map(|n| shipped_node_len(n.label.len())).sum::<usize>() + NODES_HEADER_LEN
+            <= MAX_FRAME as usize
 }
 
 impl Request {
@@ -429,19 +485,21 @@ impl Reply {
     /// and, for a node list, every node within [`MAX_FRAME`]?
     pub fn fits(&self) -> bool {
         match self {
-            Reply::Nodes { nodes } => {
-                nodes.len() <= usize::from(u16::MAX)
-                    && nodes.iter().all(|n| fits(&n.label))
-                    && nodes.iter().map(|n| shipped_node_len(n.label.len())).sum::<usize>()
-                        + NODES_HEADER_LEN
-                        <= MAX_FRAME as usize
+            Reply::Nodes { nodes } | Reply::Opened { first: FirstAnswer::Nodes(nodes), .. } => {
+                nodes_fit(nodes)
             }
             Reply::Label { label } => fits(label),
             Reply::DegradedLabel { label, sources } => {
                 fits(label) && sources.iter().all(|s| fits(s))
             }
+            Reply::Opened { first: FirstAnswer::Unknown { degraded }, .. } => {
+                degraded.iter().all(|s| fits(s))
+            }
             Reply::Error { msg, .. } => fits(msg),
-            Reply::Opened { .. } | Reply::Node { .. } | Reply::End | Reply::Closed => true,
+            Reply::Opened { first: FirstAnswer::End, .. }
+            | Reply::Node { .. }
+            | Reply::End
+            | Reply::Closed => true,
         }
     }
 
@@ -449,10 +507,21 @@ impl Reply {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
         match self {
-            Reply::Opened { session, root } => {
+            Reply::Opened { session, root, first } => {
                 out.push(0x81);
                 out.extend_from_slice(&session.to_le_bytes());
                 out.extend_from_slice(&root.to_le_bytes());
+                match first {
+                    FirstAnswer::Unknown { degraded } => {
+                        out.push(0x00);
+                        put_strs(&mut out, degraded);
+                    }
+                    FirstAnswer::End => out.push(0x01),
+                    FirstAnswer::Nodes(nodes) => {
+                        out.push(0x87);
+                        put_nodes(&mut out, nodes);
+                    }
+                }
             }
             Reply::Node { handle } => {
                 out.push(0x82);
@@ -466,23 +535,12 @@ impl Reply {
             Reply::DegradedLabel { label, sources } => {
                 out.push(0x85);
                 put_str(&mut out, label);
-                let n = sources.len().min(usize::from(u16::MAX));
-                out.extend_from_slice(&(n as u16).to_le_bytes());
-                for s in &sources[..n] {
-                    put_str(&mut out, s);
-                }
+                put_strs(&mut out, sources);
             }
             Reply::Closed => out.push(0x86),
             Reply::Nodes { nodes } => {
                 out.push(0x87);
-                let n = nodes.len().min(usize::from(u16::MAX));
-                out.extend_from_slice(&(n as u16).to_le_bytes());
-                for node in &nodes[..n] {
-                    out.extend_from_slice(&node.handle.to_le_bytes());
-                    put_str(&mut out, &node.label);
-                    put_link(&mut out, node.down);
-                    put_link(&mut out, node.right);
-                }
+                put_nodes(&mut out, nodes);
             }
             Reply::Error { code, msg } => {
                 out.push(0xC0);
@@ -498,36 +556,22 @@ impl Reply {
         let mut r = Reader::new(payload);
         let tag = r.u8()?;
         let reply = match tag {
-            0x81 => Reply::Opened { session: r.u64()?, root: r.u64()? },
+            0x81 => {
+                let (session, root) = (r.u64()?, r.u64()?);
+                let first = match r.u8()? {
+                    0x00 => FirstAnswer::Unknown { degraded: r.strings()? },
+                    0x01 => FirstAnswer::End,
+                    0x87 => FirstAnswer::Nodes(r.nodes()?),
+                    tag => return Err(FrameError::BadLinkTag(tag)),
+                };
+                Reply::Opened { session, root, first }
+            }
             0x82 => Reply::Node { handle: r.u64()? },
             0x83 => Reply::End,
             0x84 => Reply::Label { label: r.string()? },
-            0x85 => {
-                let label = r.string()?;
-                let n = r.u16()?;
-                let mut sources = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    sources.push(r.string()?);
-                }
-                Reply::DegradedLabel { label, sources }
-            }
+            0x85 => Reply::DegradedLabel { label: r.string()?, sources: r.strings()? },
             0x86 => Reply::Closed,
-            0x87 => {
-                let n = r.u16()?;
-                if n == 0 {
-                    return Err(FrameError::EmptyNodeList);
-                }
-                let mut nodes = Vec::with_capacity(usize::from(n).min(r.remaining() / 12));
-                for _ in 0..n {
-                    nodes.push(ShippedNode {
-                        handle: r.u64()?,
-                        label: r.string()?,
-                        down: r.link(n)?,
-                        right: r.link(n)?,
-                    });
-                }
-                Reply::Nodes { nodes }
-            }
+            0x87 => Reply::Nodes { nodes: r.nodes()? },
             0xC0 => Reply::Error { code: ErrorCode::from_u8(r.u8()?)?, msg: r.string()? },
             other => return Err(FrameError::UnknownTag(other)),
         };
@@ -579,6 +623,34 @@ impl<'a> Reader<'a> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| FrameError::BadUtf8)
+    }
+
+    /// A count, then that many `str` fields.
+    fn strings(&mut self) -> Result<Vec<String>, FrameError> {
+        let n = self.u16()?;
+        let mut strs = Vec::with_capacity(usize::from(n).min(self.remaining() / 2));
+        for _ in 0..n {
+            strs.push(self.string()?);
+        }
+        Ok(strs)
+    }
+
+    /// A node list's body: a count of at least one, then each node.
+    fn nodes(&mut self) -> Result<Vec<ShippedNode>, FrameError> {
+        let n = self.u16()?;
+        if n == 0 {
+            return Err(FrameError::EmptyNodeList);
+        }
+        let mut nodes = Vec::with_capacity(usize::from(n).min(self.remaining() / 12));
+        for _ in 0..n {
+            nodes.push(ShippedNode {
+                handle: self.u64()?,
+                label: self.string()?,
+                down: self.link(n)?,
+                right: self.link(n)?,
+            });
+        }
+        Ok(nodes)
     }
 
     /// A link of a node list `nodes` long.
@@ -773,7 +845,25 @@ mod tests {
     #[test]
     fn reply_round_trips() {
         for reply in [
-            Reply::Opened { session: 12, root: 1 },
+            Reply::Opened { session: 12, root: 1, first: FirstAnswer::End },
+            Reply::Opened {
+                session: u64::MAX,
+                root: 1,
+                first: FirstAnswer::Unknown { degraded: vec![] },
+            },
+            Reply::Opened {
+                session: 3,
+                root: 1,
+                first: FirstAnswer::Unknown { degraded: vec!["homesSrc".into(), "".into()] },
+            },
+            Reply::Opened {
+                session: 3,
+                root: 1,
+                first: FirstAnswer::Nodes(vec![
+                    shipped(2, "med_home", Link::To(1), Link::Unknown),
+                    shipped(3, "home", Link::Unknown, Link::End),
+                ]),
+            },
             Reply::Node { handle: 42 },
             Reply::Nodes { nodes: vec![shipped(43, "zip", Link::Unknown, Link::End)] },
             Reply::Nodes {
@@ -812,6 +902,34 @@ mod tests {
             Reply::decode(&bad),
             Err(FrameError::LinkOutOfRange { index: 1, nodes: 1 })
         );
+    }
+
+    #[test]
+    fn malformed_first_answers_are_typed() {
+        let opened = |first| Reply::Opened { session: 1, root: 1, first }.encode();
+        let mut bad = opened(FirstAnswer::End);
+        bad[17] = 0x02;
+        assert_eq!(Reply::decode(&bad), Err(FrameError::BadLinkTag(0x02)));
+        bad[17] = 0x87;
+        assert!(matches!(Reply::decode(&bad), Err(FrameError::Truncated { .. })));
+        bad.extend_from_slice(&[0, 0]);
+        assert_eq!(Reply::decode(&bad), Err(FrameError::EmptyNodeList));
+        let list = opened(FirstAnswer::Nodes(vec![shipped(2, "a", Link::To(0), Link::End)]));
+        let mut bad = list.clone();
+        let n = bad.len();
+        bad[n - 3] = 1;
+        assert_eq!(Reply::decode(&bad), Err(FrameError::LinkOutOfRange { index: 1, nodes: 1 }));
+        for cut in 0..list.len() {
+            assert!(matches!(Reply::decode(&list[..cut]), Err(FrameError::Truncated { .. })));
+        }
+        let mut padded = list;
+        padded.push(0);
+        assert_eq!(Reply::decode(&padded), Err(FrameError::TrailingBytes { extra: 1 }));
+        let degraded = opened(FirstAnswer::Unknown { degraded: vec!["src".into()] });
+        assert!(matches!(
+            Reply::decode(&degraded[..degraded.len() - 1]),
+            Err(FrameError::Truncated { .. })
+        ));
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub mod server;
 
 pub use client::{ClientError, FetchOutcome, OpenSession, VxdClient};
 pub use codec::{
-    ErrorCode, FrameError, FrameStream, Link, Reply, Request, ShippedNode, TraceContext, Verb,
-    MAX_FRAME, TRACE_MARKER,
+    ErrorCode, FirstAnswer, FrameError, FrameStream, Link, Reply, Request, ShippedNode,
+    TraceContext, Verb, MAX_FRAME, TRACE_MARKER,
 };
 pub use pipe::{pipe, PipeEnd};
 pub use pool::{SessionSources, DEFAULT_SESSION_BATCH};

@@ -19,7 +19,9 @@
 //!
 //! Every navigation runs under `catch_unwind` while holding only that
 //! session's lock: a panicking session is force-closed and answered with
-//! a typed [`ErrorCode::Internal`] — its neighbours never notice.
+//! a typed [`ErrorCode::Internal`] — its neighbours never notice. An
+//! `Open` answers `d(root)` under the same boundary, before the session
+//! exists: a panic there opens no session.
 //! Session locks are poison-recovering, so even the panicked session's
 //! state can be torn down cleanly. Session teardown releases everything
 //! the session owned: its engine (hence its buffers and their pending
@@ -30,8 +32,8 @@
 //! [`BufferNavigator`]: mix_buffer::BufferNavigator
 
 use crate::codec::{
-    shipped_node_len, ErrorCode, FrameStream, Link, Reply, Request, ShippedNode, TraceContext,
-    Verb, MAX_FRAME, MAX_STR, NODES_HEADER_LEN,
+    shipped_node_len, ErrorCode, FirstAnswer, FrameStream, Link, Reply, Request, ShippedNode,
+    TraceContext, Verb, MAX_FRAME, MAX_STR, NODES_HEADER_LEN,
 };
 use crate::pool::SessionSources;
 use mix_algebra::{translate, Plan};
@@ -62,8 +64,8 @@ pub const DEFAULT_MAX_SESSIONS: usize = 65_536;
 /// [`VxdServer::set_slow_nav_threshold`].
 pub const DEFAULT_SLOW_NAV_NS: u64 = 10_000_000;
 
-/// Most nodes one `d`/`r`/`select` reply ships: the reached node and
-/// its known neighbourhood.
+/// Most nodes one `d`/`r`/`select` or `Open` reply ships: the reached
+/// node and its known neighbourhood.
 pub const MAX_SHIPPED_NODES: usize = 32;
 
 /// Entries the slow-navigation ring retains (oldest evicted first).
@@ -73,32 +75,14 @@ pub const SLOW_NAV_CAPACITY: usize = 256;
 /// inspection via [`VxdServer::session_trace`].
 pub const CLOSED_TRACE_CAPACITY: usize = 64;
 
-/// The metric label of each navigation verb (RED series are split on it).
-fn verb_label(verb: &Verb) -> Option<usize> {
-    match verb {
-        Verb::Down { .. } => Some(0),
-        Verb::Right { .. } => Some(1),
-        Verb::Fetch { .. } => Some(2),
-        Verb::Select { .. } => Some(3),
-        Verb::Open { .. } | Verb::Close => None,
-    }
-}
-
-/// Label values for the four navigation verbs, in `verb_label` order.
+/// Label values for the four navigation verbs (RED series are split on
+/// them); a verb's index here is its slot in every per-verb table.
 pub const VERB_LABELS: [&str; 4] = ["d", "r", "f", "select"];
 
-/// The wire-span name of a verb (matches the engine's span names, so a
-/// merged trace shows one consistent command vocabulary).
-fn verb_span_name(verb: &Verb) -> &'static str {
-    match verb {
-        Verb::Open { .. } => "open",
-        Verb::Down { .. } => "d",
-        Verb::Right { .. } => "r",
-        Verb::Fetch { .. } => "f",
-        Verb::Select { .. } => "s",
-        Verb::Close => "close",
-    }
-}
+/// The wire-span name of each navigation verb, in [`VERB_LABELS`] order
+/// (the engine's span names, so a merged trace shows one consistent
+/// command vocabulary).
+const VERB_SPANS: [&str; 4] = ["d", "r", "f", "s"];
 
 /// RED series for one navigation verb: rate (`total`), errors, duration.
 struct VerbStats {
@@ -300,7 +284,7 @@ impl VxdServer {
         );
         let degraded_total = metrics.counter(
             "mix_serve_degraded_replies_total",
-            "DegradedLabel replies served",
+            "replies naming degraded sources: DegradedLabel, and Opened",
             &[],
         );
         let verb_stats = VERB_LABELS.map(|verb| VerbStats {
@@ -570,32 +554,44 @@ impl VxdServer {
     /// are identical either way: tracing is pure observation.
     pub fn handle(&self, req: &Request) -> Reply {
         let ctx = req.trace.filter(|c| c.sampled);
+        let id = req.session;
         match &req.verb {
             Verb::Open { template } => self.open(template, ctx),
-            Verb::Close => {
-                // A traced close records its own span before teardown so
-                // the final frame is linked like every other.
-                if let Some(ctx) = ctx {
-                    if let Some(session) =
-                        lock_unpoisoned(&self.shared.sessions).get(&req.session).cloned()
-                    {
-                        let s = lock_unpoisoned(&session);
-                        if s.trace.is_enabled() {
-                            s.trace.begin_span("close");
-                            s.trace.emit(
-                                None,
-                                TraceKind::WireSpan { client_span: ctx.span, verb: "close" },
-                            );
-                        }
-                    }
-                }
-                if self.close_session(req.session) {
-                    Reply::Closed
-                } else {
-                    unknown_session(req.session)
+            Verb::Close => self.close(id, ctx),
+            Verb::Down { node: h } => {
+                self.navigate(id, 0, ctx, |s| step(&mut s.nav, *h, |e, p| e.down(p)))
+            }
+            Verb::Right { node: h } => {
+                self.navigate(id, 1, ctx, |s| step(&mut s.nav, *h, |e, p| e.right(p)))
+            }
+            Verb::Fetch { node: h } => self.navigate(id, 2, ctx, |s| match s.nav.lookup(*h) {
+                None => unknown_handle(*h),
+                Some(_) if s.panic_on_fetch => panic!("injected session panic (panic template)"),
+                Some((engine, p)) => label_reply(engine.fetch_checked(p)),
+            }),
+            Verb::Select { node: h, label } => self.navigate(id, 3, ctx, |s| {
+                step(&mut s.nav, *h, |e, p| e.select(p, &LabelPred::equals(label.as_str())))
+            }),
+        }
+    }
+
+    fn close(&self, id: u64, ctx: Option<TraceContext>) -> Reply {
+        // A traced close records its own span before teardown so the
+        // final frame is linked like every other.
+        if let Some(ctx) = ctx {
+            if let Some(session) = lock_unpoisoned(&self.shared.sessions).get(&id).cloned() {
+                let s = lock_unpoisoned(&session);
+                if s.trace.is_enabled() {
+                    s.trace.begin_span("close");
+                    let link = TraceKind::WireSpan { client_span: ctx.span, verb: "close" };
+                    s.trace.emit(None, link);
                 }
             }
-            verb => self.navigate(req.session, verb, ctx),
+        }
+        if self.close_session(id) {
+            Reply::Closed
+        } else {
+            unknown_session(id)
         }
     }
 
@@ -626,7 +622,7 @@ impl VxdServer {
         } else {
             sh.pool.registry_for_session()
         };
-        let engine = match Engine::with_config(tpl.plan.clone(), &registry, sh.config) {
+        let mut engine = match Engine::with_config(tpl.plan.clone(), &registry, sh.config) {
             Ok(e) => e,
             Err(e) => {
                 return Reply::Error { code: ErrorCode::Internal, msg: e.to_string() };
@@ -634,6 +630,39 @@ impl VxdServer {
         };
         if let Some(outcome) = engine.semantic_outcome() {
             sh.semcache_outcomes[outcome_slot(outcome)].inc();
+        }
+        // Every client's first command is `d(root)`, so the open answers
+        // it: under the panic boundary a navigation runs under, before
+        // the session exists, and in the warm-up's span, which the `open`
+        // link below names. What a degraded source produced stays behind.
+        let answered = catch_unwind(AssertUnwindSafe(move || {
+            let root = engine.root();
+            let (shipment, degraded) = engine.degraded_during(|e| {
+                let reached = e.down_in_span(&root);
+                ship(e, reached)
+            });
+            let mut nav = HandleTable::new(engine);
+            let root = nav.root();
+            let first = match shipment {
+                _ if !degraded.is_empty() => FirstAnswer::Unknown { degraded },
+                Shipment::End => FirstAnswer::End,
+                // A label no frame carries: the client's `d(root)` crosses.
+                Shipment::Bare(_) => FirstAnswer::Unknown { degraded },
+                Shipment::Nodes { nodes, held } => {
+                    FirstAnswer::Nodes(number(&mut nav, nodes, held))
+                }
+            };
+            (nav, root, first)
+        }));
+        let Ok((nav, root_handle, first)) = answered else {
+            sh.panics_total.inc();
+            return Reply::Error {
+                code: ErrorCode::Internal,
+                msg: format!("opening a session over `{template}` panicked"),
+            };
+        };
+        if matches!(&first, FirstAnswer::Unknown { degraded } if !degraded.is_empty()) {
+            sh.degraded_total.inc();
         }
         let id = sh.next_session.fetch_add(1, Ordering::Relaxed) + 1;
         let commands = sh.metrics.counter(
@@ -647,15 +676,14 @@ impl VxdServer {
             &[("session", &id.to_string())],
         );
         if let Some(ctx) = ctx {
-            // Engine warm-up above ran at span 0; link it to the client's
-            // `open` span and surface this ring's overflow counter under
-            // the session label (swept at close with the other series).
+            // Engine warm-up and `d(root)` above ran at span 0; link it to
+            // the client's `open` span and surface this ring's overflow
+            // counter under the session label (swept at close with the
+            // other series).
             trace.emit(None, TraceKind::WireSpan { client_span: ctx.span, verb: "open" });
             trace.bind_into(&sh.metrics, &[("session", &id.to_string())]);
         }
-        let mut nav = HandleTable::new(engine);
-        let root_handle = nav.root();
-        ids.add(root_handle);
+        ids.add(nav.issued());
         let session = Session {
             nav,
             commands,
@@ -668,16 +696,23 @@ impl VxdServer {
         lock_unpoisoned(&sh.sessions).insert(id, Arc::new(Mutex::new(session)));
         sh.sessions_gauge.add(1);
         sh.opened_total.inc();
-        Reply::Opened { session: id, root: root_handle }
+        Reply::Opened { session: id, root: root_handle, first }
     }
 
-    fn navigate(&self, session_id: u64, verb: &Verb, ctx: Option<TraceContext>) -> Reply {
+    /// Serve navigation verb `verb` (its [`VERB_LABELS`] slot) on one
+    /// session with `serve`.
+    fn navigate(
+        &self,
+        session_id: u64,
+        verb: usize,
+        ctx: Option<TraceContext>,
+        serve: impl FnOnce(&mut Session) -> Reply,
+    ) -> Reply {
         let sh = &*self.shared;
+        let vs = &sh.verb_stats[verb];
         let Some(session) = lock_unpoisoned(&sh.sessions).get(&session_id).cloned() else {
-            if let Some(vs) = verb_label(verb).map(|i| &sh.verb_stats[i]) {
-                vs.total.inc();
-                vs.errors.inc();
-            }
+            vs.total.inc();
+            vs.errors.inc();
             return unknown_session(session_id);
         };
         let start = Instant::now();
@@ -690,21 +725,7 @@ impl VxdServer {
             let s = &mut *guard;
             s.commands.inc();
             let issued_before = s.nav.issued();
-            let reply = match verb {
-                Verb::Down { node: h } => step(&mut s.nav, *h, |e, p| e.down(p)),
-                Verb::Right { node: h } => step(&mut s.nav, *h, |e, p| e.right(p)),
-                Verb::Fetch { node: h } => match s.nav.lookup(*h) {
-                    None => unknown_handle(*h),
-                    Some(_) if s.panic_on_fetch => {
-                        panic!("injected session panic (panic template)")
-                    }
-                    Some((engine, p)) => label_reply(engine.fetch_checked(p)),
-                },
-                Verb::Select { node: h, label } => step(&mut s.nav, *h, |e, p| {
-                    e.select(p, &LabelPred::equals(label.as_str()))
-                }),
-                Verb::Open { .. } | Verb::Close => unreachable!("handled in handle()"),
-            };
+            let reply = serve(s);
             s.ids.add(s.nav.issued() - issued_before);
             // The engine's nav verb began the server-side span; link it
             // to the client span *after* the call so the wire-span event
@@ -716,7 +737,7 @@ impl VxdServer {
                 if s.trace.is_enabled() && began {
                     s.trace.emit(
                         None,
-                        TraceKind::WireSpan { client_span: ctx.span, verb: verb_span_name(verb) },
+                        TraceKind::WireSpan { client_span: ctx.span, verb: VERB_SPANS[verb] },
                     );
                 }
             }
@@ -724,20 +745,15 @@ impl VxdServer {
             (reply, server_span)
         }));
         let elapsed_ns = start.elapsed().as_nanos() as u64;
-        let vs = verb_label(verb).map(|i| &sh.verb_stats[i]);
-        if let Some(vs) = vs {
-            vs.total.inc();
-            vs.latency.observe(elapsed_ns);
-        }
+        vs.total.inc();
+        vs.latency.observe(elapsed_ns);
         match outcome {
             Ok((reply, server_span)) => {
                 if matches!(reply, Reply::DegradedLabel { .. }) {
                     sh.degraded_total.inc();
                 }
                 if matches!(reply, Reply::Error { .. }) {
-                    if let Some(vs) = vs {
-                        vs.errors.inc();
-                    }
+                    vs.errors.inc();
                 }
                 if elapsed_ns >= sh.slow_threshold_ns.load(Ordering::Relaxed) {
                     sh.slow_total.inc();
@@ -747,7 +763,7 @@ impl VxdServer {
                     }
                     ring.push_back(SlowNav {
                         session: session_id,
-                        verb: VERB_LABELS[verb_label(verb).unwrap_or(0)],
+                        verb: VERB_LABELS[verb],
                         elapsed_ns,
                         server_span,
                         client_span: ctx.map(|c| c.span),
@@ -756,9 +772,7 @@ impl VxdServer {
                 reply
             }
             Err(_) => {
-                if let Some(vs) = vs {
-                    vs.errors.inc();
-                }
+                vs.errors.inc();
                 sh.panics_total.inc();
                 self.close_session(session_id);
                 Reply::Error {
@@ -865,9 +879,37 @@ fn unknown_session(id: u64) -> Reply {
     Reply::Error { code: ErrorCode::UnknownSession, msg: format!("no session {id}") }
 }
 
-/// A `d`/`r`/`select` verb from handle `h`: the node `go` reaches and
-/// its known neighbourhood, each node numbered in the session's handle
-/// table, or the end of the axis.
+/// A `d`/`r`/`select` verb from handle `h`: what [`ship`] makes of the
+/// node `go` reaches, numbered in the session's handle table.
+fn step(
+    nav: &mut HandleTable<Engine>,
+    h: u64,
+    go: impl FnOnce(&mut Engine, &VNode) -> Option<VNode>,
+) -> Reply {
+    let Some((engine, p)) = nav.lookup(h) else {
+        return unknown_handle(h);
+    };
+    let reached = go(engine, p);
+    match ship(engine, reached) {
+        Shipment::End => Reply::End,
+        Shipment::Bare(reached) => Reply::Node { handle: nav.issue(reached) },
+        Shipment::Nodes { nodes, held } => Reply::Nodes { nodes: number(nav, nodes, held) },
+    }
+}
+
+/// What a reply ships of a node a navigation reached, before the session
+/// numbers its nodes.
+enum Shipment {
+    /// The navigation reached nothing: the end of the axis.
+    End,
+    /// The reached node's label cannot ship: the node goes alone.
+    Bare(VNode),
+    /// The reached node first, then its known neighbourhood; `nodes[i]`
+    /// describes `held[i]`.
+    Nodes { nodes: Vec<ShippedNode>, held: Vec<VNode> },
+}
+
+/// The node a navigation reached and its known neighbourhood.
 ///
 /// The reached node ships first, with its label, when the label is
 /// complete and a frame can carry it. Then, breadth first, every node its
@@ -878,19 +920,12 @@ fn unknown_session(id: u64) -> Reply {
 /// A reached node whose label is degraded or over-long ships alone as a
 /// bare `Node`: the client's `f` then crosses the wire and gets
 /// `DegradedLabel` or `LabelTooLong` from [`label_reply`].
-fn step(
-    nav: &mut HandleTable<Engine>,
-    h: u64,
-    go: impl FnOnce(&mut Engine, &VNode) -> Option<VNode>,
-) -> Reply {
-    let Some((engine, p)) = nav.lookup(h) else {
-        return unknown_handle(h);
-    };
-    let Some(reached) = go(engine, p) else {
-        return Reply::End;
+fn ship(engine: &mut Engine, reached: Option<VNode>) -> Shipment {
+    let Some(reached) = reached else {
+        return Shipment::End;
     };
     let Some(label) = shippable(engine.fetch_checked_in_span(&reached)) else {
-        return Reply::Node { handle: nav.issue(reached) };
+        return Shipment::Bare(reached);
     };
     let mut bytes = NODES_HEADER_LEN + shipped_node_len(label.len());
     let mut nodes = vec![unlinked(label)];
@@ -919,10 +954,19 @@ fn step(
         }
         at += 1;
     }
+    Shipment::Nodes { nodes, held }
+}
+
+/// Number each shipped node in the session's handle table.
+fn number(
+    nav: &mut HandleTable<Engine>,
+    mut nodes: Vec<ShippedNode>,
+    held: Vec<VNode>,
+) -> Vec<ShippedNode> {
     for (node, v) in nodes.iter_mut().zip(held) {
         node.handle = nav.issue(v);
     }
-    Reply::Nodes { nodes }
+    nodes
 }
 
 /// A label a frame carries whole: complete, and at most [`MAX_STR`] bytes.

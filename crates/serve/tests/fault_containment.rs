@@ -1,16 +1,24 @@
 //! Fault containment through the serving stack: a deliberately-panicked
 //! session is force-closed and answered with a typed error while its
-//! neighbours keep navigating; degraded answers cross the wire as
-//! `DegradedLabel` (a remote client can never mistake a degraded empty
-//! label for a real one); malformed frames get typed errors without
-//! killing the connection; a label no frame can carry is a typed error,
-//! not a dead connection; and all of it holds over real TCP.
+//! neighbours keep navigating, and a panic while `Open` answers `d(root)`
+//! opens no session; degraded answers cross the wire as `DegradedLabel`
+//! (a remote client can never mistake a degraded empty label for a real
+//! one), and an `Open` whose `d(root)` degraded names the sources;
+//! malformed frames get typed errors without killing the connection; a
+//! label no frame can carry is a typed error, not a dead connection; and
+//! all of it holds over real TCP.
+//!
+//! `close` does not wait for its reply, so a test reads server state
+//! after a `close` only past the next exchange on that connection: the
+//! stream is ordered, so by then the server has served the `close`.
 
 use mix_buffer::{
-    FaultConfig, FaultyWrapper, FillPolicy, FragmentCache, MetricsRegistry, SampleValue,
-    TreeWrapper,
+    FaultConfig, FaultyWrapper, FillPolicy, Fragment, FragmentCache, HoleId, LxpError,
+    LxpWrapper, MetricsRegistry, SampleValue, TreeWrapper,
 };
-use mix_serve::codec::{write_frame, FrameStream, Link, Reply, Request, ShippedNode, Verb};
+use mix_serve::codec::{
+    write_frame, FirstAnswer, FrameError, FrameStream, Link, Reply, Request, ShippedNode, Verb,
+};
 use mix_serve::{
     pipe, ClientError, ErrorCode, FetchOutcome, SessionSources, VxdClient, VxdServer,
     MAX_SHIPPED_NODES,
@@ -22,6 +30,35 @@ use std::io::Write;
 use std::sync::Arc;
 
 const QUERY: &str = "CONSTRUCT <all> $X {$X} </all> {} WHERE src items._ $X";
+
+/// `<$L>` takes its label from `$L`'s subtree, so fetching it fills that
+/// subtree.
+const LABELLED: &str =
+    "CONSTRUCT <all> <$L> $X {$X} </$L> {$L} </all> {} WHERE src items._ $X AND $X t $L";
+
+/// A source for [`LABELLED`] that goes down after its 4th request: the
+/// `d(root)` to the first element succeeds, its label fetch degrades.
+fn failing_labels_server() -> VxdServer {
+    let mut pool = SessionSources::new(FragmentCache::new(), MetricsRegistry::enabled());
+    let tree = parse_term("items[a[t[u[1],v[2]]],b[t[w[3]]]]").unwrap();
+    let mut inner = TreeWrapper::new(FillPolicy::NodeAtATime);
+    inner.add("src", Arc::new(mix_xml::Document::from_tree(&tree)));
+    pool.add_wrapper("src", FaultyWrapper::new(inner, FaultConfig::outage_after(4)));
+    let mut server = VxdServer::new(pool);
+    server.add_template("q", LABELLED).unwrap();
+    server
+}
+
+/// Per-session metric series still registered.
+fn session_series(server: &VxdServer) -> usize {
+    server
+        .metrics()
+        .snapshot()
+        .samples
+        .into_iter()
+        .filter(|s| s.labels.iter().any(|(k, _)| k == "session"))
+        .count()
+}
 
 fn healthy_server() -> VxdServer {
     let mut pool = SessionSources::new(FragmentCache::new(), MetricsRegistry::enabled());
@@ -66,51 +103,94 @@ fn a_panicked_session_is_contained_and_neighbours_survive() {
     let child = client.down(good.session, good.root).unwrap().expect("root has children");
     assert_eq!(client.fetch(good.session, child).unwrap(), "a");
     client.close(good.session).unwrap();
+    let err = client.fetch(good.session, good.root).unwrap_err();
+    assert!(matches!(err, ClientError::Server { code: ErrorCode::UnknownSession, .. }));
 
     // The panic left no per-session series behind.
-    let leaked = server
-        .metrics()
-        .snapshot()
-        .samples
-        .into_iter()
-        .filter(|s| s.labels.iter().any(|(k, _)| k == "session"))
-        .count();
-    assert_eq!(leaked, 0);
+    assert_eq!(session_series(&server), 0);
 
+    drop(client);
+    conn.join().unwrap();
+}
+
+/// A source whose fills panic; the engine's build asks it only for its
+/// root.
+struct PanickingFills(TreeWrapper);
+
+impl LxpWrapper for PanickingFills {
+    fn get_root(&mut self, uri: &str) -> Result<HoleId, LxpError> {
+        self.0.get_root(uri)
+    }
+
+    fn fill(&mut self, _: &HoleId) -> Result<Vec<Fragment>, LxpError> {
+        panic!("injected fill panic")
+    }
+}
+
+#[test]
+fn a_panic_while_open_answers_d_root_opens_no_session() {
+    let mut pool = SessionSources::new(FragmentCache::new(), MetricsRegistry::enabled());
+    let mut inner = TreeWrapper::new(FillPolicy::NodeAtATime);
+    inner.add("bad", Arc::new(mix_xml::Document::from_tree(&parse_term("items[a]").unwrap())));
+    pool.add_wrapper("bad", PanickingFills(inner));
+    pool.add_tree("src", &parse_term("items[a[1]]").unwrap(), FillPolicy::NodeAtATime);
+    let mut server = VxdServer::new(pool);
+    server.add_template("toxic", "CONSTRUCT <all> $X {$X} </all> {} WHERE bad items._ $X").unwrap();
+    server.add_template("q", QUERY).unwrap();
+    let (client_end, server_end) = pipe();
+    let server2 = server.clone();
+    let conn = std::thread::spawn(move || server2.serve_connection(server_end));
+    // Traced, so a leaked flight-recorder series would show too.
+    let mut client = VxdClient::new(client_end).with_trace(TraceSink::enabled(1_024));
+
+    let err = client.open("toxic").unwrap_err();
+    assert!(
+        matches!(err, ClientError::Server { code: ErrorCode::Internal, .. }),
+        "the panic surfaces as a typed Internal error: {err}"
+    );
+    assert_eq!(server.session_count(), 0, "no session was opened");
+    assert_eq!(session_series(&server), 0, "nor any per-session series");
+    let totals = server.metrics().snapshot();
+    assert_eq!(totals.total("mix_serve_session_panics_total"), 1);
+    assert_eq!(totals.total("mix_serve_sessions_opened_total"), 0);
+
+    // The connection is still served.
+    let open = client.open("q").unwrap();
+    let a = client.down(open.session, open.root).unwrap().expect("the view holds `a`");
+    assert_eq!(client.fetch(open.session, a).unwrap(), "a");
+    client.close(open.session).unwrap();
     drop(client);
     conn.join().unwrap();
 }
 
 #[test]
 fn degraded_answers_cross_the_wire_as_degraded() {
-    // A source that dies permanently after its very first request: the
-    // engine's warm-up get_root succeeds, every fill after it fails, so
-    // fetching the root label degrades underneath the session.
-    let mut pool = SessionSources::new(FragmentCache::new(), MetricsRegistry::enabled());
-    let tree = parse_term("items[a[1],b[2]]").unwrap();
-    let mut inner = TreeWrapper::new(FillPolicy::NodeAtATime);
-    inner.add("src", Arc::new(mix_xml::Document::from_tree(&tree)));
-    pool.add_wrapper("src", FaultyWrapper::new(inner, FaultConfig::outage_after(1)));
-    let mut server = VxdServer::new(pool);
-    server.add_template("q", QUERY).unwrap();
-
+    // The open's `d(root)` reaches the first element, whose label
+    // degrades: the open ships nothing of it and names the source.
+    let server = failing_labels_server();
     let (client_end, server_end) = pipe();
     let server2 = server.clone();
     let conn = std::thread::spawn(move || server2.serve_connection(server_end));
     let mut client = VxdClient::new(client_end);
 
     let open = client.open("q").unwrap();
-    let outcome = client.fetch_checked(open.session, open.root).unwrap();
-    match outcome {
-        FetchOutcome::Degraded { label, sources } => {
-            assert_eq!(label, "all", "the plausible label the unchecked API would serve");
-            assert_eq!(sources, ["src"], "the guilty source is named over the wire");
-        }
-        FetchOutcome::Complete(l) => panic!("a dead source must degrade, got complete {l:?}"),
-    }
+    assert_eq!(open.degraded, ["src"], "the open names the source that degraded");
+    // So `d(root)` crosses, and reaches the element bare: its `f` crosses
+    // too, and the degradation with it.
+    let first = client.down(open.session, open.root).unwrap().expect("the view holds `a`");
+    let outcome = client.fetch_checked(open.session, first).unwrap();
+    let FetchOutcome::Degraded { label, sources } = outcome else {
+        panic!("a dead source must degrade, got {outcome:?}")
+    };
+    assert_eq!(sources, ["src"], "the guilty source is named over the wire");
     // The unchecked convenience hides it — which is exactly why the wire
     // carries the distinction.
-    assert_eq!(client.fetch(open.session, open.root).unwrap(), "all");
+    assert_eq!(client.fetch(open.session, first).unwrap(), label);
+    assert_eq!(
+        server.metrics().snapshot().total("mix_serve_degraded_replies_total"),
+        3,
+        "the open and both fetches"
+    );
 
     client.close(open.session).unwrap();
     drop(client);
@@ -149,6 +229,29 @@ fn malformed_frames_get_typed_errors_without_dropping_the_connection() {
     conn.join().unwrap();
 }
 
+#[test]
+fn a_late_close_reply_that_does_not_decode_is_returned_by_the_next_call() {
+    let (client_end, peer_end) = pipe();
+    // A peer that answers `open`, then answers `close` with a frame that
+    // decodes to no reply.
+    let peer = std::thread::spawn(move || {
+        let mut frames = FrameStream::new(peer_end);
+        frames.recv_request().unwrap().unwrap();
+        let opened = Reply::Opened { session: 1, root: 1, first: FirstAnswer::End };
+        frames.send_reply(&opened).unwrap();
+        let close = frames.recv_request().unwrap().unwrap();
+        assert_eq!(close.verb, Verb::Close);
+        write_frame(frames.stream_mut(), &[0x7F]).unwrap();
+        frames.recv_request().unwrap().unwrap();
+    });
+    let mut client = VxdClient::new(client_end);
+    let open = client.open("q").unwrap();
+    client.close(open.session).unwrap();
+    let err = client.open("q").unwrap_err();
+    assert!(matches!(err, ClientError::Frame(FrameError::UnknownTag(0x7F))), "{err}");
+    peer.join().unwrap();
+}
+
 /// Borrow the transport under a `FrameStream` to write raw bytes.
 fn frames_stream<S: std::io::Read + Write>(frames: &mut FrameStream<S>) -> &mut S {
     frames.stream_mut()
@@ -178,6 +281,8 @@ fn everything_holds_over_real_tcp() {
                     assert_eq!(labels, ["a", "b", "c"]);
                     client.close(s.session).unwrap();
                 }
+                // Past this exchange the server has served both closes.
+                assert!(client.open("nonesuch").is_err());
             })
         })
         .collect();
@@ -196,8 +301,11 @@ fn a_label_no_frame_can_carry_is_a_typed_error_not_a_dead_connection() {
     let tree = Tree::node("items", vec![Tree::node("a", vec![Tree::leaf(big.as_str())])]);
     let mut pool = SessionSources::new(FragmentCache::new(), MetricsRegistry::enabled());
     pool.add_tree("src", &tree, FillPolicy::NodeAtATime);
+    let leaf_first = Tree::node("items", vec![Tree::leaf(big.as_str())]);
+    pool.add_tree("flat", &leaf_first, FillPolicy::NodeAtATime);
     let mut server = VxdServer::new(pool);
     server.add_template("q", QUERY).unwrap();
+    server.add_template("flat", "CONSTRUCT <all> $X {$X} </all> {} WHERE flat items._ $X").unwrap();
     let sessions = || -> u64 {
         server
             .metrics()
@@ -231,7 +339,16 @@ fn a_label_no_frame_can_carry_is_a_typed_error_not_a_dead_connection() {
     assert_eq!(client.fetch(open.session, a).unwrap(), "a");
     assert_eq!(sessions(), baseline + 1);
     client.close(open.session).unwrap();
+    assert!(client.fetch(open.session, a).is_err(), "the session is gone");
     assert_eq!(sessions(), baseline, "close returns the sessions gauge to baseline");
+
+    // The first answer is the leaf: `Opened` leaves `d(root)` unknown, so
+    // the `d` crosses and reaches the leaf bare.
+    let flat = client.open("flat").unwrap();
+    assert!(flat.degraded.is_empty(), "nothing degraded");
+    let leaf = client.down(flat.session, flat.root).unwrap().expect("the view holds the leaf");
+    let err = client.fetch(flat.session, leaf).unwrap_err();
+    assert!(matches!(err, ClientError::Server { code: ErrorCode::LabelTooLong, .. }), "{err}");
     drop(client);
     conn.join().expect("the connection thread did not panic");
 }
@@ -251,7 +368,7 @@ fn the_server_cuts_a_node_list_to_what_one_frame_carries() {
     pool.add_tree("src", &tree, FillPolicy::WholeSubtree);
     let mut server = VxdServer::new(pool);
     server.add_template("q", QUERY).unwrap();
-    let Reply::Opened { session, root } =
+    let Reply::Opened { session, root, .. } =
         server.handle(&Request::new(0, Verb::Open { template: "q".into() }))
     else {
         panic!("the template opens");
@@ -287,21 +404,7 @@ fn the_server_cuts_a_node_list_to_what_one_frame_carries() {
 
 #[test]
 fn a_degraded_label_is_not_shipped_and_its_fetch_crosses_the_wire() {
-    // `<$L>` takes its label from `$L`'s subtree, so fetching it fills
-    // that subtree. The source goes down after its 4th request: the `d`
-    // to the first element still succeeds, its label fetch degrades.
-    let mut pool = SessionSources::new(FragmentCache::new(), MetricsRegistry::enabled());
-    let tree = parse_term("items[a[t[u[1],v[2]]],b[t[w[3]]]]").unwrap();
-    let mut inner = TreeWrapper::new(FillPolicy::NodeAtATime);
-    inner.add("src", Arc::new(mix_xml::Document::from_tree(&tree)));
-    pool.add_wrapper("src", FaultyWrapper::new(inner, FaultConfig::outage_after(4)));
-    let mut server = VxdServer::new(pool);
-    server
-        .add_template(
-            "q",
-            "CONSTRUCT <all> <$L> $X {$X} </$L> {$L} </all> {} WHERE src items._ $X AND $X t $L",
-        )
-        .unwrap();
+    let server = failing_labels_server();
     let (client_end, server_end) = pipe();
     let server2 = server.clone();
     let conn = std::thread::spawn(move || server2.serve_connection(server_end));
@@ -309,9 +412,11 @@ fn a_degraded_label_is_not_shipped_and_its_fetch_crosses_the_wire() {
     // Raw frames, to see the reply itself: a bare `Node`.
     let mut frames = FrameStream::new(client_end);
     frames.send_request(&Request::new(0, Verb::Open { template: "q".into() })).unwrap();
-    let Reply::Opened { session, root } = frames.recv_reply().unwrap() else {
-        panic!("the session opens")
+    let reply = frames.recv_reply().unwrap();
+    let Reply::Opened { session, root, first } = reply else {
+        panic!("the session opens: {reply:?}")
     };
+    assert_eq!(first, FirstAnswer::Unknown { degraded: vec!["src".into()] });
     frames.send_request(&Request::new(session, Verb::Down { node: root })).unwrap();
     let reply = frames.recv_reply().unwrap();
     let Reply::Node { handle } = reply else {

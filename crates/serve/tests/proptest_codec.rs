@@ -5,8 +5,8 @@
 //! the bricks-thrown-at-it tests.
 
 use mix_serve::codec::{
-    read_frame, write_frame, ErrorCode, FrameError, Link, Reply, Request, ShippedNode,
-    TraceContext, Verb,
+    read_frame, write_frame, ErrorCode, FirstAnswer, FrameError, Link, Reply, Request,
+    ShippedNode, TraceContext, Verb,
 };
 use proptest::prelude::*;
 
@@ -97,7 +97,7 @@ fn arb_error_code() -> impl Strategy<Value = ErrorCode> {
     ]
 }
 
-fn arb_node_list() -> impl Strategy<Value = Reply> {
+fn arb_nodes() -> impl Strategy<Value = Vec<ShippedNode>> {
     // Links are drawn as (kind, raw index) and bound to the list's length
     // once it is known.
     let link = ((0u8..3), (0u16..=u16::MAX));
@@ -109,22 +109,37 @@ fn arb_node_list() -> impl Strategy<Value = Reply> {
             1 => Link::End,
             _ => Link::To(index % n),
         };
-        let nodes = raw
-            .into_iter()
+        raw.into_iter()
             .map(|(handle, label, down, right)| ShippedNode {
                 handle,
                 label,
                 down: bind(down),
                 right: bind(right),
             })
-            .collect();
-        Reply::Nodes { nodes }
+            .collect()
     })
+}
+
+fn arb_node_list() -> impl Strategy<Value = Reply> {
+    arb_nodes().prop_map(|nodes| Reply::Nodes { nodes })
+}
+
+/// `Opened` with each kind of first answer: unknown (with or without
+/// degraded sources), the end of the axis, or a node list.
+fn arb_opened() -> impl Strategy<Value = Reply> {
+    let first = prop_oneof![
+        proptest::collection::vec(arb_str(), 0..4)
+            .prop_map(|degraded| FirstAnswer::Unknown { degraded }),
+        Just(FirstAnswer::End),
+        arb_nodes().prop_map(FirstAnswer::Nodes),
+    ];
+    ((0u64..=u64::MAX), (0u64..=u64::MAX), first)
+        .prop_map(|(session, root, first)| Reply::Opened { session, root, first })
 }
 
 fn arb_reply() -> impl Strategy<Value = Reply> {
     prop_oneof![
-        ((0u64..=u64::MAX), (0u64..=u64::MAX)).prop_map(|(session, root)| Reply::Opened { session, root }),
+        arb_opened(),
         (0u64..=u64::MAX).prop_map(|handle| Reply::Node { handle }),
         arb_node_list(),
         Just(Reply::End),
@@ -220,6 +235,31 @@ proptest! {
         match Reply::decode(&bytes) {
             Ok(reply) => {
                 prop_assert!(matches!(&reply, Reply::Nodes { nodes } if !nodes.is_empty()));
+                prop_assert_eq!(reply.encode(), bytes, "lossless parse only");
+            }
+            Err(err) => prop_assert!(
+                matches!(err, FrameError::Truncated { .. } | FrameError::BadUtf8
+                    | FrameError::TrailingBytes { .. } | FrameError::EmptyNodeList
+                    | FrameError::BadLinkTag(_) | FrameError::LinkOutOfRange { .. }),
+                "unexpected error class: {err}"
+            ),
+        }
+    }
+
+    /// Random bytes after an `Opened` header: a typed error, or a value
+    /// that re-encodes to exactly those bytes.
+    #[test]
+    fn random_first_answers_never_panic(
+        tag in prop_oneof![Just(0x00u8), Just(0x01), Just(0x87), 0u8..=255],
+        body in proptest::collection::vec(prop_oneof![0u8..=3, 0u8..=255], 0..40),
+    ) {
+        let mut bytes = vec![0x81];
+        bytes.extend_from_slice(&[7; 16]);
+        bytes.push(tag);
+        bytes.extend_from_slice(&body);
+        match Reply::decode(&bytes) {
+            Ok(reply) => {
+                prop_assert!(matches!(reply, Reply::Opened { .. }));
                 prop_assert_eq!(reply.encode(), bytes, "lossless parse only");
             }
             Err(err) => prop_assert!(

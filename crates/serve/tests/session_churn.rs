@@ -4,10 +4,17 @@
 //! cannot grow without bound), and the shared fragment cache stops
 //! inserting once the working set is warm — sessions *share* the cache,
 //! they don't each refill it.
+//!
+//! `close` does not wait for its reply, so server state is read after a
+//! `close` only past the next exchange on that connection: the stream is
+//! ordered, so by then the server has served the `close`.
 
 use mix_buffer::{FillPolicy, FragmentCache, MetricsRegistry, SampleValue};
-use mix_serve::{pipe, SessionSources, VxdClient, VxdServer};
+use mix_serve::{
+    pipe, ClientError, ErrorCode, OpenSession, SessionSources, VxdClient, VxdServer,
+};
 use mix_xml::term::parse_term;
+use std::io::{Read, Write};
 
 const QUERY: &str = "CONSTRUCT <all> $X {$X} </all> {} WHERE src items._ $X";
 
@@ -21,6 +28,14 @@ fn server() -> VxdServer {
     let mut server = VxdServer::new(pool);
     server.add_template("q", QUERY).unwrap();
     server
+}
+
+/// `f(root)` of a closed session is `UnknownSession`. The reply to the
+/// `close` is read before this one, so past it the server has served
+/// the `close`.
+fn assert_gone<S: Read + Write>(client: &mut VxdClient<S>, s: &OpenSession) {
+    let err = client.fetch(s.session, s.root).unwrap_err();
+    assert!(matches!(err, ClientError::Server { code: ErrorCode::UnknownSession, .. }), "{err}");
 }
 
 #[test]
@@ -55,6 +70,7 @@ fn two_hundred_session_churn_returns_to_baseline() {
         cur = client.right(s.session, n).unwrap();
     }
     client.close(s.session).unwrap();
+    assert_gone(&mut client, &s);
     let baseline_series = metrics.len();
     let baseline_cache = server.cache().stats();
     assert_eq!(gauge("mix_serve_sessions"), 0);
@@ -69,6 +85,7 @@ fn two_hundred_session_churn_returns_to_baseline() {
             cur = client.right(s.session, n).unwrap();
         }
         client.close(s.session).unwrap();
+        assert_gone(&mut client, &s);
 
         // Closed session: gauge back to zero, its per-session series
         // unregistered, nothing leaked into the registry.
@@ -153,4 +170,22 @@ fn session_limit_is_a_typed_error_not_a_crash() {
 
     drop(client);
     conn.join().unwrap();
+}
+
+#[test]
+fn back_to_back_closes_over_tcp_do_not_deadlock() {
+    let server = server();
+    let handle = server.serve_tcp("127.0.0.1:0").unwrap();
+    let mut client = VxdClient::new(std::net::TcpStream::connect(handle.local_addr()).unwrap());
+    let sessions: Vec<_> = (0..8).map(|_| client.open("q").unwrap()).collect();
+    assert_eq!(server.session_count(), 8);
+    for s in &sessions {
+        client.close(s.session).unwrap();
+    }
+    // Past this exchange the server has served every close.
+    let open = client.open("q").unwrap();
+    assert_eq!(server.session_count(), 1);
+    client.close(open.session).unwrap();
+    drop(client);
+    handle.shutdown();
 }

@@ -14,7 +14,8 @@
 //!    propagation is pure observation;
 //! 4. under injected faults, every degraded served answer is pinpointed
 //!    by the merged trace to the client span that suffered it, with the
-//!    server-side source cascade re-parented underneath.
+//!    server-side source cascade re-parented underneath — the `d(root)`
+//!    an `open` answers included.
 
 use mix_algebra::translate;
 use mix_buffer::{
@@ -184,18 +185,25 @@ fn served_answers_are_byte_identical_with_tracing_on_and_off() {
 
 #[test]
 fn degraded_answers_are_pinpointed_to_merged_spans() {
-    // A source that dies permanently after the engine's warm-up
-    // `get_root`: every fill during the walk fails, so the very first
-    // fetch serves a degraded answer (same shape as fault_containment's
-    // wire test, now with the flight recorder running on both ends).
-    let tree = parse_term(SOURCE).unwrap();
+    // `<$L>` takes its label from `$L`'s subtree, and the source dies
+    // after its 4th request: the open's `d(root)` reaches the first
+    // element but its label degrades, so the open ships nothing and the
+    // client's `d(root)` and `f` of that element cross (same shape as
+    // fault_containment's wire test, now with the flight recorder
+    // running on both ends).
+    let tree = parse_term("items[a[t[u[1],v[2]]],b[t[w[3]]]]").unwrap();
     let mut inner = TreeWrapper::new(FillPolicy::NodeAtATime);
     inner.add("src", Arc::new(mix_xml::Document::from_tree(&tree)));
-    let faulty = FaultyWrapper::new(inner, FaultConfig::outage_after(1));
+    let faulty = FaultyWrapper::new(inner, FaultConfig::outage_after(4));
     let mut pool = SessionSources::new(FragmentCache::new(), MetricsRegistry::enabled());
     pool.add_wrapper("src", faulty);
     let mut server = VxdServer::new(pool);
-    server.add_template("q", QUERY).unwrap();
+    server
+        .add_template(
+            "q",
+            "CONSTRUCT <all> <$L> $X {$X} </$L> {$L} </all> {} WHERE src items._ $X AND $X t $L",
+        )
+        .unwrap();
     let (client_end, server_end) = pipe();
     let server2 = server.clone();
     let conn = std::thread::spawn(move || server2.serve_connection(server_end));
@@ -203,6 +211,8 @@ fn degraded_answers_are_pinpointed_to_merged_spans() {
     let mut client = VxdClient::new(client_end).with_trace(TraceSink::enabled(65_536));
     let client_sink = client.trace_sink();
     let open = client.open("q").unwrap();
+    assert_eq!(open.degraded, ["src"], "the open names the source that degraded");
+    let open_span = client_sink.current_span();
 
     // Walk breadth-first, fetching every reachable node; record the
     // client span of each degraded answer.
@@ -240,6 +250,11 @@ fn degraded_answers_are_pinpointed_to_merged_spans() {
         assert!(row.degradations >= 1, "span {span} shows its degradation");
         assert_eq!(row.serves_client_span, Some(*span), "span {span} is wire-linked");
     }
+    // So is the open's: its `d(root)` degraded under the client's `open`.
+    let row = rows.iter().find(|s| s.span == open_span).expect("the open's row exists");
+    assert_eq!(row.command, "open");
+    assert!(row.degradations >= 1, "the open's span shows its degradation");
+    assert_eq!(row.serves_client_span, Some(open_span), "the open is wire-linked");
     // And the merged rollup still reconciles with the wire under faults.
     let r = merged.rollup();
     let frames = TraceLog::from_sink(&client_sink).spans().len() as u64;

@@ -78,9 +78,13 @@ fn main() {
         child = client.right(a.session, node).expect("right");
     }
 
+    // `close` returns without waiting for its reply; the next exchange
+    // on the connection reads it first.
     client.close(a.session).expect("close a");
     client.close(b.session).expect("close b");
-    println!("sessions closed; server still up: {} live sessions", server.session_count());
+    let c = client.open("med_homes").expect("session c");
+    println!("sessions a and b closed; server still up: {} live session", server.session_count());
+    client.close(c.session).expect("close c");
 
     handle.shutdown();
     println!("server shut down cleanly");
