@@ -194,8 +194,8 @@ pub struct Engine {
     /// [`ViewCatalog`]).
     semantic: Option<SemanticState>,
     /// Each source's degraded-operation count before the current
-    /// [`Engine::fetch_checked`]: scratch kept across calls, so a check
-    /// allocates only when a count moved.
+    /// [`Engine::degraded_during`]: scratch kept across calls, so an
+    /// unnested check allocates only when a count moved.
     degraded_before: Vec<u64>,
 }
 
@@ -578,16 +578,21 @@ impl Engine {
     /// it ran (none: an empty list) — the comparison behind
     /// [`Engine::fetch_checked`], for any command.
     pub fn degraded_during<T>(&mut self, op: impl FnOnce(&mut Self) -> T) -> (T, Vec<String>) {
-        self.degraded_before.clear();
-        self.degraded_before.extend(self.sources.iter().map(SourceConn::degraded_ops));
+        // Taken out of the engine while `op` runs: a check nested in `op`
+        // (a label fetch within a step) takes its own snapshot and cannot
+        // overwrite this one.
+        let mut before = std::mem::take(&mut self.degraded_before);
+        before.clear();
+        before.extend(self.sources.iter().map(SourceConn::degraded_ops));
         let out = op(self);
         let sources = self
             .sources
             .iter()
-            .zip(&self.degraded_before)
+            .zip(&before)
             .filter(|(s, &before)| s.degraded_ops() > before)
             .map(|(s, _)| s.name.clone())
             .collect();
+        self.degraded_before = before;
         (out, sources)
     }
 

@@ -16,7 +16,7 @@ use mix_buffer::{
 };
 use mix_core::{profile, Engine, HealthStatus, SourceRegistry, VirtualDocument};
 use mix_nav::explore::materialize;
-use mix_nav::{Cmd, NavProgram};
+use mix_nav::{Cmd, NavProgram, Navigator};
 use mix_xmas::parse_query;
 use mix_xml::term::parse_term;
 
@@ -134,4 +134,23 @@ fn healthy_sources_report_no_fault_column() {
     assert_eq!(engine.overall_health(), HealthStatus::Healthy);
     // Plain (unbuffered) sources carry no health handle.
     assert!(engine.health()[0].1.is_none());
+}
+
+#[test]
+fn a_check_nested_in_degraded_during_leaves_the_outer_one_whole() {
+    // The source answers the handshake and two fills, then goes dark.
+    let (reg, _health) = faulty_registry(
+        FaultConfig::outage_after(3),
+        RetryPolicy { max_attempts: 2, ..RetryPolicy::default() },
+    );
+    let mut engine = engine_over(&reg);
+    let root = engine.root();
+    let (label, degraded) = engine.degraded_during(|e| {
+        let a = e.down(&root).expect("the first element arrives before the outage");
+        assert!(e.right(&a).is_none(), "its sibling is lost to the outage");
+        // `a`'s label came with `a`: this check sees no degradation.
+        e.fetch_checked(&a)
+    });
+    assert_eq!(label.map(|l| l.to_string()), Ok("a".to_string()));
+    assert_eq!(degraded, ["src"], "the outer check still sees the lost sibling");
 }

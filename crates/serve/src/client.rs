@@ -21,8 +21,8 @@
 //! the client reads that reply just before the reply to its next frame.
 
 use crate::codec::{
-    ErrorCode, FirstAnswer, FrameError, FrameStream, Link, Reply, Request, ShippedNode,
-    TraceContext, Verb,
+    read_frame, ErrorCode, FirstAnswer, FrameError, FrameStream, Link, Reply, Request,
+    ShippedNode, TraceContext, Verb,
 };
 use mix_core::{TraceKind, TraceSink};
 use std::collections::HashMap;
@@ -176,21 +176,30 @@ impl<S: Read + Write> VxdClient<S> {
 
     /// Read the reply to an earlier `close`, if it is still unread.
     /// `Closed` and `UnknownSession` both say the session is gone, so
-    /// either is dropped; anything else is an error.
-    fn read_close_reply(&mut self) -> Result<(), ClientError> {
+    /// either is dropped. The outer error is a frame that did not arrive
+    /// whole, after which the stream is out of step; the inner one a
+    /// whole frame that is no reply to a `close`, after which the next
+    /// frame is the next reply.
+    fn read_close_reply(&mut self) -> Result<Result<(), ClientError>, FrameError> {
         if !std::mem::take(&mut self.close_unread) {
-            return Ok(());
+            return Ok(Ok(()));
         }
-        match self.frames.recv_reply()? {
-            Reply::Closed | Reply::Error { code: ErrorCode::UnknownSession, .. } => Ok(()),
-            other => Err(ClientError::UnexpectedReply(format!("{other:?}"))),
-        }
+        let frame = read_frame(self.frames.stream_mut())?;
+        Ok(match Reply::decode(&frame) {
+            Ok(Reply::Closed | Reply::Error { code: ErrorCode::UnknownSession, .. }) => Ok(()),
+            Ok(other) => Err(ClientError::UnexpectedReply(format!("{other:?}"))),
+            Err(e) => Err(ClientError::Frame(e)),
+        })
     }
 
     fn exchange(&mut self, session: u64, verb: Verb) -> Result<Reply, ClientError> {
         self.send(session, verb)?;
-        self.read_close_reply()?;
-        let reply = self.frames.recv_reply()?;
+        let late = self.read_close_reply()?;
+        // Read this request's reply even when the late one was bad, so the
+        // next call reads its own.
+        let reply = self.frames.recv_reply();
+        late?;
+        let reply = reply?;
         if let Reply::Error { code, msg } = reply {
             // Both mean the server no longer holds the session.
             if matches!(code, ErrorCode::UnknownSession | ErrorCode::Internal) {
@@ -323,6 +332,6 @@ impl<S: Read + Write> VxdClient<S> {
         // The reply to an earlier `close`, so at most one is left unread.
         let earlier = self.read_close_reply();
         self.close_unread = true;
-        earlier
+        earlier?
     }
 }

@@ -79,6 +79,9 @@ pub const CLOSED_TRACE_CAPACITY: usize = 64;
 /// them); a verb's index here is its slot in every per-verb table.
 pub const VERB_LABELS: [&str; 4] = ["d", "r", "f", "select"];
 
+/// The [`VERB_LABELS`] slot an `Open`'s `d(root)` is counted in.
+const D_ROOT: usize = 0;
+
 /// The wire-span name of each navigation verb, in [`VERB_LABELS`] order
 /// (the engine's span names, so a merged trace shows one consistent
 /// command vocabulary).
@@ -100,7 +103,8 @@ struct VerbStats {
 pub struct SlowNav {
     /// The session that served the navigation.
     pub session: u64,
-    /// Verb label (`d`/`r`/`f`/`select`).
+    /// Verb label (`d`/`r`/`f`/`select`); an `Open`'s `d(root)` is a
+    /// `d`, at the span the open's warm-up ran in.
     pub verb: &'static str,
     /// Wall-clock duration in nanoseconds.
     pub elapsed_ns: u64,
@@ -635,6 +639,8 @@ impl VxdServer {
         // it: under the panic boundary a navigation runs under, before
         // the session exists, and in the warm-up's span, which the `open`
         // link below names. What a degraded source produced stays behind.
+        // It is served as a `d`, and counted and timed as one.
+        let start = Instant::now();
         let answered = catch_unwind(AssertUnwindSafe(move || {
             let root = engine.root();
             let (shipment, degraded) = engine.degraded_during(|e| {
@@ -654,6 +660,8 @@ impl VxdServer {
             };
             (nav, root, first)
         }));
+        let elapsed_ns = start.elapsed().as_nanos() as u64;
+        self.observe(D_ROOT, elapsed_ns, answered.is_err());
         let Ok((nav, root_handle, first)) = answered else {
             sh.panics_total.inc();
             return Reply::Error {
@@ -683,7 +691,15 @@ impl VxdServer {
             trace.emit(None, TraceKind::WireSpan { client_span: ctx.span, verb: "open" });
             trace.bind_into(&sh.metrics, &[("session", &id.to_string())]);
         }
+        commands.inc();
         ids.add(nav.issued());
+        self.note_if_slow(SlowNav {
+            session: id,
+            verb: VERB_LABELS[D_ROOT],
+            elapsed_ns,
+            server_span: if trace.is_enabled() { trace.current_span() } else { 0 },
+            client_span: ctx.map(|c| c.span),
+        });
         let session = Session {
             nav,
             commands,
@@ -745,34 +761,26 @@ impl VxdServer {
             (reply, server_span)
         }));
         let elapsed_ns = start.elapsed().as_nanos() as u64;
-        vs.total.inc();
-        vs.latency.observe(elapsed_ns);
+        let failed = match &outcome {
+            Ok((reply, _)) => matches!(reply, Reply::Error { .. }),
+            Err(_) => true,
+        };
+        self.observe(verb, elapsed_ns, failed);
         match outcome {
             Ok((reply, server_span)) => {
                 if matches!(reply, Reply::DegradedLabel { .. }) {
                     sh.degraded_total.inc();
                 }
-                if matches!(reply, Reply::Error { .. }) {
-                    vs.errors.inc();
-                }
-                if elapsed_ns >= sh.slow_threshold_ns.load(Ordering::Relaxed) {
-                    sh.slow_total.inc();
-                    let mut ring = lock_unpoisoned(&sh.slow_navs);
-                    if ring.len() >= SLOW_NAV_CAPACITY {
-                        ring.pop_front();
-                    }
-                    ring.push_back(SlowNav {
-                        session: session_id,
-                        verb: VERB_LABELS[verb],
-                        elapsed_ns,
-                        server_span,
-                        client_span: ctx.map(|c| c.span),
-                    });
-                }
+                self.note_if_slow(SlowNav {
+                    session: session_id,
+                    verb: VERB_LABELS[verb],
+                    elapsed_ns,
+                    server_span,
+                    client_span: ctx.map(|c| c.span),
+                });
                 reply
             }
             Err(_) => {
-                vs.errors.inc();
                 sh.panics_total.inc();
                 self.close_session(session_id);
                 Reply::Error {
@@ -781,6 +789,31 @@ impl VxdServer {
                 }
             }
         }
+    }
+
+    /// Count one served navigation verb (its [`VERB_LABELS`] slot) in its
+    /// RED series.
+    fn observe(&self, verb: usize, elapsed_ns: u64, failed: bool) {
+        let vs = &self.shared.verb_stats[verb];
+        vs.total.inc();
+        vs.latency.observe(elapsed_ns);
+        if failed {
+            vs.errors.inc();
+        }
+    }
+
+    /// Keep `nav` in the slow-navigation ring if it crossed the threshold.
+    fn note_if_slow(&self, nav: SlowNav) {
+        let sh = &*self.shared;
+        if nav.elapsed_ns < sh.slow_threshold_ns.load(Ordering::Relaxed) {
+            return;
+        }
+        sh.slow_total.inc();
+        let mut ring = lock_unpoisoned(&sh.slow_navs);
+        if ring.len() >= SLOW_NAV_CAPACITY {
+            ring.pop_front();
+        }
+        ring.push_back(nav);
     }
 
     /// Tear a session down: drop its engine (buffers, open trees, pending

@@ -153,6 +153,7 @@ fn a_panic_while_open_answers_d_root_opens_no_session() {
     let totals = server.metrics().snapshot();
     assert_eq!(totals.total("mix_serve_session_panics_total"), 1);
     assert_eq!(totals.total("mix_serve_sessions_opened_total"), 0);
+    assert_eq!(totals.value("mix_serve_verb_errors_total", &[("verb", "d")]), Some(1));
 
     // The connection is still served.
     let open = client.open("q").unwrap();
@@ -197,6 +198,61 @@ fn degraded_answers_cross_the_wire_as_degraded() {
     conn.join().unwrap();
 }
 
+/// A source that fails every fill of one hole and answers all others.
+struct DeadHole {
+    inner: TreeWrapper,
+    dead: &'static str,
+}
+
+impl LxpWrapper for DeadHole {
+    fn get_root(&mut self, uri: &str) -> Result<HoleId, LxpError> {
+        self.inner.get_root(uri)
+    }
+
+    fn fill(&mut self, hole: &HoleId) -> Result<Vec<Fragment>, LxpError> {
+        if hole == self.dead {
+            return Err(LxpError::SourceError("injected dead hole".into()));
+        }
+        self.inner.fill(hole)
+    }
+}
+
+#[test]
+fn an_open_whose_d_root_degraded_ships_nothing_though_the_reached_label_is_complete() {
+    // `d(root)` asks for `a`'s children (the hole `src|c|1|0`), which
+    // degrade, and still reaches `<g>`. Its label is a constant, so the
+    // label fetches of the shipment degrade nothing: only a comparison
+    // over the whole `d(root)` sees the loss.
+    let mut pool = SessionSources::new(FragmentCache::new(), MetricsRegistry::enabled());
+    let mut inner = TreeWrapper::new(FillPolicy::NodeAtATime);
+    let tree = parse_term("items[a[1,2],b[3]]").unwrap();
+    inner.add("src", Arc::new(mix_xml::Document::from_tree(&tree)));
+    pool.add_wrapper("src", DeadHole { inner, dead: "src|c|1|0" });
+    let mut server = VxdServer::new(pool);
+    server
+        .add_template("q", "CONSTRUCT <all> <g> $X </g> {$X} </all> {} WHERE src items._ $X")
+        .unwrap();
+
+    let open = Request::new(0, Verb::Open { template: "q".into() });
+    let Reply::Opened { first, .. } = server.handle(&open) else {
+        panic!("the template opens");
+    };
+    assert_eq!(first, FirstAnswer::Unknown { degraded: vec!["src".to_string()] });
+
+    let (client_end, server_end) = pipe();
+    let server2 = server.clone();
+    let conn = std::thread::spawn(move || server2.serve_connection(server_end));
+    let mut client = VxdClient::new(client_end);
+    let open = client.open("q").unwrap();
+    assert_eq!(open.degraded, ["src"]);
+    let g = client.down(open.session, open.root).unwrap().expect("the view holds `g`");
+    let label = client.fetch_checked(open.session, g).unwrap();
+    assert_eq!(label, FetchOutcome::Complete("g".into()));
+    client.close(open.session).unwrap();
+    drop(client);
+    conn.join().unwrap();
+}
+
 #[test]
 fn malformed_frames_get_typed_errors_without_dropping_the_connection() {
     let server = healthy_server();
@@ -229,27 +285,42 @@ fn malformed_frames_get_typed_errors_without_dropping_the_connection() {
     conn.join().unwrap();
 }
 
-#[test]
-fn a_late_close_reply_that_does_not_decode_is_returned_by_the_next_call() {
+/// Close a session against a peer that answers the `close` with `late`,
+/// and return the error of the next call. The peer answers that call
+/// and one more, whose reply the function checks.
+fn error_after_a_late_close_reply(late: Vec<u8>) -> ClientError {
     let (client_end, peer_end) = pipe();
-    // A peer that answers `open`, then answers `close` with a frame that
-    // decodes to no reply.
     let peer = std::thread::spawn(move || {
         let mut frames = FrameStream::new(peer_end);
+        let opened = |session| Reply::Opened { session, root: 1, first: FirstAnswer::End };
         frames.recv_request().unwrap().unwrap();
-        let opened = Reply::Opened { session: 1, root: 1, first: FirstAnswer::End };
-        frames.send_reply(&opened).unwrap();
+        frames.send_reply(&opened(1)).unwrap();
         let close = frames.recv_request().unwrap().unwrap();
         assert_eq!(close.verb, Verb::Close);
-        write_frame(frames.stream_mut(), &[0x7F]).unwrap();
-        frames.recv_request().unwrap().unwrap();
+        write_frame(frames.stream_mut(), &late).unwrap();
+        for session in [2, 3] {
+            frames.recv_request().unwrap().unwrap();
+            frames.send_reply(&opened(session)).unwrap();
+        }
     });
     let mut client = VxdClient::new(client_end);
     let open = client.open("q").unwrap();
     client.close(open.session).unwrap();
     let err = client.open("q").unwrap_err();
-    assert!(matches!(err, ClientError::Frame(FrameError::UnknownTag(0x7F))), "{err}");
+    // The failed call read its own reply, so this one gets its own.
+    assert_eq!(client.open("q").unwrap().session, 3);
     peer.join().unwrap();
+    err
+}
+
+#[test]
+fn a_late_close_reply_that_is_no_close_reply_is_returned_by_the_next_call() {
+    // A frame that decodes to no reply.
+    let err = error_after_a_late_close_reply(vec![0x7F]);
+    assert!(matches!(err, ClientError::Frame(FrameError::UnknownTag(0x7F))), "{err}");
+    // A reply no `close` can get.
+    let err = error_after_a_late_close_reply(Reply::End.encode());
+    assert!(matches!(err, ClientError::UnexpectedReply(_)), "{err}");
 }
 
 /// Borrow the transport under a `FrameStream` to write raw bytes.

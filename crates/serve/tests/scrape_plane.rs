@@ -308,3 +308,42 @@ fn sessions_table_shows_live_sessions_and_slow_log_explains_spans() {
     );
     http.shutdown();
 }
+
+#[test]
+fn an_opens_d_root_is_served_as_a_d_in_the_red_series_and_the_slow_log() {
+    let mut server = VxdServer::new(pool());
+    server.add_template("q", QUERY).unwrap();
+    server.set_slow_nav_threshold(0);
+    let (client_end, server_end) = pipe();
+    let server2 = server.clone();
+    let conn = std::thread::spawn(move || server2.serve_connection(server_end));
+    let mut client = VxdClient::new(client_end).with_trace(TraceSink::enabled(4096));
+    let open = client.open("q").unwrap();
+
+    // The open served `d(root)`, and no frame asked for it.
+    let totals = server.metrics().snapshot();
+    let d = [("verb", "d")];
+    assert_eq!(totals.value("mix_serve_verb_requests_total", &d), Some(1));
+    assert_eq!(totals.histogram("mix_serve_nav_latency_ns", &d).map(|h| h.count), Some(1));
+    let session = open.session.to_string();
+    let commands = totals.value("mix_serve_session_commands_total", &[("session", &session)]);
+    assert_eq!(commands, Some(1));
+
+    // It is in the slow log as a `d` of the session, linked to the
+    // client's `open` span, and `why` explains its server span.
+    let slow = server.slow_navs();
+    let nav = slow
+        .iter()
+        .find(|s| s.session == open.session)
+        .expect("threshold 0 records the open's d(root)");
+    assert_eq!(nav.verb, "d");
+    assert!(nav.client_span.is_some());
+    let explanation = server.why(open.session, nav.server_span);
+    assert!(
+        matches!(&explanation, WhyAnswer::Explained(text) if !text.is_empty()),
+        "{explanation:?}"
+    );
+    client.close(open.session).unwrap();
+    drop(client);
+    conn.join().unwrap();
+}
